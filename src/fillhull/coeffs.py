@@ -111,18 +111,28 @@ def p_grid(f: HullFn) -> CoeffGrid:
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
+    The triangle is filled in blocks of rows, at most 8192 entries
+    each, whose temporaries stay in cache and are reused by the
+    allocator instead of being faulted in afresh for every table.
     """
     if dist_to_boundary(f) <= 0.0:
         raise ValueError("f touches the boundary circle; p is undefined")
     n = f.grid.n
     x = f.at_midnodes()
-    y = f.values
-    a = f.grid.beta_nodes[None, :] - f.grid.alpha_nodes[:, None]
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    e = np.where(mask, _e_values(a, x[:, None], y[None, :]), 0.0)
-    p = np.where(mask,
-                 e / (np.sin(x[:, None]) ** 2 * np.sin(y[None, :]) ** 2),
-                 0.0)
+    y = f.values[None, :]
+    sy2 = np.sin(y) ** 2
+    alphas, betas = f.grid.alpha_nodes, f.grid.beta_nodes
+    idx = np.arange(n)
+    p = np.zeros((n, n))
+    rows = max(1, 8192 // n)
+    for j in range(0, n, rows):
+        block, cols = slice(j, j + rows), slice(j + 1, n)
+        xb = x[block, None]
+        mask = idx[None, cols] > idx[block, None]
+        e = np.where(mask, _e_values(betas[None, cols] - alphas[block, None],
+                                     xb, y[:, cols]), 0.0)
+        p[block, cols] = np.where(mask, e / (np.sin(xb) ** 2 * sy2[:, cols]),
+                                  0.0)
     return CoeffGrid(f.grid, p)
 
 

@@ -212,7 +212,7 @@ def maximize_eta(p: SpherePoint, f: HullFn,
 
 
 def _resample_hull(f: HullFn, grid: Grid) -> HullFn:
-    return HullFn(grid, np.array([f.value_at(b) for b in grid.beta_nodes]))
+    return HullFn(grid, f.value_at(grid.beta_nodes))
 
 
 def _resample_field(eta: AngleField, grid: Grid) -> AngleField:

@@ -207,27 +207,21 @@ def shrink_toward_center(f: HullFn, lam: float) -> HullFn:
     return HullFn(f.grid, (1.0 - lam) * (PI / 2) + lam * f.values)
 
 
-_DIST_MATRICES: dict[int, np.ndarray] = {}
-
-
-def _circle_dist_matrix(m: int) -> np.ndarray:
-    """Pairwise circle distances between m equispaced full-circle nodes."""
-    mat = _DIST_MATRICES.get(m)
-    if mat is None:
-        idx = np.arange(m)
-        diff = np.abs(idx[:, None] - idx[None, :])
-        mat = np.minimum(diff, m - diff) * (TWO_PI / m)
-        _DIST_MATRICES[m] = mat
-    return mat
-
-
 def _lipschitz_envelope(w: np.ndarray) -> np.ndarray:
     """Average of the discrete McShane upper and lower 1-Lipschitz
-    envelopes on the full circle."""
-    dist = _circle_dist_matrix(w.size)
-    upper = (w[None, :] + dist).min(axis=1)
-    lower = (w[None, :] - dist).max(axis=1)
-    return 0.5 * (upper + lower)
+    envelopes on the full circle, in linear time: the upper envelope
+    ``min_j (w_j + d(i, j))`` is a forward and a backward min-plus sweep
+    over three laps of the cycle, and the lower one is ``-upper(-w)``."""
+    m = w.size
+    x = np.arange(3 * m) * (TWO_PI / m)
+
+    def upper(v: np.ndarray) -> np.ndarray:
+        laps = np.tile(v, 3)
+        fwd = np.minimum.accumulate(laps - x) + x
+        bwd = np.minimum.accumulate((laps + x)[::-1])[::-1] - x
+        return np.minimum(fwd, bwd)[m:2 * m]
+
+    return 0.5 * (upper(w) - upper(-w))
 
 
 def random_hull_point(seed: int, roughness: float, eps: float,

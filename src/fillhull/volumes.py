@@ -9,6 +9,11 @@ Jacobians against Lebesgue measure:
 * ``holmes_thompson``: ``Leb(dual unit ball) / pi``,
 * ``inner_riemannian``: ``pi / (inscribed max-area ellipse area)``.
 
+For mass* and the inscribed (John) ellipse the unit ball is the convex
+hull polygon ``{x : |c_i . x| <= 1}`` of the sampled boundary points:
+the ``c_i`` span the dual polygon, and the John ellipse is the exact
+solution of a 3-variable max-det problem over them.
+
 A surface chart into the hull has, at each parameter point, a metric
 derivative norm on the parameter plane; integrating the chosen
 Jacobian of that norm gives the Finsler mass of the chart.  The cone
@@ -19,14 +24,16 @@ two-form and the shoelace lower-bound loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .quadrature import Grid, integrate_triangle
-from .hull import HullFn, SpherePoint, sphere_point, random_hull_point
+from .hull import (ConvergenceError, HullFn, SpherePoint, sphere_point,
+                   random_hull_point)
 from .coeffs import p_grid
 
 __all__ = [
@@ -91,6 +98,35 @@ class Norm2D:
         r = np.hypot(vx, vy)
         theta = np.arctan2(vy, vx)
         return r * self.unit_norm_at(theta)
+
+    @cached_property
+    def facet_normals(self) -> np.ndarray:
+        """Normals ``c``, one per antipodal facet pair, of the convex hull
+        of the sampled boundary points ``+-u_j / N(u_j)``, scaled so that
+        the hull is ``{x : |c . x| <= 1}``; cached for mass* and the John
+        ellipse.  The points run counterclockwise around the origin, and
+        one that does not turn left between its current neighbours lies
+        in their triangle with the origin: all such points are dropped
+        at once until none is left.  Unlike a sort by coordinates, this
+        order has no ties up to rounding on axis-parallel edges."""
+        self.check_nondegenerate()
+        th = self.theta_nodes
+        half = np.column_stack([np.cos(th), np.sin(th)]) \
+            / self.unit_norms[:, None]
+        pts = np.concatenate([half, -half])
+        tol = 1e-14 * float((pts * pts).sum(axis=1).max())
+        while True:
+            e = pts - np.roll(pts, 1, axis=0)
+            keep = e[:, 0] * np.roll(e[:, 1], -1) \
+                - e[:, 1] * np.roll(e[:, 0], -1) > tol
+            if keep.all():
+                break
+            pts = pts[keep]
+        k = len(pts) // 2
+        p, q = pts[:k], pts[1:k + 1]
+        det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+        return np.column_stack([q[:, 1] - p[:, 1],
+                                p[:, 0] - q[:, 0]]) / det[:, None]
 
     def ball_area(self) -> float:
         """Lebesgue area of the unit ball by the polar formula."""
@@ -167,108 +203,91 @@ def _ellipse_area(norm: Norm2D, q: np.ndarray, phi: np.ndarray,
     return PI * q[..., 0] / (peak * peak)
 
 
+# candidate active sets among three or four facets: every pair, triple
+_ACTIVE_SETS = {n: [list(s) for k in (2, 3)
+                    for s in itertools.combinations(range(n), k)]
+                for n in (3, 4)}
+
+
+def _kkt_matrix(g: np.ndarray) -> np.ndarray:
+    """Symmetric ``A`` with ``g_i^T A g_i = 1`` on the two or three rows
+    of ``g``; for two rows, the maximizer ``(g^T g)^-1``."""
+    if len(g) == 2:
+        return np.linalg.inv(g.T @ g)
+    rows = np.column_stack([g[:, 0] ** 2, 2.0 * g[:, 0] * g[:, 1],
+                            g[:, 1] ** 2])
+    a11, a12, a22 = np.linalg.solve(rows, np.ones(3))
+    return np.array([[a11, a12], [a12, a22]])
+
+
+def _max_det_on(g: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Max-det ``A`` under the three or four rows of ``g``, and its
+    active rows: of the KKT solutions of every pair and triple, the one
+    with the largest determinant once scaled inside all rows."""
+    best = -math.inf
+    for active in _ACTIVE_SETS[len(g)]:
+        A = _kkt_matrix(g[active])
+        det = float(np.linalg.det(A))
+        if A[0, 0] > 0.0 and det > 0.0:
+            peak = float(np.einsum("ij,jk,ik->i", g, A, g).max())
+            if det / (peak * peak) > best:
+                best, pick = det / (peak * peak), (active, A)
+    return pick
+
+
 def john_ellipse(norm: Norm2D) -> tuple[float, float, float, float]:
-    """Maximal-area inscribed origin-symmetric ellipse.
+    """Maximal-area inscribed origin-symmetric ellipse of the hull
+    polygon ``{x : |c_i . x| <= 1}`` of the sampled unit ball.
 
-    Searches over aspect ratio and tilt with the radial scale
-    eliminated analytically (the optimal ellipse of a given shape is
-    the one scaled to touch the unit sphere), then refines with
-    Nelder-Mead.  Returns ``(a, b, phi, area)`` with ``a >= b``.
+    The ellipse ``{x : x^T A^-1 x <= 1}`` lies inside iff every
+    ``c_i^T A c_i <= 1``, so ``A`` maximizes ``log det A`` under these
+    linear constraints (Boyd & Vandenberghe, *Convex Optimization*,
+    8.4.2); at most three facet pairs are active, and their KKT
+    equations fix ``A``.  Each active-set step adds the most violated
+    facet and solves exactly over the at most four in play (``det A``
+    falls strictly, so no set recurs), in the frame where the current
+    ellipse is the unit disk, which keeps thin ellipses well
+    conditioned.  A final rescale by ``max_i c_i^T A c_i`` makes the
+    ellipse touch the polygon.  Returns ``(a, b, phi, area)`` with
+    ``a >= b`` and the major axis at angle ``phi``.
     """
-    norm.check_nondegenerate()
-    # aspect q <= 1 puts the major axis along phi, so the tilt must
-    # range over a full half turn or elongated ellipses get missed
-    qs = np.linspace(0.05, 1.0, 39)
-    phis = np.linspace(0.0, PI, 90, endpoint=False)
-    qq, pp = np.meshgrid(qs, phis, indexing="ij")
-    areas = _ellipse_area(norm, qq.ravel(), pp.ravel(), 180)
-    best = int(np.argmax(areas))
-    x0 = np.array([qq.ravel()[best], pp.ravel()[best]])
-
-    def neg_area(x):
-        q = min(max(x[0], 1e-3), 1.0)
-        return -float(_ellipse_area(norm, np.array([q]),
-                                    np.array([x[1]]), 360)[0])
-
-    res = minimize(neg_area, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
-    q = min(max(res.x[0], 1e-3), 1.0)
-    phi = res.x[1] % PI
-
-    # final containment pass: rescale so the ellipse touches the unit
-    # sphere, polishing the sampled maximum of t -> N(z(t)) so the
-    # boundary cannot poke out between samples
-    n_t = 1440
-    t = np.arange(n_t) * (TWO_PI / n_t)
-
-    def boundary_norm(tt):
-        tt = np.asarray(tt, float)
-        xx = math.cos(phi) * np.cos(tt) - math.sin(phi) * (q * np.sin(tt))
-        yy = math.sin(phi) * np.cos(tt) + math.cos(phi) * (q * np.sin(tt))
-        return norm.norm_of(xx, yy)
-
-    g = boundary_norm(t)
-    peak = float(g.max())
-    local = np.nonzero((g >= np.roll(g, 1)) & (g >= np.roll(g, -1)))[0]
-    dt = TWO_PI / n_t
-    for k in local[np.argsort(g[local])[-6:]]:
-        r = minimize_scalar(lambda tt: -float(boundary_norm(tt)),
-                            bounds=(t[k] - dt, t[k] + dt),
-                            method="bounded",
-                            options={"xatol": 1e-12})
-        peak = max(peak, -float(r.fun))
-    s = 1.0 / peak
-    a, b = s, q * s
+    c = norm.facet_normals
+    i = int(np.argmax((c * c).sum(axis=1)))
+    basis = [i, int(np.argmax(np.abs(c[i, 0] * c[:, 1]
+                                     - c[i, 1] * c[:, 0])))]
+    L = np.linalg.inv(c[basis])         # A = L L^T
+    g = c @ L                           # facets in the frame of the ellipse
+    for _ in range(64):
+        load = (g * g).sum(axis=1)
+        k = int(np.argmax(load))
+        if load[k] <= 1.0 + 1e-12 or k in basis:
+            break
+        trial = basis + [k]
+        active, A = _max_det_on(g[trial])
+        basis = [trial[t] for t in active]
+        chol = np.linalg.cholesky(A)
+        L, g = L @ chol, g @ chol
+    else:
+        raise ConvergenceError("John ellipse active set did not settle")
+    L = L / math.sqrt(float((g * g).sum(axis=1).max()))
+    A = L @ L.T
+    a = math.sqrt(0.5 * (A[0, 0] + A[1, 1])
+                  + math.hypot(0.5 * (A[0, 0] - A[1, 1]), A[0, 1]))
+    b = abs(float(L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0])) / a
+    phi = 0.5 * math.atan2(2.0 * A[0, 1], A[0, 0] - A[1, 1]) % PI
     return a, b, phi, PI * a * b
 
 
 def _dual_polygon(norm: Norm2D) -> np.ndarray:
-    """Vertices of the dual unit ball ``{xi : <xi, v> <= 1 on the
-    ball}``: adjacent-facet intersections of the halfplanes carried by
-    the primal boundary points, keeping the bounding (convex) ones."""
-    norm.check_nondegenerate()
-    th = np.concatenate([norm.theta_nodes, norm.theta_nodes + PI])
-    pts = np.column_stack([np.cos(th), np.sin(th)]) \
-        / np.concatenate([norm.unit_norms, norm.unit_norms])[:, None]
-    hull_idx = _convex_hull_order(pts)
-    hp = pts[hull_idx]
-    nxt = np.roll(hp, -1, axis=0)
-    det = hp[:, 0] * nxt[:, 1] - hp[:, 1] * nxt[:, 0]
-    good = np.abs(det) > 1e-12
-    xi = np.column_stack([(nxt[:, 1] - hp[:, 1]), (hp[:, 0] - nxt[:, 0])])
-    xi = xi[good] / det[good][:, None]
-    # facet intersections circumscribe the dual ball of the
-    # interpolated norm; project each vertex back onto its sphere with
-    # a dense support-function evaluation
+    """Vertices of the dual unit ball, one per antipodal pair: the hull
+    facet normals circumscribe the dual ball of the interpolated norm,
+    so each is projected back onto its sphere with a dense
+    support-function evaluation."""
+    xi = norm.facet_normals
     dense = np.arange(4096) * (TWO_PI / 4096)
     u = np.column_stack([np.cos(dense), np.sin(dense)])
     v = u / norm.norm_of(u[:, 0], u[:, 1])[:, None]
-    dual_norms = np.max(xi @ v.T, axis=1)
-    return xi / dual_norms[:, None]
-
-
-def _convex_hull_order(pts: np.ndarray) -> np.ndarray:
-    """Indices of the convex hull of centrally symmetric points, in
-    counterclockwise order (Andrew monotone chain)."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
-
-    def half(indices):
-        out = []
-        for idx in indices:
-            while len(out) >= 2:
-                o, a = p[out[-2]], p[out[-1]]
-                if ((a[0] - o[0]) * (p[idx][1] - o[1])
-                        - (a[1] - o[1]) * (p[idx][0] - o[0])) > 1e-14:
-                    break
-                out.pop()
-            out.append(idx)
-        return out
-
-    lower = half(range(len(p)))
-    upper = half(range(len(p) - 1, -1, -1))
-    keep = lower[:-1] + upper[:-1]
-    return order[np.array(keep)]
+    return xi / np.max(xi @ v.T, axis=1)[:, None]
 
 
 def jacobian(norm: Norm2D, definition: str) -> float:
@@ -328,28 +347,6 @@ class SurfaceChart:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "axis0", np.asarray(self.axis0, float))
         object.__setattr__(self, "axis1", np.asarray(self.axis1, float))
-
-    def _axis_pos(self, axis: np.ndarray, periodic: bool, u: float,
-                  span: float) -> tuple[int, int, float]:
-        step = axis[1] - axis[0]
-        pos = (u - axis[0]) / step
-        n = len(axis)
-        if periodic:
-            pos %= n
-            i0 = int(math.floor(pos)) % n
-            return i0, (i0 + 1) % n, pos - math.floor(pos)
-        pos = min(max(pos, 0.0), n - 1.0)
-        i0 = min(int(math.floor(pos)), n - 2)
-        return i0, i0 + 1, pos - i0
-
-    def value_at(self, u: float, v: float) -> np.ndarray:
-        """Bilinear interpolation between parameter nodes, returning
-        hull-function samples."""
-        i0, i1, s = self._axis_pos(self.axis0, self.periodic0, u, 0.0)
-        j0, j1, t = self._axis_pos(self.axis1, self.periodic1, v, 0.0)
-        V = self.values
-        return ((1 - s) * (1 - t) * V[i0, j0] + s * (1 - t) * V[i1, j0]
-                + (1 - s) * t * V[i0, j1] + s * t * V[i1, j1])
 
 
 def _offset_directions(radius: int) -> list[tuple[int, int]]:

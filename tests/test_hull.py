@@ -128,3 +128,16 @@ def test_sphere_point_validates_parameters():
         SpherePoint(-0.1, 0.5)
     with pytest.raises(ValueError):
         SpherePoint(0.0, PI)
+
+
+def test_lipschitz_envelope_matches_dense_min_plus():
+    rng = np.random.default_rng(0)
+    for m in (16, 64, 257, 1024):
+        w = rng.normal(scale=2.0, size=m)
+        idx = np.arange(m)
+        diff = np.abs(idx[:, None] - idx[None, :])
+        dist = np.minimum(diff, m - diff) * (2 * PI / m)
+        want = 0.5 * ((w[None, :] + dist).min(axis=1)
+                      + (w[None, :] - dist).max(axis=1))
+        got = hull._lipschitz_envelope(w)
+        assert np.abs(got - want).max() <= 1e-12

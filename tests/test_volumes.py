@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from fillhull import volumes
 from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
@@ -34,6 +35,56 @@ def dense_john_area(norm, n_q=120, n_phi=180, n_t=720):
     area2, _, _ = scan(np.linspace(max(q - dq, 0.02), min(q + dq, 1.0), 41),
                        np.linspace(phi - dphi, phi + dphi, 41))
     return max(area, area2)
+
+
+def hull_facets(norm):
+    """Facet normals ``c`` of the convex hull of the sampled boundary
+    points, from Qhull, scaled so that the hull is ``{x : c . x <= 1}``;
+    also the hull vertices."""
+    th = np.concatenate([norm.theta_nodes, norm.theta_nodes + PI])
+    r = 1.0 / np.concatenate([norm.unit_norms, norm.unit_norms])
+    hull = ConvexHull(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+    eq = hull.equations
+    return eq[:, :2] / -eq[:, 2:], hull.points[hull.vertices]
+
+
+def polygon_john_area(norm, rounds=8):
+    """Brute-force inscribed-ellipse area of the hull polygon.
+
+    Works in the frame where the hull vertices have unit second moments
+    (the John ellipse is affine covariant).  An ellipse of tilt ``phi``
+    and aspect ``q``, scaled to touch the polygon, has area
+    ``pi / max_i (u_i^2 / q + q v_i^2)`` with ``(u_i, v_i)`` the facet
+    normals in its axes; the maximum is convex in ``log q``, so every
+    tilt of a dense scan gets its best aspect by golden section, and the
+    scan zooms in on the best tilt."""
+    c, verts = hull_facets(norm)
+    w, vec = np.linalg.eigh(verts.T @ verts / len(verts))
+    c = c @ vec * np.sqrt(w)        # facets after x -> S^(-1/2) x
+    ph = np.linspace(0.0, PI, 720, endpoint=False)
+    for _ in range(rounds):
+        u = np.outer(c[:, 0], np.cos(ph)) + np.outer(c[:, 1], np.sin(ph))
+        v = np.outer(c[:, 1], np.cos(ph)) - np.outer(c[:, 0], np.sin(ph))
+
+        def cost(lq):
+            q = 10.0 ** lq
+            return (u * u / q + q * v * v).max(axis=0)
+
+        lo, hi = np.full(len(ph), -4.0), np.zeros(len(ph))
+        for _ in range(100):
+            m1, m2 = lo + 0.382 * (hi - lo), hi - 0.382 * (hi - lo)
+            left = cost(m1) < cost(m2)
+            lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+        area = PI / cost(0.5 * (lo + hi))
+        j = int(np.argmax(area))
+        ph = np.linspace(ph[j] - (ph[1] - ph[0]), ph[j] + (ph[1] - ph[0]), 41)
+    return float(area.max()) * math.sqrt(w[0] * w[1])
+
+
+def ellipse_matrix(a, b, phi):
+    rot = np.array([[math.cos(phi), -math.sin(phi)],
+                    [math.sin(phi), math.cos(phi)]])
+    return rot @ np.diag([a * a, b * b]) @ rot.T
 
 
 def test_norm2d_triangle_inequality_spot_check():
@@ -104,6 +155,73 @@ def test_john_ellipse_stays_inside_the_ball():
         x = math.cos(phi) * a * np.cos(t) - math.sin(phi) * b * np.sin(t)
         y = math.sin(phi) * a * np.cos(t) + math.cos(phi) * b * np.sin(t)
         assert float(nm.norm_of(x, y).max()) <= 1.0 + 1e-8
+
+
+def test_john_ellipse_of_the_regular_hexagon():
+    # unit circumradius, vertices on sampled directions: the inscribed
+    # circle of radius sqrt(3)/2 has area 3 pi / 4
+    normals = [(math.cos(t), math.sin(t)) for t in PI / 6 + np.arange(3)
+               * PI / 3]
+    nm = Norm2D.from_callable(
+        lambda x, y: np.max([np.abs(cx * x + cy * y) for cx, cy in normals],
+                            axis=0) / math.cos(PI / 6), m=96)
+    a, b, _, area = volumes.john_ellipse(nm)
+    assert a == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert b == pytest.approx(math.sqrt(3) / 2, rel=1e-12)
+    assert area == pytest.approx(3 * PI / 4, rel=1e-12)
+
+
+def test_john_ellipse_of_an_affine_square_is_the_image_of_the_disk():
+    # T maps the corners (1, +-1) of the l-infinity ball to sampled
+    # directions, so the sampled ball is exactly T [-1, 1]^2 and its
+    # John ellipse is T (unit disk), with axes the singular values of T
+    m = 180
+    v1 = 3.0 * np.array([math.cos(20 * PI / m), math.sin(20 * PI / m)])
+    v2 = 0.05 * np.array([math.cos(110 * PI / m), math.sin(110 * PI / m)])
+    T = np.column_stack([v1, v2]) @ np.array([[0.5, 0.5], [0.5, -0.5]])
+    Tinv = np.linalg.inv(T)
+    nm = Norm2D.from_callable(
+        lambda x, y: np.maximum(np.abs(Tinv[0, 0] * x + Tinv[0, 1] * y),
+                                np.abs(Tinv[1, 0] * x + Tinv[1, 1] * y)), m)
+    a, b, phi, area = volumes.john_ellipse(nm)
+    sv = np.linalg.svd(T, compute_uv=False)
+    assert b / a < 0.05
+    assert area == pytest.approx(PI * abs(np.linalg.det(T)), rel=1e-9)
+    assert (a, b) == pytest.approx(tuple(sv), rel=1e-9)
+    assert np.allclose(ellipse_matrix(a, b, phi), T @ T.T, rtol=0,
+                       atol=1e-9 * a * a)
+
+
+def test_john_ellipse_lies_inside_every_hull_facet_and_touches():
+    chart = volumes.cone_chart(24, 24, Grid(128))
+    norms = [Norm2D.random(seed) for seed in range(8)]
+    norms += [volumes.metric_derivative(chart, node)[0]
+              for node in [(1, 0), (5, 7), (23, 3)]]
+    for nm in norms:
+        A = ellipse_matrix(*volumes.john_ellipse(nm)[:3])
+        c, _ = hull_facets(nm)
+        load = np.einsum("ij,jk,ik->i", c, A, c)
+        assert load.max() <= 1.0 + 1e-12
+        assert load.max() >= 1.0 - 1e-9
+
+
+def test_john_ellipse_is_bit_identical_on_repeated_calls():
+    for seed in (2, 73):
+        first = volumes.john_ellipse(Norm2D.random(seed))
+        nm = Norm2D.random(seed)
+        assert volumes.john_ellipse(nm) == first
+        assert volumes.john_ellipse(nm) == first
+
+
+def test_john_ellipse_near_the_cone_apex_matches_a_dense_scan():
+    # next to the apex the metric derivative ball is a thin rhombus,
+    # thinner than the aspect range of a linear scan from 0.05
+    chart = volumes.cone_chart(48, 48, Grid(256))
+    for node in [(1, 5), (2, 30)]:
+        nm, _ = volumes.metric_derivative(chart, node)
+        a, b, _, area = volumes.john_ellipse(nm)
+        assert b / a < 0.05
+        assert area == pytest.approx(polygon_john_area(nm), rel=1e-9)
 
 
 def test_jacobians_of_euclidean_norm_are_one():
