@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import Grid, integrate_triangle, integrate_period
 from .hull import HullFn, SpherePoint, dist_to_boundary
-from .coeffs import p_grid, hemisphere_speed
+from .coeffs import _e_values, p_grid, hemisphere_speed
 
 __all__ = [
     "PlanePath",
@@ -195,14 +195,8 @@ def mu_path(f: HullFn, gamma: PlanePath) -> PlanePath:
     k = np.arange(n)[:, None]
     m = np.arange(1, n)[None, :]
     idx = (k + m) % (2 * n)
-    a = m * step
-    x = fv[:, None]
     y = f_ext[idx]
-    ca, cx, cy = np.cos(a), np.cos(x), np.cos(y)
-    sa = np.sin(a)
-    e = np.maximum(1.0 - (cx * cx + cy * cy - 2.0 * ca * cx * cy)
-                   / (sa * sa), 0.0)
-    q = e / np.sin(y) ** 2
+    q = _e_values(m * step, fv[:, None], y) / np.sin(y) ** 2
     w = _band_weights(n, step)
     pts = np.einsum("km,m,kmc->kc", q, w, g_ext[idx])
     return PlanePath(f.grid, pts)

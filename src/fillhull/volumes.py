@@ -9,10 +9,12 @@ Jacobians against Lebesgue measure:
 * ``holmes_thompson``: ``Leb(dual unit ball) / pi``,
 * ``inner_riemannian``: ``pi / (inscribed max-area ellipse area)``.
 
-For mass* and the inscribed (John) ellipse the unit ball is the convex
-hull polygon ``{x : |c_i . x| <= 1}`` of the sampled boundary points:
-the ``c_i`` span the dual polygon, and the John ellipse is the exact
-solution of a 3-variable max-det problem over them.
+Every definition measures one body per sampled norm: the convex hull
+polygon ``{x : |c_i . x| <= 1}`` of the sampled boundary points.  Its
+vertices give mass, its facet normals ``c_i`` (the vertices of the dual
+polygon) give mass*, its gauge gives the ball area and the dual norm,
+and the John ellipse is the exact solution of a 3-variable max-det
+problem over the ``c_i``.
 
 A surface chart into the hull has, at each parameter point, a metric
 derivative norm on the parameter plane; integrating the chosen
@@ -67,11 +69,14 @@ class DegenerateNormError(ValueError):
 @dataclass(frozen=True)
 class Norm2D:
     """Norm sampled on ``m`` equispaced directions of ``[0, pi)``;
-    extended by the symmetry ``N(-v) = N(v)``."""
+    extended by the symmetry ``N(-v) = N(v)``.
+
+    The unit ball is the convex hull polygon of the sampled boundary
+    points ``+-u_j / N(u_j)``, built once (``hull_vertices``); the gauge,
+    the ball area, the dual norm and every Jacobian measure it."""
 
     m: int
     unit_norms: np.ndarray = field(repr=False)
-    provenance: str = "closed-form"
 
     def __post_init__(self) -> None:
         v = np.asarray(self.unit_norms, dtype=float)
@@ -88,27 +93,16 @@ class Norm2D:
             raise DegenerateNormError(
                 f"norm degenerates to {self.unit_norms.min():.3e}")
 
-    def unit_norm_at(self, theta) -> np.ndarray:
-        """N on unit directions, by pi-periodic linear interpolation."""
-        pos = np.mod(np.asarray(theta, dtype=float), PI) / (PI / self.m)
-        table = np.concatenate([self.unit_norms, self.unit_norms[:1]])
-        return np.interp(pos, np.arange(self.m + 1), table)
-
-    def norm_of(self, vx, vy) -> np.ndarray:
-        r = np.hypot(vx, vy)
-        theta = np.arctan2(vy, vx)
-        return r * self.unit_norm_at(theta)
-
     @cached_property
-    def facet_normals(self) -> np.ndarray:
-        """Normals ``c``, one per antipodal facet pair, of the convex hull
-        of the sampled boundary points ``+-u_j / N(u_j)``, scaled so that
-        the hull is ``{x : |c . x| <= 1}``; cached for mass* and the John
-        ellipse.  The points run counterclockwise around the origin, and
-        one that does not turn left between its current neighbours lies
-        in their triangle with the origin: all such points are dropped
-        at once until none is left.  Unlike a sort by coordinates, this
-        order has no ties up to rounding on axis-parallel edges."""
+    def hull_vertices(self) -> np.ndarray:
+        """The ``k`` vertices of one half-turn, counterclockwise from
+        angle 0, of the convex hull of the sampled boundary points
+        ``+-u_j / N(u_j)``; the other half-turn is their negatives.  The
+        points run counterclockwise around the origin, and one that does
+        not turn left between its current neighbours lies in their
+        triangle with the origin: all such points are dropped at once
+        until none is left.  Unlike a sort by coordinates, this order has
+        no ties up to rounding on axis-parallel edges."""
         self.check_nondegenerate()
         th = self.theta_nodes
         half = np.column_stack([np.cos(th), np.sin(th)]) \
@@ -116,44 +110,55 @@ class Norm2D:
         pts = np.concatenate([half, -half])
         tol = 1e-14 * float((pts * pts).sum(axis=1).max())
         while True:
-            e = pts - np.roll(pts, 1, axis=0)
-            keep = e[:, 0] * np.roll(e[:, 1], -1) \
-                - e[:, 1] * np.roll(e[:, 0], -1) > tol
+            e = np.diff(np.concatenate([pts[-1:], pts, pts[:1]]), axis=0)
+            keep = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] > tol
             if keep.all():
                 break
             pts = pts[keep]
-        k = len(pts) // 2
-        p, q = pts[:k], pts[1:k + 1]
+        return pts[:len(pts) // 2]
+
+    @cached_property
+    def facet_normals(self) -> np.ndarray:
+        """Normals ``c``, one per antipodal facet pair, of the hull, scaled
+        so that the hull is ``{x : |c . x| <= 1}``: row ``i`` is the facet
+        from vertex ``i`` to the next one counterclockwise.  They are the
+        vertices of the dual unit ball."""
+        p = self.hull_vertices
+        q = np.concatenate([p[1:], -p[:1]])
         det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
         return np.column_stack([q[:, 1] - p[:, 1],
                                 p[:, 0] - q[:, 0]]) / det[:, None]
 
+    def norm_of(self, vx, vy) -> np.ndarray:
+        """Gauge of the hull polygon: ``|c . v|`` for the facet ``c`` of
+        the angular sector that holds ``v``."""
+        p = self.hull_vertices
+        sector = np.searchsorted(np.arctan2(p[:, 1], p[:, 0]),
+                                 np.mod(np.arctan2(vy, vx), PI),
+                                 side="right") - 1
+        c = self.facet_normals
+        return np.abs(c[sector, 0] * vx + c[sector, 1] * vy)
+
     def ball_area(self) -> float:
-        """Lebesgue area of the unit ball by the polar formula."""
-        r = 1.0 / self.unit_norms
+        """Lebesgue area of the hull polygon by the polar formula at the
+        sampled directions, with the hull radii ``1 / norm_of(u_j)``."""
+        th = self.theta_nodes
+        r = 1.0 / self.norm_of(np.cos(th), np.sin(th))
         return float((r * r).sum() * (PI / self.m))
 
     def dual(self) -> "Norm2D":
-        """Dual norm by support-function sampling over the primal
-        unit vectors ``u_j / N(u_j)``."""
-        self.check_nondegenerate()
+        """Dual norm at the sampled directions: the support function of
+        the hull polygon, a maximum over its vertices."""
         th = self.theta_nodes
-        gaps = th[:, None] - th[None, :]
-        vals = np.abs(np.cos(gaps)) / self.unit_norms[None, :]
-        return Norm2D(self.m, vals.max(axis=1), provenance="dual")
-
-    def to_csv(self) -> str:
-        lines = ["theta,N"]
-        for t, v in zip(self.theta_nodes, self.unit_norms):
-            lines.append(f"{t:.12g},{v:.12g}")
-        return "\n".join(lines) + "\n"
+        p = self.hull_vertices
+        vals = np.abs(np.cos(th)[:, None] * p[None, :, 0]
+                      + np.sin(th)[:, None] * p[None, :, 1])
+        return Norm2D(self.m, vals.max(axis=1))
 
     @staticmethod
-    def from_callable(fn, m: int = 256, provenance: str = "closed-form"
-                      ) -> "Norm2D":
+    def from_callable(fn, m: int = 256) -> "Norm2D":
         th = np.arange(m) * (PI / m)
-        return Norm2D(m, np.asarray(fn(np.cos(th), np.sin(th)), float),
-                      provenance)
+        return Norm2D(m, np.asarray(fn(np.cos(th), np.sin(th)), float))
 
     @staticmethod
     def euclidean(m: int = 256, scale: float = 1.0) -> "Norm2D":
@@ -186,7 +191,7 @@ class Norm2D:
                                              + math.sin(a) * y))
             return vals
 
-        return Norm2D.from_callable(fn, m, provenance=f"random:{seed}")
+        return Norm2D.from_callable(fn, m)
 
 
 def _ellipse_area(norm: Norm2D, q: np.ndarray, phi: np.ndarray,
@@ -278,40 +283,23 @@ def john_ellipse(norm: Norm2D) -> tuple[float, float, float, float]:
     return a, b, phi, PI * a * b
 
 
-def _dual_polygon(norm: Norm2D) -> np.ndarray:
-    """Vertices of the dual unit ball, one per antipodal pair: the hull
-    facet normals circumscribe the dual ball of the interpolated norm,
-    so each is projected back onto its sphere with a dense
-    support-function evaluation."""
-    xi = norm.facet_normals
-    dense = np.arange(4096) * (TWO_PI / 4096)
-    u = np.column_stack([np.cos(dense), np.sin(dense)])
-    v = u / norm.norm_of(u[:, 0], u[:, 1])[:, None]
-    return xi / np.max(xi @ v.T, axis=1)[:, None]
+def _max_wedge(p: np.ndarray) -> float:
+    """Largest ``|p_i ^ p_j|`` over pairs of rows of ``p``."""
+    return float(np.abs(np.outer(p[:, 0], p[:, 1])
+                        - np.outer(p[:, 1], p[:, 0])).max())
 
 
 def jacobian(norm: Norm2D, definition: str) -> float:
     """Jacobian (density against Lebesgue) of the chosen volume
-    definition for the sampled norm."""
+    definition for the sampled norm, measured on its hull polygon.
+    The extremal frames of mass and mass* sit at vertices: mass is one
+    over the largest wedge of two hull vertices, mass* the largest
+    wedge of two facet normals (the vertices of the dual ball)."""
     norm.check_nondegenerate()
-    th = norm.theta_nodes
     if definition == "mass":
-        gaps = th[None, :] - th[:, None]
-        s = np.abs(np.sin(gaps))
-        with np.errstate(divide="ignore"):
-            vals = np.where(s > 1e-12,
-                            norm.unit_norms[:, None]
-                            * norm.unit_norms[None, :] / s,
-                            np.inf)
-        return float(vals.min())
+        return 1.0 / _max_wedge(norm.hull_vertices)
     if definition == "mass_star":
-        # the supremum over dual-unit covector pairs is attained at
-        # vertices of the dual ball, which for a sampled norm is the
-        # polygon cut out by the primal boundary points
-        xi = _dual_polygon(norm)
-        wedge = np.abs(xi[:, 0][:, None] * xi[:, 1][None, :]
-                       - xi[:, 1][:, None] * xi[:, 0][None, :])
-        return float(wedge.max())
+        return _max_wedge(norm.facet_normals)
     if definition == "busemann_hausdorff":
         return PI / norm.ball_area()
     if definition == "holmes_thompson":
@@ -443,7 +431,7 @@ def metric_derivative(chart: SurfaceChart, node: tuple[int, int],
         ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
         ext_n = np.concatenate([norms, norms, [norms[0]]])
         vals = np.interp(target, ext_t, ext_n)
-        return Norm2D(m, vals, provenance="sampled from chart"), boundary
+        return Norm2D(m, vals), boundary
 
     # polygon through the sampled unit-ball boundary points
     full_t = np.concatenate([thetas, thetas + PI])
@@ -457,7 +445,7 @@ def metric_derivative(chart: SurfaceChart, node: tuple[int, int],
     den = u[:, 0] * (q[:, 1] - p[:, 1]) - u[:, 1] * (q[:, 0] - p[:, 0])
     rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
     vals = 1.0 / np.maximum(rho, 1e-15)
-    return Norm2D(m, vals, provenance="sampled from chart"), boundary
+    return Norm2D(m, vals), boundary
 
 
 def _axis_weights(axis: np.ndarray, periodic: bool) -> np.ndarray:

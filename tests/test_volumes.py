@@ -265,6 +265,53 @@ def test_mass_star_between_one_and_two_times_mass():
         assert m - 1e-9 <= ms <= 2 * m + 1e-9
 
 
+def test_mass_star_of_the_diamond_and_the_square_is_exact():
+    # the sampled l1 and l-infinity balls contain their corners, so the
+    # facet normals are exactly the vertices of the dual ball
+    assert volumes.jacobian(Norm2D.l1(), "mass_star") == pytest.approx(
+        2.0, rel=1e-12)
+    assert volumes.jacobian(Norm2D.linf(), "mass_star") == pytest.approx(
+        1.0, rel=1e-12)
+
+
+def wedge_max(p):
+    return float(np.abs(np.outer(p[:, 0], p[:, 1])
+                        - np.outer(p[:, 1], p[:, 0])).max())
+
+
+def test_every_definition_measures_the_qhull_polygon_of_cone_samples():
+    # the Richardson-extrapolated samples of the cone's metric derivative
+    # are not convex, so the hull polygon differs from the samples
+    chart = volumes.cone_chart(24, 24, Grid(128))
+    rng = np.random.default_rng(5)
+    for node in [(5, 7), (12, 3), (20, 11)]:
+        nm, _ = volumes.metric_derivative(chart, node)
+        c, verts = hull_facets(nm)
+        th = nm.theta_nodes
+        gauge = (c @ np.vstack([np.cos(th), np.sin(th)])).max(axis=0)
+        assert (nm.unit_norms - gauge).max() > 1e-3 * nm.unit_norms.max()
+        v = rng.normal(size=(2, 200))
+        assert np.allclose(nm.norm_of(v[0], v[1]), (c @ v).max(axis=0),
+                           rtol=1e-12, atol=0)
+        assert volumes.jacobian(nm, "mass") == pytest.approx(
+            1.0 / wedge_max(verts), rel=1e-12)
+        assert volumes.jacobian(nm, "mass_star") == pytest.approx(
+            wedge_max(c), rel=1e-12)
+        polar_area = float((1.0 / gauge ** 2).sum() * PI / nm.m)
+        assert volumes.jacobian(nm, "busemann_hausdorff") == pytest.approx(
+            PI / polar_area, rel=1e-12)
+
+
+def test_cone_mass_table_at_the_benchmark_size():
+    chart = volumes.cone_chart(24, 24, Grid(256))
+    table = volumes.finsler_mass_table(chart)
+    want = {"mass": PI ** 2 / 2, "holmes_thompson": 2 * PI,
+            "busemann_hausdorff": PI ** 3 / 4, "mass_star": PI ** 2,
+            "inner_riemannian": PI ** 2}
+    for d, w in want.items():
+        assert table[d] == pytest.approx(w, rel=0.011)
+
+
 def test_jacobian_rejects_unknown_definition():
     with pytest.raises(ValueError):
         volumes.jacobian(Norm2D.euclidean(), "hausdorff")
