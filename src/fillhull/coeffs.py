@@ -43,12 +43,37 @@ def _check_domain(*args: float) -> None:
             raise ValueError(f"argument {v} is within 1e-12 of a multiple of pi")
 
 
+def _e_kernel(ca, sa2, cx, cy, den=None):
+    """e(a, x, y) from ``cos a``, ``sin^2 a``, ``cos x`` and ``cos y``,
+    clamped at zero; divided by ``den`` when it is given (``sin^2 x
+    sin^2 y`` for p, ``sin^2 y`` for q).  Callers that reuse the gaps
+    ``a`` pass their trig tables instead of recomputing them.  The
+    arithmetic is that of the closed form, in the same order, carried
+    out in place: two arrays of the broadcast shape per call."""
+    e = np.empty(np.broadcast_shapes(np.shape(ca), np.shape(cx),
+                                     np.shape(cy)))
+    np.add(cx * cx, cy * cy, out=e)
+    t = np.multiply(2.0, ca, out=np.empty_like(e))
+    t *= cx
+    t *= cy
+    e -= t
+    e /= sa2
+    np.subtract(1.0, e, out=e)
+    np.maximum(e, 0.0, out=e)
+    if den is not None:
+        e /= den
+    return e
+
+
+def _gap_trig(a):
+    """``(cos a, sin^2 a)``, the gap tables the kernel reads."""
+    sa = np.sin(a)
+    return np.cos(a), sa * sa
+
+
 def _e_values(a, x, y):
     """Squared height of the triple; clamped at zero."""
-    ca, cx, cy = np.cos(a), np.cos(x), np.cos(y)
-    sa = np.sin(a)
-    e = 1.0 - (cx * cx + cy * cy - 2.0 * ca * cx * cy) / (sa * sa)
-    return np.maximum(e, 0.0)
+    return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y))
 
 
 def p_scalar(a: float, x: float, y: float) -> float:
@@ -119,20 +144,20 @@ def p_grid(f: HullFn) -> CoeffGrid:
         raise ValueError("f touches the boundary circle; p is undefined")
     n = f.grid.n
     x = f.at_midnodes()
-    y = f.values[None, :]
-    sy2 = np.sin(y) ** 2
+    cx, sx2 = np.cos(x), np.sin(x) ** 2
+    y = f.values
+    cy, sy2 = np.cos(y), np.sin(y) ** 2
     alphas, betas = f.grid.alpha_nodes, f.grid.beta_nodes
     idx = np.arange(n)
     p = np.zeros((n, n))
     rows = max(1, 8192 // n)
     for j in range(0, n, rows):
         block, cols = slice(j, j + rows), slice(j + 1, n)
-        xb = x[block, None]
         mask = idx[None, cols] > idx[block, None]
-        e = np.where(mask, _e_values(betas[None, cols] - alphas[block, None],
-                                     xb, y[:, cols]), 0.0)
-        p[block, cols] = np.where(mask, e / (np.sin(xb) ** 2 * sy2[:, cols]),
-                                  0.0)
+        ca, sa2 = _gap_trig(betas[None, cols] - alphas[block, None])
+        p[block, cols] = np.where(
+            mask, _e_kernel(ca, sa2, cx[block, None], cy[None, cols],
+                            sx2[block, None] * sy2[None, cols]), 0.0)
     return CoeffGrid(f.grid, p)
 
 

@@ -79,16 +79,13 @@ class _Workspace:
         if dist_to_boundary(f) <= 0.0:
             raise ValueError("f touches the boundary circle")
         self.grid = f.grid
-        n = self.grid.n
         self.P = p_grid(f).p
         nu_beta, nu_alpha = nu_tables(p, self.grid)
         self.nu_beta = nu_beta[:-1]
         self.nu_alpha = nu_alpha
-        # quadrature weights of integrate_triangle, as a matrix
-        h2 = self.grid.step ** 2
-        W = np.triu(np.full((n, n), h2), k=1)
-        W[: n - 1, n - 1] *= 1.5
-        self.PW = self.P * W
+        # P is zero off the strict upper triangle, so the column weights
+        # of the triangle rule weight it as integrate_triangle does
+        self.PW = self.P * self.grid.triangle_weights
 
     def delta(self, eta: AngleField) -> np.ndarray:
         tb = self.nu_beta + eta.values

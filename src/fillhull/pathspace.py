@@ -24,7 +24,7 @@ import numpy as np
 
 from .quadrature import Grid, integrate_triangle, integrate_period
 from .hull import HullFn, SpherePoint, dist_to_boundary
-from .coeffs import _e_values, p_grid, hemisphere_speed
+from .coeffs import _e_kernel, _gap_trig, p_grid, hemisphere_speed
 
 __all__ = [
     "PlanePath",
@@ -196,7 +196,8 @@ def mu_path(f: HullFn, gamma: PlanePath) -> PlanePath:
     m = np.arange(1, n)[None, :]
     idx = (k + m) % (2 * n)
     y = f_ext[idx]
-    q = _e_values(m * step, fv[:, None], y) / np.sin(y) ** 2
+    q = _e_kernel(*_gap_trig(m * step), np.cos(fv[:, None]), np.cos(y),
+                  np.sin(y) ** 2)
     w = _band_weights(n, step)
     pts = np.einsum("km,m,kmc->kc", q, w, g_ext[idx])
     return PlanePath(f.grid, pts)

@@ -4,6 +4,13 @@ Everything downstream integrates either over the triangle
 ``{0 < alpha < beta < pi}`` or over one full period of a periodic
 function.  Both rules here are plain midpoint-type rules with a fixed
 summation order, so repeated runs produce bit-identical results.
+
+The triangle rule is one set of column weights, ``Grid.triangle_weights``,
+on the strict upper triangle of an ``(alpha_j, beta_k)`` table.
+``integrate_triangle`` masks the triangle in blocks of rows, reduces
+each row against the weights and adds the row values with
+``math.fsum``; callers that pair the table with vectors (the Psi
+workspace, the surface integral) use the same weights directly.
 """
 
 from __future__ import annotations
@@ -49,6 +56,16 @@ class Grid:
     def alpha_nodes(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.step
 
+    @property
+    def triangle_weights(self) -> np.ndarray:
+        """Column weights ``c_k`` of the triangle rule: the integral of
+        ``F`` over ``{0 < alpha < beta < pi}`` is the sum of
+        ``c_k F(alpha_j, beta_k)`` over ``k >= j + 1``.  Every column
+        carries ``step^2``, the last one ``3/2 step^2``."""
+        c = np.full(self.n, self.step ** 2)
+        c[-1] *= 1.5
+        return c
+
 
 def kahan_sum(values: np.ndarray) -> float:
     """Compensated sum of a 1-D array in index order."""
@@ -78,9 +95,13 @@ def integrate_triangle(values: np.ndarray, grid: Grid) -> float:
     exact composite midpoint rule on ``[alpha_j, pi - step/2]``.  The
     remaining strip ``[pi - step/2, pi]`` is covered by extending the
     weight of the last beta node, which removes the O(1/n) boundary
-    error of the naive rule.  Rows are reduced with numpy's pairwise
-    summation and combined across rows with compensated summation, in
-    fixed row-major order.
+    error of the naive rule; ``Grid.triangle_weights`` holds the
+    resulting column weights.  In blocks of rows of at most 65536
+    entries, the diagonal and the lower triangle are masked to zero and
+    each row is reduced against the column weights by a matrix-vector
+    product; the row values are then added with ``math.fsum`` (exactly
+    rounded, so independent of their order).  The blocks keep the
+    masked copy small at any ``n``.
     """
     F = np.asarray(values, dtype=float)
     n = grid.n
@@ -88,12 +109,12 @@ def integrate_triangle(values: np.ndarray, grid: Grid) -> float:
         raise ValueError(f"integrate_triangle requires n >= 8, got {n}")
     if F.shape != (n, n):
         raise ValueError(f"expected values of shape {(n, n)}, got {F.shape}")
-    h = grid.step
-    row_sums = np.empty(n - 1)
-    for j in range(n - 1):
-        row = F[j, j + 1:n]
-        row_sums[j] = np.sum(row) + 0.5 * row[-1]
-    return kahan_sum(row_sums) * h * h
+    c = grid.triangle_weights
+    rows = np.empty(n)
+    block = max(1, 65536 // n)
+    for j in range(0, n, block):
+        rows[j:j + block] = np.triu(F[j:j + block], j + 1) @ c
+    return math.fsum(rows)
 
 
 def integrate_period(values: np.ndarray, period: float) -> float:

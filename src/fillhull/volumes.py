@@ -33,10 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import Grid, integrate_triangle
-from .hull import (ConvergenceError, HullFn, SpherePoint, sphere_point,
-                   random_hull_point)
-from .coeffs import p_grid
+from .quadrature import Grid
+from .hull import (ConvergenceError, HullFn, SpherePoint, dist_to_boundary,
+                   sphere_point, random_hull_point)
+from .coeffs import _e_kernel, _gap_trig
 
 __all__ = [
     "Norm2D",
@@ -143,8 +143,7 @@ class Norm2D:
         """Lebesgue area of the hull polygon by the polar formula at the
         sampled directions, with the hull radii ``1 / norm_of(u_j)``."""
         th = self.theta_nodes
-        r = 1.0 / self.norm_of(np.cos(th), np.sin(th))
-        return float((r * r).sum() * (PI / self.m))
+        return _polar_area(self.norm_of(np.cos(th), np.sin(th)))
 
     def dual(self) -> "Norm2D":
         """Dual norm at the sampled directions: the support function of
@@ -192,6 +191,14 @@ class Norm2D:
             return vals
 
         return Norm2D.from_callable(fn, m)
+
+
+def _polar_area(norms: np.ndarray) -> float:
+    """Polar formula ``(pi / m) sum r_j^2`` for the area of the ball whose
+    radius at the ``j``-th of ``m`` equispaced directions of a half-turn
+    is ``r_j = 1 / norms[j]``."""
+    r = 1.0 / norms
+    return float((r * r).sum() * (PI / len(norms)))
 
 
 def _ellipse_area(norm: Norm2D, q: np.ndarray, phi: np.ndarray,
@@ -303,7 +310,9 @@ def jacobian(norm: Norm2D, definition: str) -> float:
     if definition == "busemann_hausdorff":
         return PI / norm.ball_area()
     if definition == "holmes_thompson":
-        return norm.dual().ball_area() / PI
+        # the support values sample the dual norm on a convex ball, so
+        # the polar formula reads its area without a second hull
+        return _polar_area(norm.dual().unit_norms) / PI
     if definition == "inner_riemannian":
         return PI / john_ellipse(norm)[3]
     raise ValueError(f"unknown volume definition {definition!r}")
@@ -558,24 +567,42 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     through the coefficient table of the node's hull function; the
     node values are then integrated over the parameter rectangle.
     Charts are oriented (axis0, axis1); the cap comes out positive.
+
+    The gap tables of the coefficient kernel depend only on the grid
+    and are built once per chart, so a node takes trig of its own
+    values only.  With the column weights ``c`` of the triangle rule
+    and ``P = e / (sin^2 x sin^2 y)``, the node value
+    ``sum c_k P[j, k] (t1m_j t0_k - t0m_j t1_k)`` over ``k > j`` is
+    ``t1m . P (c t0) - t0m . P (c t1)``: one product of the masked
+    ``e`` table with two vectors, the ``sin^2`` factors scaling
+    vectors instead of the table.
     """
     grid = chart.grid
+    n = grid.n
     w0 = _axis_weights(chart.axis0, chart.periodic0)
     w1 = _axis_weights(chart.axis1, chart.periodic1)
+    ca, sa2 = _gap_trig(grid.beta_nodes[None, :] - grid.alpha_nodes[:, None])
+    upper = np.triu(np.ones((n, n)), 1)
+    c = grid.triangle_weights
     total = 0.0
     for i in range(len(chart.axis0)):
         for j in range(len(chart.axis1)):
             f = HullFn(grid, chart.values[i, j])
-            P = p_grid(f).p
+            if dist_to_boundary(f) <= 0.0:
+                raise ValueError(f"chart node {(i, j)} touches the "
+                                 "boundary circle; p is undefined")
+            x, y = f.at_midnodes(), f.values
+            e = _e_kernel(ca, sa2, np.cos(x)[:, None], np.cos(y)[None, :])
+            e *= upper
             t0 = _param_tangents(chart, 0, i, j)
             t1 = _param_tangents(chart, 1, i, j)
             # tangent functions extend antiperiodically; midpoint values
             # by the wrapped average
             t0m = 0.5 * (t0 + np.concatenate([t0[1:], -t0[:1]]))
             t1m = 0.5 * (t1 + np.concatenate([t1[1:], -t1[:1]]))
-            cross = (t1m[:, None] * t0[None, :]
-                     - t0m[:, None] * t1[None, :])
-            total += w0[i] * w1[j] * integrate_triangle(P * cross, grid)
+            v = np.column_stack([t0, t1]) * (c / np.sin(y) ** 2)[:, None]
+            r = (e @ v) / (np.sin(x) ** 2)[:, None]
+            total += w0[i] * w1[j] * (t1m @ r[:, 0] - t0m @ r[:, 1])
     return total
 
 

@@ -98,6 +98,17 @@ def test_p_grid_matches_scalar_definition():
         assert table[j, k] == pytest.approx(want, abs=1e-10)
 
 
+def test_p_grid_equals_the_elementwise_table():
+    grid = Grid(64)
+    f = hull.random_hull_point(5, 0.4, 0.3, grid)
+    x = f.at_midnodes()[:, None]
+    y = f.values[None, :]
+    a = grid.beta_nodes[None, :] - grid.alpha_nodes[:, None]
+    e = coeffs._e_values(a, x, y)
+    want = np.triu(e / (np.sin(x) ** 2 * np.sin(y) ** 2), 1)
+    assert np.array_equal(coeffs.p_grid(f).p, want)
+
+
 def test_p_grid_zero_outside_triangle():
     f = hull.sphere_point(SpherePoint(0.1, 0.8), GRID)
     table = coeffs.p_grid(f).p

@@ -164,3 +164,12 @@ def test_band_override_is_honored():
     _, wide, _ = comass.maximize_eta(h, f, OptimizerConfig())
     assert narrow >= base - 1e-12
     assert wide >= narrow - 1e-10
+
+
+def test_workspace_weights_match_the_dense_triangle_rule():
+    f = hull.random_hull_point(2, 0.3, 0.3, GRID)
+    ws = comass._Workspace(H, f)
+    n, h2 = GRID.n, GRID.step ** 2
+    W = np.triu(np.full((n, n), h2), k=1)
+    W[: n - 1, n - 1] *= 1.5
+    assert np.array_equal(ws.PW, ws.P * W)

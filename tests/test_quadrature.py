@@ -52,6 +52,24 @@ def test_triangle_rule_validates_input():
         integrate_triangle(np.ones((4, 4)), Grid(4))
 
 
+def test_triangle_rule_reads_only_the_strict_upper_triangle():
+    g = Grid(64)
+    F = np.cos(g.beta_nodes[None, :] + 2.0 * g.alpha_nodes[:, None])
+    lower = np.tril_indices(g.n, k=0)
+    zeros, nans = F.copy(), F.copy()
+    zeros[lower] = 0.0
+    nans[lower] = np.nan
+    assert integrate_triangle(nans, g) == integrate_triangle(zeros, g)
+
+
+def test_triangle_weights_are_the_rule():
+    g = Grid(32)
+    F = np.random.default_rng(1).normal(size=(g.n, g.n))
+    U = np.triu(F, 1)
+    assert integrate_triangle(F, g) == pytest.approx(
+        float((U * g.triangle_weights).sum()), rel=1e-14)
+
+
 def test_period_rule_is_spectral():
     t = np.arange(64) * (2 * PI / 64)
     val = integrate_period(np.cos(t) ** 2, 2 * PI)

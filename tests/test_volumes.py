@@ -5,9 +5,11 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from fillhull import volumes
+from fillhull.coeffs import p_grid
+from fillhull.hull import HullFn, boundary_point
 from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
                               Norm2D, SurfaceChart)
-from fillhull.quadrature import Grid
+from fillhull.quadrature import Grid, integrate_triangle
 
 PI = math.pi
 
@@ -385,6 +387,51 @@ def test_perturbed_cap_keeps_boundary_rows():
 def test_cap_surface_integral_is_positive():
     cap = volumes.cap_chart(0.4, 9, 16, Grid(64))
     assert volumes.omega_surface_integral(cap) > 0
+
+
+def reference_surface_integral(chart):
+    """Per-node coefficient table, explicit cross table and the triangle
+    rule: the surface integral written out term by term."""
+    w0 = volumes._axis_weights(chart.axis0, chart.periodic0)
+    w1 = volumes._axis_weights(chart.axis1, chart.periodic1)
+    total = 0.0
+    for i in range(len(chart.axis0)):
+        for j in range(len(chart.axis1)):
+            P = p_grid(HullFn(chart.grid, chart.values[i, j])).p
+            t0 = volumes._param_tangents(chart, 0, i, j)
+            t1 = volumes._param_tangents(chart, 1, i, j)
+            t0m = 0.5 * (t0 + np.concatenate([t0[1:], -t0[:1]]))
+            t1m = 0.5 * (t1 + np.concatenate([t1[1:], -t1[:1]]))
+            cross = t1m[:, None] * t0[None, :] - t0m[:, None] * t1[None, :]
+            total += w0[i] * w1[j] * integrate_triangle(P * cross,
+                                                        chart.grid)
+    return total
+
+
+def test_surface_integral_matches_term_by_term_reference():
+    cap = volumes.cap_chart(0.3, 9, 16, Grid(64))
+    for chart in (cap, volumes.perturbed_cap_chart(cap, bump_seed=2,
+                                                   amplitude=0.2)):
+        want = reference_surface_integral(chart)
+        assert volumes.omega_surface_integral(chart) == pytest.approx(
+            want, rel=1e-13)
+
+
+def test_surface_integral_is_bit_reproducible():
+    cap = volumes.cap_chart(0.3, 9, 16, Grid(64))
+    pert = volumes.perturbed_cap_chart(cap, bump_seed=3)
+    assert volumes.omega_surface_integral(pert) \
+        == volumes.omega_surface_integral(pert)
+
+
+def test_surface_integral_rejects_boundary_nodes():
+    cap = volumes.cap_chart(0.3, 5, 8, Grid(64))
+    values = cap.values.copy()
+    values[2, 3] = boundary_point(cap.grid.beta_nodes[5], cap.grid).values
+    chart = SurfaceChart("touching", cap.grid, cap.axis0, cap.axis1,
+                         cap.periodic0, cap.periodic1, values)
+    with pytest.raises(ValueError):
+        volumes.omega_surface_integral(chart)
 
 
 def test_coordinate_filling_area_quarter_offset():
