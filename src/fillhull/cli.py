@@ -172,6 +172,8 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_cone(args, cfg: RunConfig) -> int:
+    if args.param_n < 3:
+        raise InputError(f"--param-n must be >= 3, got {args.param_n}")
     grid = Grid(max(64, cfg.grid_n // 2))
     chart = volumes.cone_chart(n_r=args.param_n, n_alpha=args.param_n,
                                grid=grid)
@@ -211,6 +213,8 @@ def cmd_lowerbound(args, cfg: RunConfig) -> int:
 
 
 def cmd_l1(args, cfg: RunConfig) -> int:
+    if args.count < 1:
+        raise InputError(f"--count must be >= 1, got {args.count}")
     grid = Grid(cfg.eval_n)
     rows = []
     best = None

@@ -15,7 +15,6 @@ clamp away before dividing.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -118,17 +117,6 @@ class CoeffGrid:
 
     grid: Grid
     p: np.ndarray = field(repr=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,beta,p\n")
-        alphas = self.grid.alpha_nodes
-        betas = self.grid.beta_nodes
-        for j in range(self.grid.n - 1):
-            for k in range(j + 1, self.grid.n):
-                buf.write(f"{alphas[j]:.12g},{betas[k]:.12g},"
-                          f"{self.p[j, k]:.12g}\n")
-        return buf.getvalue()
 
 
 def p_grid(f: HullFn) -> CoeffGrid:

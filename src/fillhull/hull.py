@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .quadrature import Grid
 
@@ -153,43 +152,75 @@ def dist_to_boundary(f: HullFn) -> float:
     return float(min(v.min(), (PI - v).min()))
 
 
-def _sphere_values(taus: np.ndarray, ds: np.ndarray,
-                   nodes: np.ndarray) -> np.ndarray:
-    """Hemisphere samples for broadcastable (tau, d) arrays."""
-    return np.arccos(np.cos(ds)[..., None]
-                     * np.cos(nodes - np.asarray(taus)[..., None]))
+# Certified optimality gap of ``dist_to_hemisphere``.
+HEMISPHERE_GAP = 1e-9
+# Matrix entries per block of chart evaluations.
+_BLOCK = 1 << 16
+# Child-center offsets of a chart square, in units of the child side.
+_CHILDREN = 0.5 * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0],
+                            [1.0, 1.0]])
 
 
-def dist_to_hemisphere(f: HullFn,
-                       tol_opt: float = 1e-6) -> tuple[float, SpherePoint]:
-    """Nearest hemisphere point: coarse (tau, d) scan, then Nelder-Mead.
+def _chart_dists(uv: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray,
+                 fv: np.ndarray) -> np.ndarray:
+    """``F(u, v) = max_k |g(beta_k) - f(beta_k)|`` at chart points.
 
-    The objective is piecewise smooth and multimodal in tau, so the
-    coarse scan picks the basin and the simplex search refines it.
+    The chart point ``(u, v)`` with ``rho = |(u, v)|`` is the sphere
+    point ``p = (sinc(rho) u, sinc(rho) v, cos rho)`` at distance ``rho``
+    from the pole, and ``g(beta)`` is its distance to the circle point
+    ``e = (cos beta, sin beta, 0)``.  That distance is
+    ``arccos(p . e)``, computed as ``2 arcsin(|p - e| / 2)``: the chord
+    keeps full accuracy where ``p . e`` is close to 1 (``d`` near 0),
+    where the arccos loses half the digits.
+    """
+    rho = np.hypot(uv[:, 0], uv[:, 1])
+    p = uv * np.sinc(rho / PI)[:, None]
+    height2 = np.cos(rho) ** 2
+    out = np.empty(len(uv))
+    rows = max(1, _BLOCK // fv.size)
+    for i in range(0, len(uv), rows):
+        blk = slice(i, i + rows)
+        x = p[blk, :1] - cos_b
+        y = p[blk, 1:] - sin_b
+        half_chord = 0.5 * np.sqrt(x * x + y * y + height2[blk, None])
+        g = 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
+        out[blk] = np.abs(g - fv).max(axis=1)
+    return out
+
+
+def dist_to_hemisphere(f: HullFn) -> tuple[float, SpherePoint]:
+    """Nearest hemisphere point, certified to within ``HEMISPHERE_GAP``.
+
+    Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) on the
+    azimuthal equidistant chart ``(u, v) = (pi/2 - d)(cos tau, sin tau)``
+    over the square ``[-pi/2, pi/2]^2``, which has no pole singularity.
+    The chart map to the sphere is 1-Lipschitz (``sin rho <= rho``) and
+    each ``g(beta_k)`` is a spherical distance to a fixed point, so the
+    objective ``F`` of ``_chart_dists`` is 1-Lipschitz and a square of
+    side ``h`` holds no value below ``F(center) - h / sqrt(2)``.  Each
+    level evaluates the centers of the live squares, drops those whose
+    bound cannot beat the best value by the gap and splits the rest in
+    four; when none is left, the best center is within the gap of the
+    global minimum.  Chart points with ``rho > pi/2`` lie below the
+    equator and have the same ``g`` as their mirror images, which gives
+    ``d = |pi/2 - rho|``.
     """
     nodes = f.grid.beta_nodes
-    fv = f.values
-
-    taus = np.linspace(0.0, TWO_PI, 72, endpoint=False)
-    ds = np.linspace(0.0, PI / 2, 25)
-    tt, dd = np.meshgrid(taus, ds, indexing="ij")
-    samples = _sphere_values(tt.ravel(), dd.ravel(), nodes)
-    coarse = np.abs(samples - fv).max(axis=1)
-    best = int(np.argmin(coarse))
-    x0 = np.array([tt.ravel()[best], dd.ravel()[best]])
-
-    def objective(x: np.ndarray) -> float:
-        tau = x[0] % TWO_PI
-        d = min(max(x[1], 0.0), PI / 2)
-        g = np.arccos(np.cos(d) * np.cos(nodes - tau))
-        return float(np.abs(g - fv).max())
-
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"xatol": tol_opt, "fatol": tol_opt * 1e-2,
-                            "maxiter": 800})
-    tau = res.x[0] % TWO_PI
-    d = min(max(res.x[1], 0.0), PI / 2)
-    return float(res.fun), SpherePoint(tau, d)
+    cos_b, sin_b = np.cos(nodes), np.sin(nodes)
+    centers = np.zeros((1, 2))
+    side = PI
+    best, best_uv = math.inf, centers[0]
+    while len(centers):
+        vals = _chart_dists(centers, cos_b, sin_b, f.values)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, best_uv = float(vals[i]), centers[i]
+        live = centers[vals - side / math.sqrt(2.0) < best - HEMISPHERE_GAP]
+        side /= 2.0
+        centers = (live[:, None, :] + side * _CHILDREN).reshape(-1, 2)
+    u, v = best_uv
+    return best, SpherePoint(math.atan2(v, u) % TWO_PI,
+                             abs(PI / 2 - math.hypot(u, v)))
 
 
 def truncate(f: HullFn, eps: float) -> HullFn:

@@ -85,12 +85,6 @@ class PlanePath:
         right = np.concatenate([pts[1:], -pts[:1]])
         return 0.5 * (pts + right)
 
-    def to_csv(self) -> str:
-        lines = ["alpha,gx,gy"]
-        for a, (gx, gy) in zip(self.grid.beta_nodes, self.points):
-            lines.append(f"{a:.12g},{gx:.12g},{gy:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class AngleField:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "integrate_triangle", "integrate_period", "kahan_sum"]
+__all__ = ["Grid", "integrate_triangle", "integrate_period"]
 
 PI = math.pi
 
@@ -65,18 +65,6 @@ class Grid:
         c = np.full(self.n, self.step ** 2)
         c[-1] *= 1.5
         return c
-
-
-def kahan_sum(values: np.ndarray) -> float:
-    """Compensated sum of a 1-D array in index order."""
-    total = 0.0
-    carry = 0.0
-    for v in np.asarray(values, dtype=float):
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
 
 
 def integrate_triangle(values: np.ndarray, grid: Grid) -> float:
@@ -129,4 +117,4 @@ def integrate_period(values: np.ndarray, period: float) -> float:
         raise ValueError("expected a nonempty 1-D sample array")
     if not period > 0.0:
         raise ValueError(f"period must be positive, got {period}")
-    return kahan_sum(g) * (period / g.size)
+    return math.fsum(g) * (period / g.size)

@@ -201,20 +201,6 @@ def _polar_area(norms: np.ndarray) -> float:
     return float((r * r).sum() * (PI / len(norms)))
 
 
-def _ellipse_area(norm: Norm2D, q: np.ndarray, phi: np.ndarray,
-                  n_t: int) -> np.ndarray:
-    """Area of the largest inscribed ellipse with aspect ``q`` and tilt
-    ``phi``: scale the shape until it touches the unit sphere."""
-    t = np.arange(n_t) * (PI / n_t)     # ellipse symmetric: half period
-    ct, st = np.cos(t), np.sin(t)
-    q = np.asarray(q, float)[..., None]
-    phi = np.asarray(phi, float)[..., None]
-    x = np.cos(phi) * ct - np.sin(phi) * (q * st)
-    y = np.sin(phi) * ct + np.cos(phi) * (q * st)
-    peak = norm.norm_of(x, y).max(axis=-1)
-    return PI * q[..., 0] / (peak * peak)
-
-
 # candidate active sets among three or four facets: every pair, triple
 _ACTIVE_SETS = {n: [list(s) for k in (2, 3)
                     for s in itertools.combinations(range(n), k)]

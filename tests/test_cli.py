@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -84,6 +87,14 @@ def test_bad_run_config_exits_2(capsys):
     code, _ = run(capsys, "--grid-n", "256", "--eval-n", "128",
                   "comass", "sphere:0.5,0.7")
     assert code == 2
+
+
+def test_bad_table_sizes_exit_2(capsys):
+    for argv in (("l1", "--count", "0"), ("l1", "--count", "-1"),
+                 ("cone", "--param-n", "1"), ("cone", "--param-n", "2")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 def test_non_convergence_exits_3(monkeypatch, capsys):
@@ -193,3 +204,15 @@ def test_check_catches_a_coefficient_sign_bug(monkeypatch, capsys):
     failed = {c["name"] for c in report["results"]["checks"]
               if not c["passed"]}
     assert "coefficient table consistency" in failed
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, fillhull.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

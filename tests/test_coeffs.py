@@ -141,11 +141,3 @@ def test_hemisphere_speed_integrates_to_two_pi():
 def test_hemisphere_speed_rejects_boundary():
     with pytest.raises(ValueError):
         coeffs.hemisphere_speed(SpherePoint(0.0, 0.0), 0.3)
-
-
-def test_coeff_grid_csv_has_header_and_triangle_rows():
-    f = hull.sphere_point(SpherePoint(0.0, 0.9), Grid(16))
-    text = coeffs.p_grid(f).to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "alpha,beta,p"
-    assert len(lines) - 1 == 16 * 15 // 2

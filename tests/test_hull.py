@@ -61,12 +61,36 @@ def test_dist_to_boundary_equals_min_over_full_circle():
 
 
 def test_dist_to_hemisphere_recovers_sphere_points():
+    points = [SpherePoint(0.0, 0.0), SpherePoint(2.5, 0.0),
+              SpherePoint(0.7, PI / 2),
+              # near the pole, where a search in (tau, d) collapses onto
+              # the d = pi/2 boundary
+              SpherePoint(3.048544801724996, 1.5463172310585267)]
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        p = SpherePoint(rng.uniform(0, 2 * PI), rng.uniform(0.2, PI / 2 - 0.1))
-        dist, q = hull.dist_to_hemisphere(hull.sphere_point(p, GRID))
-        assert dist < 1e-4
-        assert q.d == pytest.approx(p.d, abs=1e-3)
+        points.append(SpherePoint(rng.uniform(0, 2 * PI),
+                                  rng.uniform(0.2, PI / 2 - 0.1)))
+    for p in points:
+        f = hull.sphere_point(p, GRID)
+        dist, q = hull.dist_to_hemisphere(f)
+        assert dist <= hull.HEMISPHERE_GAP
+        assert hull.sup_dist(hull.sphere_point(q, GRID), f) <= 1e-8
+        assert q.d == pytest.approx(p.d, abs=1e-6)
+
+
+def test_dist_to_hemisphere_is_below_a_dense_scan():
+    taus = np.linspace(0.0, 2 * PI, 720, endpoint=False)
+    ds = np.linspace(0.0, PI / 2, 181)
+    cos_d = np.cos(ds)[:, None, None]
+    cos_b = np.cos(GRID.beta_nodes[None, :] - taus[:, None])
+    for seed in (0, 1, 2, 3):
+        f = hull.random_hull_point(seed, 0.4, 0.3, GRID)
+        scan = min(np.abs(np.arccos(cd * cos_b) - f.values).max(axis=1).min()
+                   for cd in cos_d)
+        dist, q = hull.dist_to_hemisphere(f)
+        assert dist <= scan + hull.HEMISPHERE_GAP
+        assert hull.sup_dist(hull.sphere_point(q, GRID), f) == pytest.approx(
+            dist, abs=1e-12)
 
 
 def test_truncate_clamps_and_stays_member():

@@ -134,10 +134,3 @@ def test_plane_path_validates_shapes():
         PlanePath(GRID, np.zeros((GRID.n, 3)))
     with pytest.raises(ValueError):
         PlanePath(GRID, np.zeros((GRID.n, 2)), np.zeros((GRID.n + 1, 2)))
-
-
-def test_path_csv_export():
-    gamma = pathspace.gamma_from_eta(H, AngleField.zero(Grid(16)))
-    lines = gamma.to_csv().strip().split("\n")
-    assert lines[0] == "alpha,gx,gy"
-    assert len(lines) == 17

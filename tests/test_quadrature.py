@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fillhull.quadrature import Grid, integrate_triangle, integrate_period, kahan_sum
+from fillhull.quadrature import Grid, integrate_triangle, integrate_period
 
 PI = math.pi
 
@@ -83,10 +83,10 @@ def test_period_rule_rejects_bad_input():
         integrate_period(np.ones(8), 0.0)
 
 
-def test_kahan_sum_is_deterministic_and_accurate():
+def test_period_rule_is_repeatable_and_exactly_summed():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=10_000) * 1e8
-    a = kahan_sum(vals)
-    b = kahan_sum(vals)
+    a = integrate_period(vals, 2 * PI)
+    b = integrate_period(vals, 2 * PI)
     assert a == b
-    assert a == pytest.approx(math.fsum(vals), abs=1e-4)
+    assert a == math.fsum(vals) * (2 * PI / vals.size)

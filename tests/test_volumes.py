@@ -14,6 +14,19 @@ from fillhull.quadrature import Grid, integrate_triangle
 PI = math.pi
 
 
+def ellipse_area(norm, q, phi, n_t):
+    """Area of the largest inscribed ellipse with aspect ``q`` and tilt
+    ``phi``: scale the shape until it touches the unit sphere."""
+    t = np.arange(n_t) * (PI / n_t)     # ellipse symmetric: half period
+    ct, st = np.cos(t), np.sin(t)
+    q = np.asarray(q, float)[..., None]
+    phi = np.asarray(phi, float)[..., None]
+    x = np.cos(phi) * ct - np.sin(phi) * (q * st)
+    y = np.sin(phi) * ct + np.cos(phi) * (q * st)
+    peak = norm.norm_of(x, y).max(axis=-1)
+    return PI * q[..., 0] / (peak * peak)
+
+
 def dense_john_area(norm, n_q=120, n_phi=180, n_t=720):
     """Brute-force reference for the inscribed ellipse area: dense scan
     over aspect and tilt with the scale eliminated analytically, then
@@ -22,8 +35,7 @@ def dense_john_area(norm, n_q=120, n_phi=180, n_t=720):
     def scan(qs, phis):
         best = (-1.0, None, None)
         for q in qs:
-            areas = volumes._ellipse_area(norm, np.full_like(phis, q),
-                                          phis, n_t)
+            areas = ellipse_area(norm, np.full_like(phis, q), phis, n_t)
             j = int(np.argmax(areas))
             if areas[j] > best[0]:
                 best = (float(areas[j]), float(q), float(phis[j]))
