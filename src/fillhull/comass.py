@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .quadrature import Grid, integrate_triangle
+from .quadrature import Grid
 from .hull import HullFn, SpherePoint, dist_to_boundary, dist_to_hemisphere
 from .coeffs import p_grid
 from .pathspace import AngleField, nu_tables
@@ -73,7 +73,14 @@ class OptimizerConfig:
 
 
 class _Workspace:
-    """Precomputed tables for repeated Psi evaluations at fixed (h, f)."""
+    """Precomputed tables for repeated Psi evaluations at fixed (h, f).
+
+    With ``tb = nu_beta + eta`` and ``ta = nu_alpha + eta_mid``, the
+    integrand's ``sin(tb_k - ta_j)`` and ``cos(tb_k - ta_j)`` split by
+    the addition formula into products of O(n) trig vectors, so each
+    sum over the weighted table ``PW`` is a product of ``PW`` with a
+    few n-vectors; no n x n trig table is built.
+    """
 
     def __init__(self, p: SpherePoint, f: HullFn):
         if dist_to_boundary(f) <= 0.0:
@@ -87,25 +94,39 @@ class _Workspace:
         # of the triangle rule weight it as integrate_triangle does
         self.PW = self.P * self.grid.triangle_weights
 
-    def delta(self, eta: AngleField) -> np.ndarray:
+    def _trig(self, eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
+        """Columns (cos tb, sin tb) and (cos ta, sin ta), each n x 2."""
         tb = self.nu_beta + eta.values
         ta = self.nu_alpha + eta.at_midnodes()
-        return tb[None, :] - ta[:, None]
+        return (np.stack([np.cos(tb), np.sin(tb)], axis=1),
+                np.stack([np.cos(ta), np.sin(ta)], axis=1))
 
     def value(self, eta: AngleField) -> float:
-        return integrate_triangle(self.P * np.sin(self.delta(eta)),
-                                  self.grid)
+        B, A = self._trig(eta)
+        R = self.PW @ B                        # (PW cos tb, PW sin tb)
+        # row j of the triangle rule: sum_k PW_jk sin(tb_k - ta_j)
+        return math.fsum(A[:, 0] * R[:, 1] - A[:, 1] * R[:, 0])
 
     def gradient(self, eta: AngleField) -> np.ndarray:
-        G = self.PW * np.cos(self.delta(eta))
-        g = G.sum(axis=0)                      # d / d eta(beta_k)
-        rows = G.sum(axis=1)                   # midpoint contributions
+        B, A = self._trig(eta)
+        # column and row sums of PW_jk cos(tb_k - ta_j)
+        g = (B * (A.T @ self.PW).T).sum(axis=1)   # d / d eta(beta_k)
+        rows = (A * (self.PW @ B)).sum(axis=1)     # midpoint contributions
         g -= 0.5 * (rows + np.roll(rows, 1))
         return g - g.mean()
 
     def quadform(self, eta: AngleField, v: AngleField) -> float:
-        dv = v.values[None, :] - v.at_midnodes()[:, None]
-        return float(-(self.PW * np.sin(self.delta(eta)) * dv * dv).sum())
+        """-sum of PW_jk sin(tb_k - ta_j) (v_k - vm_j)^2, with the square
+        expanded as v_k^2 - 2 v_k vm_j + vm_j^2: one product of PW with
+        an n x 6 matrix."""
+        B, A = self._trig(eta)
+        vk = v.values[:, None]
+        vm = v.at_midnodes()
+        Y = self.PW @ np.hstack([B * vk * vk, B * vk, B])
+        # sum_k PW_jk sin(tb_k - ta_j) x_k for the three column pairs x
+        S = A[:, :1] * Y[:, 1::2] - A[:, 1:] * Y[:, 0::2]
+        rows = S[:, 0] - 2.0 * vm * S[:, 1] + vm * vm * S[:, 2]
+        return -math.fsum(rows)
 
 
 def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:

@@ -7,7 +7,7 @@ from fillhull import comass, hull
 from fillhull.comass import OptimizerConfig
 from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField
-from fillhull.quadrature import Grid
+from fillhull.quadrature import Grid, integrate_triangle
 
 PI = math.pi
 GRID = Grid(256)
@@ -173,3 +173,59 @@ def test_workspace_weights_match_the_dense_triangle_rule():
     W = np.triu(np.full((n, n), h2), k=1)
     W[: n - 1, n - 1] *= 1.5
     assert np.array_equal(ws.PW, ws.P * W)
+
+
+def _dense_reference(ws, eta, v):
+    """Value, gradient and Hessian quadratic form of Psi from the full
+    n x n tables of sin and cos of tb_k - ta_j, term by term."""
+    tb = ws.nu_beta + eta.values
+    ta = ws.nu_alpha + eta.at_midnodes()
+    delta = tb[None, :] - ta[:, None]
+    value = integrate_triangle(ws.P * np.sin(delta), ws.grid)
+    G = ws.PW * np.cos(delta)
+    g = G.sum(axis=0)
+    rows = G.sum(axis=1)
+    g -= 0.5 * (rows + np.roll(rows, 1))
+    dv = v.values[None, :] - v.at_midnodes()[:, None]
+    q = float(-(ws.PW * np.sin(delta) * dv * dv).sum())
+    return value, g - g.mean(), q
+
+
+def _capped_field(grid, rng, amp):
+    """Smooth mean-zero field with sup norm exactly ``amp``."""
+    v = random_field(grid, rng).values
+    return AngleField(grid, v * (amp / np.abs(v).max()))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("point", ["hemisphere", "random:3,0.4,0.3"])
+@pytest.mark.parametrize("eta_kind", ["zero", "interior", "at_cap"])
+def test_workspace_matches_the_dense_reference(n, point, eta_kind):
+    grid = Grid(n)
+    if point == "hemisphere":
+        h, f = H, hull.sphere_point(H, grid)
+    else:
+        f = hull.random_hull_point(3, 0.4, 0.3, grid)
+        _, h = hull.dist_to_hemisphere(f)
+    ws = comass._Workspace(h, f)
+    rng = np.random.default_rng(n)
+    cap = OptimizerConfig().eta_cap
+    eta = {"zero": AngleField.zero(grid),
+           "interior": _capped_field(grid, rng, 0.3 * cap),
+           "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
+    v = _capped_field(grid, rng, 0.3)
+    value, g, q = ws.value(eta), ws.gradient(eta), ws.quadform(eta, v)
+    ref_value, ref_g, ref_q = _dense_reference(ws, eta, v)
+    assert value == pytest.approx(ref_value, rel=1e-13)
+    assert q == pytest.approx(ref_q, rel=1e-12)
+    if point == "hemisphere" and eta_kind == "zero":
+        # the maximizer: the gradient is only the quadrature bias, a
+        # cancellation of terms 100 to 1000 times larger, and both forms
+        # round at the scale of those terms
+        scale = np.abs(ws.PW).sum(axis=0).max()
+    else:
+        scale = np.abs(ref_g).max()
+    assert np.abs(g - ref_g).max() <= 1e-13 * scale
+    assert ws.value(eta) == value
+    assert np.array_equal(ws.gradient(eta), g)
+    assert ws.quadform(eta, v) == q
