@@ -387,7 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("cone", help="cone chart mass table")
-    p.add_argument("--param-n", type=int, default=48)
+    p.add_argument("--param-n", type=int, default=48,
+                   help="parameter nodes per axis (>= 3); below 16 the "
+                        "masses are far off with no warning (mass* 15%% "
+                        "low at 12, 39%% low at 10), from 16 up all five "
+                        "are within 1.1%% of the closed forms")
     p.set_defaults(fn=cmd_cone)
 
     p = sub.add_parser("lowerbound", help="coordinate filling areas")

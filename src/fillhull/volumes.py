@@ -332,115 +332,154 @@ class SurfaceChart:
         object.__setattr__(self, "axis1", np.asarray(self.axis1, float))
 
 
-def _offset_directions(radius: int) -> list[tuple[int, int]]:
-    """Coprime integer offsets covering the upper half plane, shortest
-    representative per direction."""
-    offs = []
-    for a in range(-radius, radius + 1):
-        for b in range(radius + 1):
-            if b == 0 and a <= 0:
-                continue
-            if math.gcd(abs(a), b) != 1:
-                continue
-            offs.append((a, b))
-    return offs
+# coprime integer offsets of radius 4 covering the upper half plane,
+# the shortest representative per direction
+_OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
+                 if (b > 0 or a > 0) and math.gcd(abs(a), b) == 1)
+
+
+def _row_metric_derivative(chart: SurfaceChart, i: int,
+                           m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Metric derivative norms of every node of parameter row ``i``:
+    the ``(n1, m)`` resampled unit norms and the ``(n1,)`` one-sided
+    flags.  See ``metric_derivative``.
+
+    Each offset costs one sup-difference of two whole rows per scale
+    and side: the periodic axis 1 is shifted by rolling a row, and the
+    boundary rule is a mask over the row, which on a periodic axis 1
+    is all or nothing."""
+    h0 = chart.axis0[1] - chart.axis0[0]
+    h1 = chart.axis1[1] - chart.axis1[0]
+    n0, n1 = len(chart.axis0), len(chart.axis1)
+    V = chart.values
+    cols = np.arange(n1)
+
+    def exists(a: int, b: int) -> np.ndarray:
+        """Which nodes ``(i, j)`` of the row have a node at ``(i + a,
+        j + b)``."""
+        if not (chart.periodic0 or 0 <= i + a < n0):
+            return np.zeros(n1, bool)
+        if chart.periodic1:
+            return np.ones(n1, bool)
+        return (0 <= cols + b) & (cols + b < n1)
+
+    def sup_diff(a: int, b: int, c: int, d: int) -> np.ndarray:
+        """``max |V[i + a, j + b] - V[i + c, j + d]|`` for every ``j``,
+        indices wrapped: row ``i + a`` is rolled against row ``i + c``
+        and the maxima rolled back."""
+        diff = V[(i + a) % n0].take((cols + (b - d)) % n1, axis=0)
+        diff -= V[(i + c) % n0]
+        np.abs(diff, out=diff)
+        return diff.max(axis=-1).take((cols + d) % n1)
+
+    thetas = np.array([math.atan2(b * h1, a * h0) % PI for a, b in _OFFSETS])
+    samples = np.zeros((n1, len(_OFFSETS)))
+    have = np.zeros((n1, len(_OFFSETS)), bool)
+    flagged = np.zeros(n1, bool)
+    for col, (a, b) in enumerate(_OFFSETS):
+        # Richardson extrapolation over the offset length: the
+        # sup-difference of a Lipschitz chart carries an O(t) curvature
+        # term that doubling the offset exposes and cancels
+        length = math.hypot(a * h0, b * h1)
+
+        def central(k: int) -> np.ndarray:
+            return sup_diff(k * a, k * b, -k * a, -k * b) / (2 * k * length)
+
+        def one_sided(k: int, s: int) -> np.ndarray:
+            return sup_diff(s * k * a, s * k * b, 0, 0) / (k * length)
+
+        ok = {(s, k): exists(s * k * a, s * k * b)
+              for s in (1, -1) for k in (1, 2)}
+        # (nodes it applies to, flagged, value), the first that applies
+        # to a node gives its sample
+        rules = (
+            (ok[1, 2] & ok[-1, 2], False,
+             lambda: 2.0 * central(1) - central(2)),
+            (ok[1, 2], True, lambda: 2.0 * one_sided(1, 1) - one_sided(2, 1)),
+            (ok[-1, 2], True,
+             lambda: 2.0 * one_sided(1, -1) - one_sided(2, -1)),
+            (ok[1, 1] & ok[-1, 1], True, lambda: central(1)),
+            (ok[1, 1], True, lambda: one_sided(1, 1)),
+            (ok[-1, 1], True, lambda: one_sided(1, -1)),
+        )
+        for applies, one_sided_rule, value in rules:
+            use = applies & ~have[:, col]
+            if use.any():
+                samples[use, col] = value()[use]
+                have[use, col] = True
+                flagged |= use & one_sided_rule
+    return _resample_row(thetas, samples, have, m), flagged
+
+
+def _resample_row(thetas_all: np.ndarray, samples: np.ndarray,
+                  have: np.ndarray, m: int) -> np.ndarray:
+    """Complete each node's samples along its available offsets, at
+    angles ``thetas_all``, to ``m`` equispaced directions: the polygon
+    through the sampled unit-ball boundary points, vectorized over the
+    nodes that share a set of offsets; a node with a vanishing sample
+    goes through ``np.interp`` on its own."""
+    target = np.arange(m) * (PI / m)
+    u = np.column_stack([np.cos(target), np.sin(target)])
+    out = np.empty((len(samples), m))
+    groups: dict[bytes, list[int]] = {}
+    for node, pattern in enumerate(have):
+        groups.setdefault(pattern.tobytes(), []).append(node)
+    for nodes in groups.values():
+        pattern = have[nodes[0]]
+        nodes = np.asarray(nodes)
+        thetas = thetas_all[pattern]
+        order = np.argsort(thetas)
+        thetas = thetas[order]
+        norms = samples[nodes][:, pattern][:, order]
+        seminorm = norms.min(axis=1) < 1e-12
+        for node, row in zip(nodes[seminorm], norms[seminorm]):
+            # seminorm: interpolate the sampled values directly;
+            # downstream Jacobians treat it as zero area
+            ext_t = np.concatenate([thetas, thetas + PI,
+                                    [thetas[0] + TWO_PI]])
+            ext_n = np.concatenate([row, row, [row[0]]])
+            out[node] = np.interp(target, ext_t, ext_n)
+        nodes, norms = nodes[~seminorm], norms[~seminorm]
+        if not len(nodes):
+            continue
+        # polygon through the sampled unit-ball boundary points
+        full_t = np.concatenate([thetas, thetas + PI])
+        pts = np.column_stack([np.cos(full_t), np.sin(full_t)])[None] \
+            / np.concatenate([norms, norms], axis=1)[:, :, None]
+        k = np.searchsorted(full_t, target, side="right") - 1
+        p = pts[:, k]
+        q = pts[:, (k + 1) % len(full_t)]
+        num = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+        den = u[:, 0] * (q[..., 1] - p[..., 1]) \
+            - u[:, 1] * (q[..., 0] - p[..., 0])
+        rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
+        out[nodes] = 1.0 / np.maximum(rho, 1e-15)
+    return out
 
 
 def metric_derivative(chart: SurfaceChart, node: tuple[int, int],
                       m: int = 64) -> tuple[Norm2D, bool]:
     """Metric derivative norm at a parameter node, resampled at ``m``
-    equispaced directions.
+    equispaced directions, and whether any of its samples is one-sided.
 
     Differences are taken only along integer node offsets so the chart
     is never interpolated between parameter nodes; interpolation would
     smooth the kinks of hull distance functions and bias every sampled
-    norm downward.  The sampled directions are completed to a full norm
-    by the polygon through the sampled unit-ball boundary points, which
-    is exact for the polygonal balls these charts produce and second
-    order accurate for smooth ones.  Central differences where both
-    neighbours exist, one-sided (flagged) at a non-periodic boundary.
+    norm downward.  Along each offset the sample is the Richardson step
+    ``2 D(t) - D(2 t)`` of central sup-differences ``D`` when both
+    doubled neighbours exist; otherwise, in this order, the Richardson
+    step of one-sided differences, a plain central difference, or a
+    plain one-sided difference, all flagged; an offset with no
+    neighbour on either side is dropped.  The sampled directions are
+    completed to a full norm by the polygon through the sampled
+    unit-ball boundary points, which is exact for the polygonal balls
+    these charts produce and second order accurate for smooth ones.
+    The whole row of the node is computed, as ``finsler_mass_table``
+    does.
     """
-    i0, j0 = node
-    h0 = chart.axis0[1] - chart.axis0[0]
-    h1 = chart.axis1[1] - chart.axis1[0]
-    n0, n1 = len(chart.axis0), len(chart.axis1)
-    V = chart.values
-    center = V[i0, j0]
-
-    def in_range(a: int, b: int) -> bool:
-        ok = chart.periodic0 or 0 <= i0 + a < n0
-        if not chart.periodic1:
-            ok = ok and 0 <= j0 + b < n1
-        return ok
-
-    def at(a: int, b: int) -> np.ndarray:
-        return V[(i0 + a) % n0, (j0 + b) % n1]
-
-    def diff(a: int, b: int) -> tuple[float, bool] | None:
-        """Norm of the metric derivative along (a, b), Richardson
-        extrapolated over the offset length: the sup-difference of a
-        Lipschitz chart carries an O(t) curvature term that doubling
-        the offset exposes and cancels.  Central differences when both
-        doubled neighbours exist, one-sided otherwise (flagged)."""
-        length = math.hypot(a * h0, b * h1)
-
-        def central(k: int) -> float:
-            return float(np.abs(at(k * a, k * b)
-                                - at(-k * a, -k * b)).max()) / (2 * k * length)
-
-        def one_sided(k: int, s: int) -> float:
-            return float(np.abs(at(s * k * a, s * k * b)
-                                - center).max()) / (k * length)
-
-        if in_range(2 * a, 2 * b) and in_range(-2 * a, -2 * b):
-            return 2.0 * central(1) - central(2), False
-        for s in (1, -1):
-            if in_range(2 * s * a, 2 * s * b):
-                return 2.0 * one_sided(1, s) - one_sided(2, s), True
-        if in_range(a, b) and in_range(-a, -b):
-            return central(1), True
-        for s in (1, -1):
-            if in_range(s * a, s * b):
-                return one_sided(1, s), True
-        return None
-
-    thetas, norms = [], []
-    boundary = False
-    for a, b in _offset_directions(4):
-        got = diff(a, b)
-        if got is None:
-            continue
-        val, flagged = got
-        boundary = boundary or flagged
-        thetas.append(math.atan2(b * h1, a * h0) % PI)
-        norms.append(val)
-    thetas = np.asarray(thetas)
-    norms = np.asarray(norms)
-    order = np.argsort(thetas)
-    thetas, norms = thetas[order], norms[order]
-    target = np.arange(m) * (PI / m)
-
-    if norms.min() < 1e-12:
-        # seminorm: interpolate the sampled values directly; downstream
-        # Jacobians treat the degenerate directions as zero area
-        ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
-        ext_n = np.concatenate([norms, norms, [norms[0]]])
-        vals = np.interp(target, ext_t, ext_n)
-        return Norm2D(m, vals), boundary
-
-    # polygon through the sampled unit-ball boundary points
-    full_t = np.concatenate([thetas, thetas + PI])
-    pts = np.column_stack([np.cos(full_t), np.sin(full_t)]) \
-        / np.concatenate([norms, norms])[:, None]
-    k = np.searchsorted(full_t, target, side="right") - 1
-    p = pts[k]
-    q = pts[(k + 1) % len(pts)]
-    u = np.column_stack([np.cos(target), np.sin(target)])
-    num = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-    den = u[:, 0] * (q[:, 1] - p[:, 1]) - u[:, 1] * (q[:, 0] - p[:, 0])
-    rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
-    vals = 1.0 / np.maximum(rho, 1e-15)
-    return Norm2D(m, vals), boundary
+    i, j = node
+    norms, flagged = _row_metric_derivative(chart, i, m)
+    return Norm2D(m, norms[j]), bool(flagged[j])
 
 
 def _axis_weights(axis: np.ndarray, periodic: bool) -> np.ndarray:
@@ -457,20 +496,23 @@ def finsler_mass_table(chart: SurfaceChart,
                        m_dirs: int = 64) -> dict[str, float]:
     """Finsler masses of the chart for several volume definitions in
     one pass: parameter quadrature of the volume Jacobians of the
-    metric derivative.  Nodes where the metric derivative degenerates
-    to a seminorm contribute zero, matching the seminorm convention."""
+    metric derivative, one parameter row at a time.  Nodes where the
+    metric derivative degenerates to a seminorm contribute zero,
+    matching the seminorm convention."""
     w0 = _axis_weights(chart.axis0, chart.periodic0)
     w1 = _axis_weights(chart.axis1, chart.periodic1)
     totals = dict.fromkeys(definitions, 0.0)
     for i in range(len(chart.axis0)):
+        norms, _ = _row_metric_derivative(chart, i, m_dirs)
         for j in range(len(chart.axis1)):
-            norm, _ = metric_derivative(chart, (i, j), m=m_dirs)
+            norm = Norm2D(m_dirs, norms[j])
+            try:
+                norm.check_nondegenerate()
+            except DegenerateNormError:
+                continue
             for definition in definitions:
-                try:
-                    J = jacobian(norm, definition)
-                except DegenerateNormError:
-                    J = 0.0
-                totals[definition] += w0[i] * w1[j] * J
+                totals[definition] += w0[i] * w1[j] \
+                    * jacobian(norm, definition)
     return totals
 
 

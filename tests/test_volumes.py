@@ -368,6 +368,136 @@ def test_metric_derivative_degenerates_at_the_cone_tip():
         volumes.jacobian(nm, "mass")
 
 
+def reference_metric_derivative(chart, node, m=64):
+    """The metric derivative one node at a time: every offset through
+    its own small differences, then the node resampled on its own."""
+    i0, j0 = node
+    h0 = chart.axis0[1] - chart.axis0[0]
+    h1 = chart.axis1[1] - chart.axis1[0]
+    n0, n1 = len(chart.axis0), len(chart.axis1)
+    V = chart.values
+    center = V[i0, j0]
+
+    def in_range(a, b):
+        ok = chart.periodic0 or 0 <= i0 + a < n0
+        if not chart.periodic1:
+            ok = ok and 0 <= j0 + b < n1
+        return ok
+
+    def at(a, b):
+        return V[(i0 + a) % n0, (j0 + b) % n1]
+
+    def diff(a, b):
+        length = math.hypot(a * h0, b * h1)
+
+        def central(k):
+            return float(np.abs(at(k * a, k * b)
+                                - at(-k * a, -k * b)).max()) / (2 * k * length)
+
+        def one_sided(k, s):
+            return float(np.abs(at(s * k * a, s * k * b)
+                                - center).max()) / (k * length)
+
+        if in_range(2 * a, 2 * b) and in_range(-2 * a, -2 * b):
+            return 2.0 * central(1) - central(2), False
+        for s in (1, -1):
+            if in_range(2 * s * a, 2 * s * b):
+                return 2.0 * one_sided(1, s) - one_sided(2, s), True
+        if in_range(a, b) and in_range(-a, -b):
+            return central(1), True
+        for s in (1, -1):
+            if in_range(s * a, s * b):
+                return one_sided(1, s), True
+        return None
+
+    thetas, norms = [], []
+    boundary = False
+    for a in range(-4, 5):
+        for b in range(5):
+            if (b == 0 and a <= 0) or math.gcd(abs(a), b) != 1:
+                continue
+            got = diff(a, b)
+            if got is None:
+                continue
+            val, flagged = got
+            boundary = boundary or flagged
+            thetas.append(math.atan2(b * h1, a * h0) % PI)
+            norms.append(val)
+    thetas = np.asarray(thetas)
+    norms = np.asarray(norms)
+    order = np.argsort(thetas)
+    thetas, norms = thetas[order], norms[order]
+    target = np.arange(m) * (PI / m)
+
+    if norms.min() < 1e-12:
+        ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + 2 * PI]])
+        ext_n = np.concatenate([norms, norms, [norms[0]]])
+        return Norm2D(m, np.interp(target, ext_t, ext_n)), boundary, \
+            len(thetas)
+
+    full_t = np.concatenate([thetas, thetas + PI])
+    pts = np.column_stack([np.cos(full_t), np.sin(full_t)]) \
+        / np.concatenate([norms, norms])[:, None]
+    k = np.searchsorted(full_t, target, side="right") - 1
+    p = pts[k]
+    q = pts[(k + 1) % len(pts)]
+    u = np.column_stack([np.cos(target), np.sin(target)])
+    num = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    den = u[:, 0] * (q[:, 1] - p[:, 1]) - u[:, 1] * (q[:, 0] - p[:, 0])
+    rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
+    return Norm2D(m, 1.0 / np.maximum(rho, 1e-15)), boundary, len(thetas)
+
+
+def synthetic_chart(n0, n1, periodic, seed):
+    grid = Grid(16)
+    values = np.random.default_rng(seed).normal(size=(n0, n1, grid.n))
+    return SurfaceChart("synthetic", grid, np.linspace(0.0, 1.0, n0),
+                        np.linspace(0.0, 2.0, n1), periodic, periodic,
+                        values)
+
+
+def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
+    cap = volumes.cap_chart(0.3, 17, 32, Grid(64))
+    charts = [volumes.cone_chart(n, n, Grid(128)) for n in (4, 5, 7, 16, 24)]
+    charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
+    charts += [synthetic_chart(n0, n1, periodic, seed)
+               for seed, (n0, n1, periodic) in enumerate(
+                   [(5, 6, True), (3, 4, True), (7, 5, False), (3, 3, False),
+                    (9, 2, False)])]
+    used = set()
+    for chart in charts:
+        for i in range(len(chart.axis0)):
+            norms, flags = volumes._row_metric_derivative(chart, i, 64)
+            for j in range(len(chart.axis1)):
+                want, flagged, count = reference_metric_derivative(
+                    chart, (i, j))
+                used.add(count)
+                assert np.array_equal(norms[j], want.unit_norms)
+                assert bool(flags[j]) == flagged
+        got, flagged = volumes.metric_derivative(chart, (i, 1))
+        assert np.array_equal(got.unit_norms, norms[1])
+        assert flagged == bool(flags[1])
+    # nodes that drop offsets with no neighbour on either side are covered
+    assert {14, 20, 24} <= used and min(used) < 14
+
+
+def test_finsler_mass_table_equals_the_node_reference_sum():
+    chart = volumes.cone_chart(24, 24, Grid(128))
+    w0 = volumes._axis_weights(chart.axis0, chart.periodic0)
+    w1 = volumes._axis_weights(chart.axis1, chart.periodic1)
+    want = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
+    for i in range(len(chart.axis0)):
+        for j in range(len(chart.axis1)):
+            norm = reference_metric_derivative(chart, (i, j))[0]
+            for d in JACOBIAN_DEFINITIONS:
+                try:
+                    J = volumes.jacobian(norm, d)
+                except DegenerateNormError:
+                    J = 0.0
+                want[d] += w0[i] * w1[j] * J
+    assert volumes.finsler_mass_table(chart) == want
+
+
 def test_finsler_mass_of_small_cone_tracks_the_closed_form():
     chart = volumes.cone_chart(25, 24, Grid(128))
     got = volumes.finsler_mass(chart, "mass")
