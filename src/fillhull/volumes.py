@@ -34,9 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .quadrature import Grid
-from .hull import (ConvergenceError, HullFn, SpherePoint, dist_to_boundary,
-                   sphere_point, random_hull_point)
-from .coeffs import _e_kernel, _gap_trig
+from .hull import ConvergenceError, random_hull_point
 
 __all__ = [
     "Norm2D",
@@ -542,10 +540,10 @@ def cap_chart(r: float = 0.3, n_d: int = 33, n_tau: int = 64,
         raise ValueError("cap radius parameter must satisfy r >= 0.3")
     ds = np.linspace(r, PI / 2, n_d)
     taus = np.arange(n_tau) * (TWO_PI / n_tau)
-    values = np.empty((n_d, n_tau, grid.n))
-    for i, d in enumerate(ds):
-        for j, tau in enumerate(taus):
-            values[i, j] = sphere_point(SpherePoint(tau, d), grid).values
+    # the hemisphere point arccos(cos d cos(alpha - tau)) at every node
+    values = np.cos(ds)[:, None, None] \
+        * np.cos(grid.beta_nodes[None, :] - taus[:, None])
+    np.arccos(values, out=values)
     return SurfaceChart("cap", grid, ds, taus, False, True, values)
 
 
@@ -567,25 +565,78 @@ def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
                         cap.periodic0, cap.periodic1, values)
 
 
-def _param_tangents(chart: SurfaceChart, axis: int,
-                    i: int, j: int) -> np.ndarray:
-    """Partial derivative of the chart along one parameter axis:
-    central differences inside, one-sided at a non-periodic edge."""
-    V = chart.values
-    if axis == 0:
-        n, periodic, h = len(chart.axis0), chart.periodic0, \
-            chart.axis0[1] - chart.axis0[0]
-        get = lambda k: V[k % n if periodic else k, j]
-    else:
-        n, periodic, h = len(chart.axis1), chart.periodic1, \
-            chart.axis1[1] - chart.axis1[0]
-        get = lambda k: V[i, k % n if periodic else k]
-    k = i if axis == 0 else j
-    if periodic or 0 < k < n - 1:
-        return (get(k + 1) - get(k - 1)) / (2.0 * h)
-    if k == 0:
-        return (get(1) - get(0)) / h
-    return (get(n - 1) - get(n - 2)) / h
+def _tangent_stencil(axis: np.ndarray,
+                     periodic: bool) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """Partial derivative along one parameter axis, as indices and
+    steps: node ``k`` has tangent ``(V[up[k]] - V[down[k]]) / den[k]``,
+    central inside and one-sided at a non-periodic edge."""
+    n = len(axis)
+    h = axis[1] - axis[0]
+    up, down = np.arange(1, n + 1), np.arange(-1, n - 1)
+    den = np.full(n, 2.0 * h)
+    if periodic:
+        return up % n, down % n, den
+    up[-1], down[0] = n - 1, 0
+    den[[0, -1]] = h
+    return up, down, den
+
+
+def _to_midnodes(v: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Each row of ``v`` averaged with its right neighbour; the last
+    entry's neighbour is ``last``, the extension of the row's first
+    entry past the half period."""
+    out = np.empty_like(v)
+    out[:, :-1] = v[:, 1:]
+    out[:, -1] = last
+    out += v
+    out *= 0.5
+    return out
+
+
+def _gap_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """``(S^T, C^T)`` with ``S^T[k, j] = 1 / sin^2 a`` and ``C^T[k, j]
+    = cos a / sin^2 a`` at the gap ``a = beta_k - alpha_j``, zero for
+    ``k <= j``: one gap buffer becomes ``S^T`` in place."""
+    st = grid.beta_nodes[:, None] - grid.alpha_nodes[None, :]
+    ct = np.cos(st)
+    np.sin(st, out=st)
+    st *= st
+    np.reciprocal(st, out=st)
+    for k in range(grid.n):
+        st[k, k:] = 0.0
+    ct *= st
+    return st, ct
+
+
+def _row_integrands(y: np.ndarray, t0: np.ndarray, t1: np.ndarray,
+                    c: np.ndarray, st: np.ndarray,
+                    ct: np.ndarray) -> np.ndarray:
+    """Node values of the two-form on the tangents ``t0``, ``t1`` for
+    the nodes of one parameter row with hull values ``y``; every array
+    is ``(nodes, n)``.  See ``omega_surface_integral``."""
+    x = _to_midnodes(y, PI - y[:, 0])
+    cx, cy = np.cos(x), np.cos(y)
+    sx2, w = np.sin(x), np.sin(y)
+    sx2 *= sx2
+    w *= w
+    np.divide(c, w, out=w)
+    total = np.zeros(len(y))
+    # tangent functions extend antiperiodically; midpoint values by the
+    # wrapped average
+    for sign, t, tm in ((1.0, t0, _to_midnodes(t1, -t1[:, 0])),
+                        (-1.0, t1, _to_midnodes(t0, -t0[:, 0]))):
+        v = t * w
+        # e v summed over k > j: the constant term of e is a reverse
+        # cumulative sum, the other three are products with the tables
+        ev = np.zeros_like(v)
+        np.cumsum(v[:, :0:-1], axis=1, out=ev[:, -2::-1])
+        ev -= cx * cx * (v @ st)
+        ev -= (cy * cy * v) @ st
+        ev += 2.0 * cx * ((cy * v) @ ct)
+        tm /= sx2
+        total += sign * np.einsum("ij,ij->i", tm, ev)
+    return total
 
 
 def omega_surface_integral(chart: SurfaceChart) -> float:
@@ -596,42 +647,53 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     node values are then integrated over the parameter rectangle.
     Charts are oriented (axis0, axis1); the cap comes out positive.
 
-    The gap tables of the coefficient kernel depend only on the grid
-    and are built once per chart, so a node takes trig of its own
-    values only.  With the column weights ``c`` of the triangle rule
-    and ``P = e / (sin^2 x sin^2 y)``, the node value
-    ``sum c_k P[j, k] (t1m_j t0_k - t0m_j t1_k)`` over ``k > j`` is
-    ``t1m . P (c t0) - t0m . P (c t1)``: one product of the masked
-    ``e`` table with two vectors, the ``sin^2`` factors scaling
-    vectors instead of the table.
+    With the column weights ``c`` of the triangle rule, the midnode
+    values ``x``, the node values ``y`` and ``v = c t / sin^2 y``, the
+    node value is ``t1m . P (c t0) - t0m . P (c t1)`` for ``P = e /
+    (sin^2 x sin^2 y)`` on ``k > j``, midpoint tangents ``t0m``,
+    ``t1m`` and ``e = 1 - (cos^2 x + cos^2 y - 2 cos a cos x cos y) /
+    sin^2 a``.  On the strict upper triangle put ``S = 1 / sin^2 a``
+    and ``C = cos a / sin^2 a``, which depend only on the grid:
+
+        e v = sum_{k > j} v_k - cos^2 x_j (S v)_j - (S cos^2 y v)_j
+              + 2 cos x_j (C cos y v)_j,
+
+    a reverse cumulative sum and three products with the two tables
+    for each tangent.  The tables are built once per chart, and every
+    node of a parameter row goes through one matrix product per term,
+    with temporaries the size of one row.
+
+    Unlike ``p_grid``, ``e`` is not clamped at zero: the integral is
+    defined for charts whose nodes are hull functions.  Then ``|x - y|
+    <= a <= x + y`` and ``x + y + a <= 2 pi`` hold, which give ``e >=
+    0``; they are linear in the values, so convex combinations of such
+    charts (``perturbed_cap_chart``) keep them.  At a hemisphere point
+    at distance ``d`` from the circle ``e = sin^2 d`` for every gap.  A
+    clamp would only absorb rounding.  A node that touches the circle
+    is rejected, the first in row-major order named.
     """
-    grid = chart.grid
-    n = grid.n
+    V = chart.values
+    # min(V, pi - V) over each node, as pi - v falls with v
+    near = np.minimum(V.min(axis=2), PI - V.max(axis=2))
+    touching = np.flatnonzero(near <= 0.0)
+    if touching.size:
+        node = tuple(int(k) for k in np.unravel_index(touching[0],
+                                                      near.shape))
+        raise ValueError(f"chart node {node} touches the "
+                         "boundary circle; p is undefined")
+    st, ct = _gap_tables(chart.grid)
+    c = chart.grid.triangle_weights
     w0 = _axis_weights(chart.axis0, chart.periodic0)
     w1 = _axis_weights(chart.axis1, chart.periodic1)
-    ca, sa2 = _gap_trig(grid.beta_nodes[None, :] - grid.alpha_nodes[:, None])
-    upper = np.triu(np.ones((n, n)), 1)
-    c = grid.triangle_weights
+    up0, down0, den0 = _tangent_stencil(chart.axis0, chart.periodic0)
+    up1, down1, den1 = _tangent_stencil(chart.axis1, chart.periodic1)
     total = 0.0
     for i in range(len(chart.axis0)):
-        for j in range(len(chart.axis1)):
-            f = HullFn(grid, chart.values[i, j])
-            if dist_to_boundary(f) <= 0.0:
-                raise ValueError(f"chart node {(i, j)} touches the "
-                                 "boundary circle; p is undefined")
-            x, y = f.at_midnodes(), f.values
-            e = _e_kernel(ca, sa2, np.cos(x)[:, None], np.cos(y)[None, :])
-            e *= upper
-            t0 = _param_tangents(chart, 0, i, j)
-            t1 = _param_tangents(chart, 1, i, j)
-            # tangent functions extend antiperiodically; midpoint values
-            # by the wrapped average
-            t0m = 0.5 * (t0 + np.concatenate([t0[1:], -t0[:1]]))
-            t1m = 0.5 * (t1 + np.concatenate([t1[1:], -t1[:1]]))
-            v = np.column_stack([t0, t1]) * (c / np.sin(y) ** 2)[:, None]
-            r = (e @ v) / (np.sin(x) ** 2)[:, None]
-            total += w0[i] * w1[j] * (t1m @ r[:, 0] - t0m @ r[:, 1])
-    return total
+        y = V[i]
+        t0 = (V[up0[i]] - V[down0[i]]) / den0[i]
+        t1 = (y[up1] - y[down1]) / den1[:, None]
+        total += w0[i] * (w1 @ _row_integrands(y, t0, t1, c, st, ct))
+    return float(total)
 
 
 def coordinate_filling_area(alpha: float, offset: float,

@@ -218,20 +218,12 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
-def test_reports_do_not_depend_on_the_blas_thread_count():
-    src = str(Path(cli.__file__).parents[1])
-    base = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "GOTO_NUM_THREADS"):
-        base.pop(var, None)
-    base["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, base.get("PYTHONPATH")) if p)
-    single = dict(base, OPENBLAS_NUM_THREADS="1")
+def test_reports_do_not_depend_on_the_blas_thread_count(blas_thread_envs):
     for argv in (["comass", "sphere:0.5,0.7"],
                  ["--format", "csv", "sweep", "--h", "0.0,0.6",
                   "--g", "random:1,0.25,0.3"]):
         outs = [subprocess.run([sys.executable, "-m", "fillhull.cli", *argv],
                                env=env, check=True, capture_output=True,
                                text=True).stdout
-                for env in (single, base)]
+                for env in blas_thread_envs]
         assert outs[0] and outs[0] == outs[1]

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.spatial import ConvexHull
 
 from fillhull import volumes
 from fillhull.coeffs import p_grid
-from fillhull.hull import HullFn, boundary_point
+from fillhull.hull import HullFn, SpherePoint, boundary_point, sphere_point
 from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
                               Norm2D, SurfaceChart)
 from fillhull.quadrature import Grid, integrate_triangle
@@ -526,9 +528,40 @@ def test_perturbed_cap_keeps_boundary_rows():
         volumes.perturbed_cap_chart(cap, 0, amplitude=1.5)
 
 
+def test_cap_chart_equals_the_sphere_points_node_by_node():
+    for r, n_d, n_tau, grid in ((0.3, 9, 16, Grid(64)),
+                                (0.5, 17, 32, Grid(256))):
+        cap = volumes.cap_chart(r, n_d, n_tau, grid)
+        for i, d in enumerate(cap.axis0):
+            for j, tau in enumerate(cap.axis1):
+                want = sphere_point(SpherePoint(tau, d), grid).values
+                assert np.array_equal(cap.values[i, j], want)
+
+
 def test_cap_surface_integral_is_positive():
     cap = volumes.cap_chart(0.4, 9, 16, Grid(64))
     assert volumes.omega_surface_integral(cap) > 0
+
+
+def reference_tangent(chart, axis, i, j):
+    """Partial derivative of the chart along one parameter axis at node
+    ``(i, j)``: central differences inside, one-sided at a non-periodic
+    edge."""
+    V = chart.values
+    if axis == 0:
+        n, periodic, h = len(chart.axis0), chart.periodic0, \
+            chart.axis0[1] - chart.axis0[0]
+        get = lambda k: V[k % n if periodic else k, j]
+    else:
+        n, periodic, h = len(chart.axis1), chart.periodic1, \
+            chart.axis1[1] - chart.axis1[0]
+        get = lambda k: V[i, k % n if periodic else k]
+    k = i if axis == 0 else j
+    if periodic or 0 < k < n - 1:
+        return (get(k + 1) - get(k - 1)) / (2.0 * h)
+    if k == 0:
+        return (get(1) - get(0)) / h
+    return (get(n - 1) - get(n - 2)) / h
 
 
 def reference_surface_integral(chart):
@@ -540,8 +573,8 @@ def reference_surface_integral(chart):
     for i in range(len(chart.axis0)):
         for j in range(len(chart.axis1)):
             P = p_grid(HullFn(chart.grid, chart.values[i, j])).p
-            t0 = volumes._param_tangents(chart, 0, i, j)
-            t1 = volumes._param_tangents(chart, 1, i, j)
+            t0 = reference_tangent(chart, 0, i, j)
+            t1 = reference_tangent(chart, 1, i, j)
             t0m = 0.5 * (t0 + np.concatenate([t0[1:], -t0[:1]]))
             t1m = 0.5 * (t1 + np.concatenate([t1[1:], -t1[:1]]))
             cross = t1m[:, None] * t0[None, :] - t0m[:, None] * t1[None, :]
@@ -551,12 +584,16 @@ def reference_surface_integral(chart):
 
 
 def test_surface_integral_matches_term_by_term_reference():
-    cap = volumes.cap_chart(0.3, 9, 16, Grid(64))
-    for chart in (cap, volumes.perturbed_cap_chart(cap, bump_seed=2,
-                                                   amplitude=0.2)):
-        want = reference_surface_integral(chart)
-        assert volumes.omega_surface_integral(chart) == pytest.approx(
-            want, rel=1e-13)
+    for n in (64, 256):
+        cap = volumes.cap_chart(0.3, 9, 16, Grid(n))
+        # the tau columns cut to an arc: neither axis is periodic
+        arc = SurfaceChart("arc", cap.grid, cap.axis0, cap.axis1[:7],
+                           cap.periodic0, False, cap.values[:, :7])
+        for chart in (cap, arc, volumes.perturbed_cap_chart(
+                cap, bump_seed=2, amplitude=0.2)):
+            want = reference_surface_integral(chart)
+            assert volumes.omega_surface_integral(chart) == pytest.approx(
+                want, rel=1e-13)
 
 
 def test_surface_integral_is_bit_reproducible():
@@ -566,13 +603,34 @@ def test_surface_integral_is_bit_reproducible():
         == volumes.omega_surface_integral(pert)
 
 
+def test_surface_integral_does_not_depend_on_the_blas_thread_count(
+        blas_thread_envs):
+    script = ("from fillhull import volumes\n"
+              "from fillhull.quadrature import Grid\n"
+              "cap = volumes.cap_chart(0.3, 9, 16, Grid(256))\n"
+              "pert = volumes.perturbed_cap_chart(cap, bump_seed=2)\n"
+              "print(repr(volumes.omega_surface_integral(cap)),\n"
+              "      repr(volumes.omega_surface_integral(pert)))\n")
+    outs = [subprocess.run([sys.executable, "-c", script], env=env,
+                           check=True, capture_output=True,
+                           text=True).stdout
+            for env in blas_thread_envs]
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_surface_integral_rejects_boundary_nodes():
     cap = volumes.cap_chart(0.3, 5, 8, Grid(64))
     values = cap.values.copy()
     values[2, 3] = boundary_point(cap.grid.beta_nodes[5], cap.grid).values
     chart = SurfaceChart("touching", cap.grid, cap.axis0, cap.axis1,
                          cap.periodic0, cap.periodic1, values)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"chart node \(2, 3\) touches"):
+        volumes.omega_surface_integral(chart)
+    # of two touching nodes, the first in row-major order is named
+    values[1, 6] = PI - values[2, 3]
+    chart = SurfaceChart("touching twice", cap.grid, cap.axis0, cap.axis1,
+                         cap.periodic0, cap.periodic1, values)
+    with pytest.raises(ValueError, match=r"chart node \(1, 6\) touches"):
         volumes.omega_surface_integral(chart)
 
 
