@@ -46,11 +46,9 @@ from .comass import (
     calibration_sweep,
     concavity_certificate,
 )
+from .norms import Norm2D, john_ellipse, jacobian
 from .volumes import (
-    Norm2D,
     SurfaceChart,
-    john_ellipse,
-    jacobian,
     metric_derivative,
     finsler_mass,
     finsler_mass_table,

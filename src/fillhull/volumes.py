@@ -1,40 +1,26 @@
-"""Normed-plane volume definitions and Finsler masses of hull charts.
-
-Five normalizations of area on a 2-D normed plane are implemented as
-Jacobians against Lebesgue measure:
-
-* ``mass``: infimum of ``N(v) N(w)`` over unit-determinant frames,
-* ``mass_star``: supremum of ``|xi1 ^ xi2|`` over dual-unit covectors,
-* ``busemann_hausdorff``: ``pi / Leb(unit ball)``,
-* ``holmes_thompson``: ``Leb(dual unit ball) / pi``,
-* ``inner_riemannian``: ``pi / (inscribed max-area ellipse area)``.
-
-Every definition measures one body per sampled norm: the convex hull
-polygon ``{x : |c_i . x| <= 1}`` of the sampled boundary points.  Its
-vertices give mass, its facet normals ``c_i`` (the vertices of the dual
-polygon) give mass*, its gauge gives the ball area and the dual norm,
-and the John ellipse is the exact solution of a 3-variable max-det
-problem over the ``c_i``.
+"""Finsler masses of hull charts.
 
 A surface chart into the hull has, at each parameter point, a metric
 derivative norm on the parameter plane; integrating the chosen
-Jacobian of that norm gives the Finsler mass of the chart.  The cone
-chart over the boundary circle and the polar caps of the hemisphere
-are the worked examples, together with the surface integral of the
-two-form and the shoelace lower-bound loop.
+Jacobian of that norm (``norms``) gives the Finsler mass of the chart.
+The cone chart over the boundary circle and the polar caps of the
+hemisphere are the worked examples, together with the surface integral
+of the two-form and the shoelace lower-bound loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .quadrature import Grid
-from .hull import ConvergenceError, random_hull_point
+from .hull import random_hull_point
+# the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
+# are the names callers and the benchmark's tracer use
+from .norms import (DegenerateNormError, JACOBIAN_DEFINITIONS, Norm2D,
+                    check_definitions, jacobian, jacobians, john_ellipse)
 
 __all__ = [
     "Norm2D",
@@ -55,251 +41,6 @@ __all__ = [
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-
-JACOBIAN_DEFINITIONS = ("mass", "mass_star", "busemann_hausdorff",
-                        "holmes_thompson", "inner_riemannian")
-
-
-class DegenerateNormError(ValueError):
-    """The sampled norm vanishes (or nearly so) in some direction."""
-
-
-@dataclass(frozen=True)
-class Norm2D:
-    """Norm sampled on ``m`` equispaced directions of ``[0, pi)``;
-    extended by the symmetry ``N(-v) = N(v)``.
-
-    The unit ball is the convex hull polygon of the sampled boundary
-    points ``+-u_j / N(u_j)``, built once (``hull_vertices``); the gauge,
-    the ball area, the dual norm and every Jacobian measure it."""
-
-    m: int
-    unit_norms: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.unit_norms, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError("unit_norms shape mismatch")
-        object.__setattr__(self, "unit_norms", v)
-
-    @property
-    def theta_nodes(self) -> np.ndarray:
-        return np.arange(self.m) * (PI / self.m)
-
-    def check_nondegenerate(self, tol: float = 1e-9) -> None:
-        if self.unit_norms.min() <= tol:
-            raise DegenerateNormError(
-                f"norm degenerates to {self.unit_norms.min():.3e}")
-
-    @cached_property
-    def hull_vertices(self) -> np.ndarray:
-        """The ``k`` vertices of one half-turn, counterclockwise from
-        angle 0, of the convex hull of the sampled boundary points
-        ``+-u_j / N(u_j)``; the other half-turn is their negatives.  The
-        points run counterclockwise around the origin, and one that does
-        not turn left between its current neighbours lies in their
-        triangle with the origin: all such points are dropped at once
-        until none is left.  Unlike a sort by coordinates, this order has
-        no ties up to rounding on axis-parallel edges."""
-        self.check_nondegenerate()
-        th = self.theta_nodes
-        half = np.column_stack([np.cos(th), np.sin(th)]) \
-            / self.unit_norms[:, None]
-        pts = np.concatenate([half, -half])
-        tol = 1e-14 * float((pts * pts).sum(axis=1).max())
-        while True:
-            e = np.diff(np.concatenate([pts[-1:], pts, pts[:1]]), axis=0)
-            keep = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] > tol
-            if keep.all():
-                break
-            pts = pts[keep]
-        return pts[:len(pts) // 2]
-
-    @cached_property
-    def facet_normals(self) -> np.ndarray:
-        """Normals ``c``, one per antipodal facet pair, of the hull, scaled
-        so that the hull is ``{x : |c . x| <= 1}``: row ``i`` is the facet
-        from vertex ``i`` to the next one counterclockwise.  They are the
-        vertices of the dual unit ball."""
-        p = self.hull_vertices
-        q = np.concatenate([p[1:], -p[:1]])
-        det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
-        return np.column_stack([q[:, 1] - p[:, 1],
-                                p[:, 0] - q[:, 0]]) / det[:, None]
-
-    def norm_of(self, vx, vy) -> np.ndarray:
-        """Gauge of the hull polygon: ``|c . v|`` for the facet ``c`` of
-        the angular sector that holds ``v``."""
-        p = self.hull_vertices
-        sector = np.searchsorted(np.arctan2(p[:, 1], p[:, 0]),
-                                 np.mod(np.arctan2(vy, vx), PI),
-                                 side="right") - 1
-        c = self.facet_normals
-        return np.abs(c[sector, 0] * vx + c[sector, 1] * vy)
-
-    def ball_area(self) -> float:
-        """Lebesgue area of the hull polygon by the polar formula at the
-        sampled directions, with the hull radii ``1 / norm_of(u_j)``."""
-        th = self.theta_nodes
-        return _polar_area(self.norm_of(np.cos(th), np.sin(th)))
-
-    def dual(self) -> "Norm2D":
-        """Dual norm at the sampled directions: the support function of
-        the hull polygon, a maximum over its vertices."""
-        th = self.theta_nodes
-        p = self.hull_vertices
-        vals = np.abs(np.cos(th)[:, None] * p[None, :, 0]
-                      + np.sin(th)[:, None] * p[None, :, 1])
-        return Norm2D(self.m, vals.max(axis=1))
-
-    @staticmethod
-    def from_callable(fn, m: int = 256) -> "Norm2D":
-        th = np.arange(m) * (PI / m)
-        return Norm2D(m, np.asarray(fn(np.cos(th), np.sin(th)), float))
-
-    @staticmethod
-    def euclidean(m: int = 256, scale: float = 1.0) -> "Norm2D":
-        return Norm2D.from_callable(lambda x, y: scale * np.hypot(x, y), m)
-
-    @staticmethod
-    def l1(m: int = 256) -> "Norm2D":
-        return Norm2D.from_callable(lambda x, y: np.abs(x) + np.abs(y), m)
-
-    @staticmethod
-    def linf(m: int = 256) -> "Norm2D":
-        return Norm2D.from_callable(
-            lambda x, y: np.maximum(np.abs(x), np.abs(y)), m)
-
-    @staticmethod
-    def random(seed: int, m: int = 256) -> "Norm2D":
-        """Random polytope-with-disk norm: the maximum of a few random
-        linear functionals and a scaled Euclidean norm (always convex)."""
-        rng = np.random.default_rng(seed)
-        k = rng.integers(2, 6)
-        angles = rng.uniform(0.0, PI, size=k)
-        scales = rng.uniform(0.5, 1.5, size=k)
-        disk = rng.uniform(0.3, 1.0)
-
-        def fn(x, y):
-            vals = disk * np.hypot(x, y)
-            for a, s in zip(angles, scales):
-                vals = np.maximum(vals,
-                                  s * np.abs(math.cos(a) * x
-                                             + math.sin(a) * y))
-            return vals
-
-        return Norm2D.from_callable(fn, m)
-
-
-def _polar_area(norms: np.ndarray) -> float:
-    """Polar formula ``(pi / m) sum r_j^2`` for the area of the ball whose
-    radius at the ``j``-th of ``m`` equispaced directions of a half-turn
-    is ``r_j = 1 / norms[j]``."""
-    r = 1.0 / norms
-    return float((r * r).sum() * (PI / len(norms)))
-
-
-# candidate active sets among three or four facets: every pair, triple
-_ACTIVE_SETS = {n: [list(s) for k in (2, 3)
-                    for s in itertools.combinations(range(n), k)]
-                for n in (3, 4)}
-
-
-def _kkt_matrix(g: np.ndarray) -> np.ndarray:
-    """Symmetric ``A`` with ``g_i^T A g_i = 1`` on the two or three rows
-    of ``g``; for two rows, the maximizer ``(g^T g)^-1``."""
-    if len(g) == 2:
-        return np.linalg.inv(g.T @ g)
-    rows = np.column_stack([g[:, 0] ** 2, 2.0 * g[:, 0] * g[:, 1],
-                            g[:, 1] ** 2])
-    a11, a12, a22 = np.linalg.solve(rows, np.ones(3))
-    return np.array([[a11, a12], [a12, a22]])
-
-
-def _max_det_on(g: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Max-det ``A`` under the three or four rows of ``g``, and its
-    active rows: of the KKT solutions of every pair and triple, the one
-    with the largest determinant once scaled inside all rows."""
-    best = -math.inf
-    for active in _ACTIVE_SETS[len(g)]:
-        A = _kkt_matrix(g[active])
-        det = float(np.linalg.det(A))
-        if A[0, 0] > 0.0 and det > 0.0:
-            peak = float(np.einsum("ij,jk,ik->i", g, A, g).max())
-            if det / (peak * peak) > best:
-                best, pick = det / (peak * peak), (active, A)
-    return pick
-
-
-def john_ellipse(norm: Norm2D) -> tuple[float, float, float, float]:
-    """Maximal-area inscribed origin-symmetric ellipse of the hull
-    polygon ``{x : |c_i . x| <= 1}`` of the sampled unit ball.
-
-    The ellipse ``{x : x^T A^-1 x <= 1}`` lies inside iff every
-    ``c_i^T A c_i <= 1``, so ``A`` maximizes ``log det A`` under these
-    linear constraints (Boyd & Vandenberghe, *Convex Optimization*,
-    8.4.2); at most three facet pairs are active, and their KKT
-    equations fix ``A``.  Each active-set step adds the most violated
-    facet and solves exactly over the at most four in play (``det A``
-    falls strictly, so no set recurs), in the frame where the current
-    ellipse is the unit disk, which keeps thin ellipses well
-    conditioned.  A final rescale by ``max_i c_i^T A c_i`` makes the
-    ellipse touch the polygon.  Returns ``(a, b, phi, area)`` with
-    ``a >= b`` and the major axis at angle ``phi``.
-    """
-    c = norm.facet_normals
-    i = int(np.argmax((c * c).sum(axis=1)))
-    basis = [i, int(np.argmax(np.abs(c[i, 0] * c[:, 1]
-                                     - c[i, 1] * c[:, 0])))]
-    L = np.linalg.inv(c[basis])         # A = L L^T
-    g = c @ L                           # facets in the frame of the ellipse
-    for _ in range(64):
-        load = (g * g).sum(axis=1)
-        k = int(np.argmax(load))
-        if load[k] <= 1.0 + 1e-12 or k in basis:
-            break
-        trial = basis + [k]
-        active, A = _max_det_on(g[trial])
-        basis = [trial[t] for t in active]
-        chol = np.linalg.cholesky(A)
-        L, g = L @ chol, g @ chol
-    else:
-        raise ConvergenceError("John ellipse active set did not settle")
-    L = L / math.sqrt(float((g * g).sum(axis=1).max()))
-    A = L @ L.T
-    a = math.sqrt(0.5 * (A[0, 0] + A[1, 1])
-                  + math.hypot(0.5 * (A[0, 0] - A[1, 1]), A[0, 1]))
-    b = abs(float(L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0])) / a
-    phi = 0.5 * math.atan2(2.0 * A[0, 1], A[0, 0] - A[1, 1]) % PI
-    return a, b, phi, PI * a * b
-
-
-def _max_wedge(p: np.ndarray) -> float:
-    """Largest ``|p_i ^ p_j|`` over pairs of rows of ``p``."""
-    return float(np.abs(np.outer(p[:, 0], p[:, 1])
-                        - np.outer(p[:, 1], p[:, 0])).max())
-
-
-def jacobian(norm: Norm2D, definition: str) -> float:
-    """Jacobian (density against Lebesgue) of the chosen volume
-    definition for the sampled norm, measured on its hull polygon.
-    The extremal frames of mass and mass* sit at vertices: mass is one
-    over the largest wedge of two hull vertices, mass* the largest
-    wedge of two facet normals (the vertices of the dual ball)."""
-    norm.check_nondegenerate()
-    if definition == "mass":
-        return 1.0 / _max_wedge(norm.hull_vertices)
-    if definition == "mass_star":
-        return _max_wedge(norm.facet_normals)
-    if definition == "busemann_hausdorff":
-        return PI / norm.ball_area()
-    if definition == "holmes_thompson":
-        # the support values sample the dual norm on a convex ball, so
-        # the polar formula reads its area without a second hull
-        return _polar_area(norm.dual().unit_norms) / PI
-    if definition == "inner_riemannian":
-        return PI / john_ellipse(norm)[3]
-    raise ValueError(f"unknown volume definition {definition!r}")
 
 
 @dataclass(frozen=True)
@@ -496,21 +237,29 @@ def finsler_mass_table(chart: SurfaceChart,
     one pass: parameter quadrature of the volume Jacobians of the
     metric derivative, one parameter row at a time.  Nodes where the
     metric derivative degenerates to a seminorm contribute zero,
-    matching the seminorm convention."""
+    matching the seminorm convention.
+
+    The nodes of a row go through ``jacobians`` together, so the
+    temporaries stay the size of one row and each node gets the value
+    ``jacobian`` gives its norm; the weighted Jacobians are added node
+    by node in row-major order."""
+    check_definitions(definitions)
+    # a NaN norm would pass the degeneracy test below unnoticed
+    if not np.isfinite(chart.values).all():
+        raise ValueError("chart values must be finite")
     w0 = _axis_weights(chart.axis0, chart.periodic0)
     w1 = _axis_weights(chart.axis1, chart.periodic1)
     totals = dict.fromkeys(definitions, 0.0)
     for i in range(len(chart.axis0)):
         norms, _ = _row_metric_derivative(chart, i, m_dirs)
-        for j in range(len(chart.axis1)):
-            norm = Norm2D(m_dirs, norms[j])
-            try:
-                norm.check_nondegenerate()
-            except DegenerateNormError:
-                continue
-            for definition in definitions:
-                totals[definition] += w0[i] * w1[j] \
-                    * jacobian(norm, definition)
+        # the test of Norm2D.check_nondegenerate
+        cols = np.flatnonzero(norms.min(axis=1) > 1e-9)
+        if not len(cols):
+            continue
+        for definition, values in jacobians(norms[cols],
+                                            definitions).items():
+            for j, J in zip(cols, values):
+                totals[definition] += w0[i] * w1[j] * J
     return totals
 
 

@@ -221,7 +221,9 @@ def test_cli_import_leaves_scipy_out():
 def test_reports_do_not_depend_on_the_blas_thread_count(blas_thread_envs):
     for argv in (["comass", "sphere:0.5,0.7"],
                  ["--format", "csv", "sweep", "--h", "0.0,0.6",
-                  "--g", "random:1,0.25,0.3"]):
+                  "--g", "random:1,0.25,0.3"],
+                 # a chart row's Jacobians use batched np.linalg calls
+                 ["cone", "--param-n", "24"]):
         outs = [subprocess.run([sys.executable, "-m", "fillhull.cli", *argv],
                                env=env, check=True, capture_output=True,
                                text=True).stdout

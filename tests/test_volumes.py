@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from scipy.spatial import ConvexHull
 from fillhull import volumes
 from fillhull.coeffs import p_grid
 from fillhull.hull import HullFn, SpherePoint, boundary_point, sphere_point
+from fillhull.norms import _hull_polygons, jacobians
 from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
                               Norm2D, SurfaceChart)
 from fillhull.quadrature import Grid, integrate_triangle
@@ -498,6 +500,193 @@ def test_finsler_mass_table_equals_the_node_reference_sum():
                     J = 0.0
                 want[d] += w0[i] * w1[j] * J
     assert volumes.finsler_mass_table(chart) == want
+
+
+def reference_hull(norm):
+    """Hull vertices of one half-turn and facet normals of one node: the
+    turn-left loop on the node's own points."""
+    th = norm.theta_nodes
+    half = np.column_stack([np.cos(th), np.sin(th)]) \
+        / norm.unit_norms[:, None]
+    pts = np.concatenate([half, -half])
+    tol = 1e-14 * float((pts * pts).sum(axis=1).max())
+    while True:
+        e = np.diff(np.concatenate([pts[-1:], pts, pts[:1]]), axis=0)
+        keep = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] > tol
+        if keep.all():
+            break
+        pts = pts[keep]
+    p = pts[:len(pts) // 2]
+    q = np.concatenate([p[1:], -p[:1]])
+    det = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
+    return p, np.column_stack([q[:, 1] - p[:, 1], p[:, 0] - q[:, 0]]) \
+        / det[:, None]
+
+
+def reference_kkt_matrix(g):
+    if len(g) == 2:
+        return np.linalg.inv(g.T @ g)
+    rows = np.column_stack([g[:, 0] ** 2, 2.0 * g[:, 0] * g[:, 1],
+                            g[:, 1] ** 2])
+    a11, a12, a22 = np.linalg.solve(rows, np.ones(3))
+    return np.array([[a11, a12], [a12, a22]])
+
+
+def reference_max_det_on(g):
+    best = -math.inf
+    for k in (2, 3):
+        for active in itertools.combinations(range(len(g)), k):
+            A = reference_kkt_matrix(g[list(active)])
+            det = float(np.linalg.det(A))
+            if A[0, 0] > 0.0 and det > 0.0:
+                peak = float(np.einsum("ij,jk,ik->i", g, A, g).max())
+                if det / (peak * peak) > best:
+                    best, pick = det / (peak * peak), (list(active), A)
+    return pick
+
+
+def reference_john_area(c):
+    """John-ellipse area of one node's hull polygon by the active set
+    on its own, and the sizes of the trial sets it solved over."""
+    i = int(np.argmax((c * c).sum(axis=1)))
+    basis = [i, int(np.argmax(np.abs(c[i, 0] * c[:, 1]
+                                     - c[i, 1] * c[:, 0])))]
+    L = np.linalg.inv(c[basis])
+    g = c @ L
+    sizes = []
+    while True:
+        load = (g * g).sum(axis=1)
+        k = int(np.argmax(load))
+        if load[k] <= 1.0 + 1e-12 or k in basis:
+            break
+        trial = basis + [k]
+        sizes.append(len(trial))
+        active, A = reference_max_det_on(g[trial])
+        basis = [trial[t] for t in active]
+        chol = np.linalg.cholesky(A)
+        L, g = L @ chol, g @ chol
+    L = L / math.sqrt(float((g * g).sum(axis=1).max()))
+    A = L @ L.T
+    a = math.sqrt(0.5 * (A[0, 0] + A[1, 1])
+                  + math.hypot(0.5 * (A[0, 0] - A[1, 1]), A[0, 1]))
+    b = abs(float(L[0, 0] * L[1, 1] - L[0, 1] * L[1, 0])) / a
+    return PI * a * b, sizes
+
+
+def reference_jacobian(norm):
+    """The five Jacobians of one node, each measured on the node's own
+    hull: ``{definition: value}``, the vertex count and the trial-set
+    sizes of the John ellipse."""
+    p, c = reference_hull(norm)
+    th = norm.theta_nodes
+    sector = np.searchsorted(np.arctan2(p[:, 1], p[:, 0]),
+                             np.mod(np.arctan2(np.sin(th), np.cos(th)), PI),
+                             side="right") - 1
+    gauge = np.abs(c[sector, 0] * np.cos(th) + c[sector, 1] * np.sin(th))
+    support = np.abs(np.cos(th)[:, None] * p[None, :, 0]
+                     + np.sin(th)[:, None] * p[None, :, 1]).max(axis=1)
+
+    def polar_area(norms):
+        r = 1.0 / norms
+        return float((r * r).sum() * (PI / len(norms)))
+
+    area, sizes = reference_john_area(c)
+    return {"mass": 1.0 / wedge_max(p), "mass_star": wedge_max(c),
+            "busemann_hausdorff": PI / polar_area(gauge),
+            "holmes_thompson": polar_area(support) / PI,
+            "inner_riemannian": PI / area}, len(p), sizes
+
+
+def assert_batch_matches_the_node_reference(unit_norms):
+    """The batched Jacobians of the ``(nodes, m)`` norms against the
+    reference node by node; returns the vertex counts and the trial-set
+    sizes of every node."""
+    got = jacobians(unit_norms)
+    vertex_counts = _hull_polygons(unit_norms).counts
+    counts, sizes = [], []
+    for n, row in enumerate(unit_norms):
+        want, k, trials = reference_jacobian(Norm2D(len(row), row))
+        assert vertex_counts[n] == k
+        for d in JACOBIAN_DEFINITIONS[:4]:
+            assert np.array_equal(got[d][n], want[d]), (n, d)
+        assert got["inner_riemannian"][n] == pytest.approx(
+            want["inner_riemannian"], rel=1e-13)
+        counts.append(k)
+        sizes.append(trials)
+    return counts, sizes
+
+
+def test_row_jacobians_equal_the_node_reference_on_charts():
+    cap = volumes.cap_chart(0.3, 17, 32, Grid(64))
+    charts = [volumes.cone_chart(n, n, Grid(128)) for n in (16, 24)]
+    charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
+    counts = []
+    for chart in charts:
+        for i in range(len(chart.axis0)):
+            rows, _ = volumes._row_metric_derivative(chart, i, 64)
+            live = rows[rows.min(axis=1) > 1e-9]
+            if len(live):
+                counts += assert_batch_matches_the_node_reference(live)[0]
+    # two-vertex cone balls up to the 26-vertex balls of the smooth cap
+    assert min(counts) == 2 and max(counts) == 26
+
+
+def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
+    m = 96
+    normals = [(math.cos(t), math.sin(t)) for t in PI / 6 + np.arange(3)
+               * PI / 3]
+    hexagon = Norm2D.from_callable(
+        lambda x, y: np.max([np.abs(cx * x + cy * y) for cx, cy in normals],
+                            axis=0) / math.cos(PI / 6), m)
+    v1 = 3.0 * np.array([math.cos(20 * PI / m), math.sin(20 * PI / m)])
+    v2 = 0.05 * np.array([math.cos(110 * PI / m), math.sin(110 * PI / m)])
+    Tinv = np.linalg.inv(np.column_stack([v1, v2])
+                         @ np.array([[0.5, 0.5], [0.5, -0.5]]))
+    square = Norm2D.from_callable(
+        lambda x, y: np.maximum(np.abs(Tinv[0, 0] * x + Tinv[0, 1] * y),
+                                np.abs(Tinv[1, 0] * x + Tinv[1, 1] * y)), m)
+    batch = [Norm2D.random(seed, m) for seed in range(100)]
+    batch += [Norm2D.l1(m), Norm2D.linf(m), Norm2D.euclidean(m), hexagon,
+              square]
+    _, sizes = assert_batch_matches_the_node_reference(
+        np.stack([nm.unit_norms for nm in batch]))
+    # some nodes solve over four rows while others settle at once
+    assert any(4 in s for s in sizes) and any(not s for s in sizes)
+    # two- and 64-vertex nodes; the huge ball of the last one must not
+    # set the elimination tolerance of the others
+    counts, _ = assert_batch_matches_the_node_reference(np.stack(
+        [Norm2D.l1(64).unit_norms, Norm2D.euclidean(64).unit_norms,
+         Norm2D.random(3, 64).unit_norms,
+         Norm2D.euclidean(64, scale=1e-6).unit_norms]))
+    assert counts[:2] == [2, 64] and counts[3] == 64
+
+
+def test_norm2d_rejects_non_finite_norms():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Norm2D(4, np.array([1.0, bad, 1.0, 1.0]))
+
+
+def test_finsler_mass_table_checks_definitions_before_any_node():
+    # a constant chart: every metric derivative is the zero seminorm
+    grid = Grid(16)
+    flat = SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
+                        np.linspace(0.0, 1.0, 5), False, False,
+                        np.ones((4, 5, grid.n)))
+    assert volumes.finsler_mass_table(flat) \
+        == dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
+    with pytest.raises(ValueError, match="unknown volume definition"):
+        volumes.finsler_mass_table(flat, ("hausdorff",))
+
+
+def test_finsler_mass_table_rejects_a_non_finite_chart():
+    cone = volumes.cone_chart(5, 5, Grid(64))
+    values = cone.values.copy()
+    values[2, 3, 7] = math.nan
+    chart = SurfaceChart("nan", cone.grid, cone.axis0, cone.axis1,
+                         cone.periodic0, cone.periodic1, values)
+    with pytest.raises(ValueError, match="chart values must be finite"):
+        volumes.finsler_mass_table(chart)
 
 
 def test_finsler_mass_of_small_cone_tracks_the_closed_form():
