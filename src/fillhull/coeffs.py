@@ -11,14 +11,29 @@ Geometrically ``sqrt(e)`` is the height of the spherical point cut out
 by the triple, so ``p >= 0`` with equality exactly on degenerate
 triangles; roundoff can make ``e`` slightly negative there, which we
 clamp away before dividing.
+
+On a grid the gap of the table entry ``(alpha_j, beta_k)`` is ``a =
+(k - j - 1/2) * step``, which depends only on ``k - j``.  The only
+per-grid gap tables are therefore two cached vectors of ``cos a`` and
+``sin^2 a`` over the 2n - 1 values of ``k - j``, read as n x n
+Toeplitz views (no copy, no trig per hull function).  The gap is one
+rounding of ``(k - j - 1/2) * step``, never the difference ``beta_k -
+alpha_j`` of two rounded nodes.  ``_table_blocks`` is the one place
+the table of a hull function is formed: blocks of rows of ``p``, the
+clamp at zero applied on the strict upper triangle, zeros below it.
+``p_grid`` stores the blocks as the dense table; the Psi workspace of
+``comass`` folds them into its weighted table, and the one-shot
+``comass.psi`` reduces them as they come, holding no n x n array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .quadrature import Grid, integrate_triangle
 from .hull import HullFn, SpherePoint, dist_to_boundary
@@ -70,6 +85,25 @@ def _gap_trig(a):
     return np.cos(a), sa * sa
 
 
+@lru_cache(maxsize=8)
+def gap_vectors(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(cos a, sin^2 a)`` at the 2n - 1 gaps ``a = (m -
+    1/2) * step``, ``m = 1 - n .. n - 1``, cached per grid.  Table
+    entry ``[j, k]`` (gap ``beta_k - alpha_j``) has ``m = k - j``, so
+    ``toeplitz(v, n)[j, k]`` is its value."""
+    n = grid.n
+    vectors = _gap_trig((np.arange(1 - n, n) - 0.5) * grid.step)
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
+
+
+def toeplitz(v: np.ndarray, n: int) -> np.ndarray:
+    """The n x n view ``T[j, k] = v[k - j + n - 1]`` of a vector of
+    length 2n - 1: no copy, and read-only."""
+    return sliding_window_view(v, n)[::-1]
+
+
 def _e_values(a, x, y):
     """Squared height of the triple; clamped at zero."""
     return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y))
@@ -111,7 +145,7 @@ def p_derivatives(a: float, x: float, y: float):
 
 @dataclass(frozen=True)
 class CoeffGrid:
-    """Triangle table ``p[j, k] = p(beta_k - alpha_j, f(alpha_j),
+    """Triangle table ``p[j, k] = p((k - j - 1/2) * step, f(alpha_j),
     f(beta_k))`` for midpoint nodes ``alpha_j < beta_k``; entries
     outside the triangle are zero."""
 
@@ -119,14 +153,18 @@ class CoeffGrid:
     p: np.ndarray = field(repr=False)
 
 
-def p_grid(f: HullFn) -> CoeffGrid:
-    """Coefficient table of a hull function.
+def _table_blocks(f: HullFn):
+    """Yield ``(rows, cols, block)`` with ``block`` a fresh array equal
+    to ``p[rows, cols]`` of the coefficient table of ``f``; together
+    the blocks cover the strict upper triangle, row by row.
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
-    The triangle is filled in blocks of rows, at most 8192 entries
-    each, whose temporaries stay in cache and are reused by the
-    allocator instead of being faulted in afresh for every table.
+    Each block holds at most 32768 entries, so its temporaries stay in
+    cache and are reused by the allocator instead of being faulted in
+    afresh for every table.  The gap trig comes from ``gap_vectors``;
+    ``e`` is ``_e_kernel``'s, clamped at zero, and the entries of a
+    block on or below the diagonal are zero.
     """
     if dist_to_boundary(f) <= 0.0:
         raise ValueError("f touches the boundary circle; p is undefined")
@@ -135,17 +173,32 @@ def p_grid(f: HullFn) -> CoeffGrid:
     cx, sx2 = np.cos(x), np.sin(x) ** 2
     y = f.values
     cy, sy2 = np.cos(y), np.sin(y) ** 2
-    alphas, betas = f.grid.alpha_nodes, f.grid.beta_nodes
-    idx = np.arange(n)
-    p = np.zeros((n, n))
-    rows = max(1, 8192 // n)
-    for j in range(0, n, rows):
+    ca, sa2 = (toeplitz(v, n) for v in gap_vectors(f.grid))
+    rows = max(1, min(n, 32768 // n))
+    # block entry [r, c] is table entry [j + r, j + 1 + c]: above the
+    # diagonal when c >= r, so only the first columns need the mask
+    upper = np.arange(rows)[None, :] >= np.arange(rows)[:, None]
+    for j in range(0, n - 1, rows):
         block, cols = slice(j, j + rows), slice(j + 1, n)
-        mask = idx[None, cols] > idx[block, None]
-        ca, sa2 = _gap_trig(betas[None, cols] - alphas[block, None])
-        p[block, cols] = np.where(
-            mask, _e_kernel(ca, sa2, cx[block, None], cy[None, cols],
-                            sx2[block, None] * sy2[None, cols]), 0.0)
+        e = _e_kernel(ca[block, cols], sa2[block, cols], cx[block, None],
+                      cy[None, cols], sx2[block, None] * sy2[None, cols])
+        corner = e[:, :rows]
+        corner *= upper[:corner.shape[0], :corner.shape[1]]
+        yield block, cols, e
+
+
+def p_grid(f: HullFn) -> CoeffGrid:
+    """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
+    f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
+    in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
+    ``k > j``, and zero on and below the diagonal: the blocks of
+    ``_table_blocks`` stored in one dense n x n array.  Used by the l1
+    probe, ``check``, the path action and the tests; Psi reads the
+    same blocks without this array."""
+    n = f.grid.n
+    p = np.zeros((n, n))
+    for rows, cols, block in _table_blocks(f):
+        p[rows, cols] = block
     return CoeffGrid(f.grid, p)
 
 

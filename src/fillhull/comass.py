@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .quadrature import Grid
-from .hull import HullFn, SpherePoint, dist_to_boundary, dist_to_hemisphere
-from .coeffs import p_grid
+from .hull import HullFn, SpherePoint, dist_to_hemisphere
+from .coeffs import _table_blocks
 from .pathspace import AngleField, nu_tables
 
 __all__ = [
@@ -72,6 +72,22 @@ class OptimizerConfig:
             raise ValueError("band must be nonnegative")
 
 
+def _angle_columns(nu_beta: np.ndarray, nu_alpha: np.ndarray,
+                   eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (cos tb, sin tb) and (cos ta, sin ta), each n x 2, with
+    ``tb = nu_beta + eta`` and ``ta = nu_alpha + eta_mid``."""
+    tb = nu_beta + eta.values
+    ta = nu_alpha + eta.at_midnodes()
+    return (np.stack([np.cos(tb), np.sin(tb)], axis=1),
+            np.stack([np.cos(ta), np.sin(ta)], axis=1))
+
+
+def _row_sum(A: np.ndarray, R: np.ndarray) -> float:
+    """Psi from ``R = PW @ B``: row j of the triangle rule is
+    sum_k PW_jk sin(tb_k - ta_j)."""
+    return math.fsum(A[:, 0] * R[:, 1] - A[:, 1] * R[:, 0])
+
+
 class _Workspace:
     """Precomputed tables for repeated Psi evaluations at fixed (h, f).
 
@@ -80,38 +96,52 @@ class _Workspace:
     the addition formula into products of O(n) trig vectors, so each
     sum over the weighted table ``PW`` is a product of ``PW`` with a
     few n-vectors; no n x n trig table is built.
+
+    ``PW`` is the coefficient table times the column weights of the
+    triangle rule, zero off the strict upper triangle.  It is the only
+    n x n array held: the blocks of ``coeffs._table_blocks`` (clamped
+    at zero, Toeplitz gaps) are weighted as they are written, and of
+    the unweighted table only its maximum ``p_max`` is kept, for the
+    optimizer's first step.
     """
 
     def __init__(self, p: SpherePoint, f: HullFn):
-        if dist_to_boundary(f) <= 0.0:
-            raise ValueError("f touches the boundary circle")
         self.grid = f.grid
-        self.P = p_grid(f).p
         nu_beta, nu_alpha = nu_tables(p, self.grid)
         self.nu_beta = nu_beta[:-1]
         self.nu_alpha = nu_alpha
-        # P is zero off the strict upper triangle, so the column weights
-        # of the triangle rule weight it as integrate_triangle does
-        self.PW = self.P * self.grid.triangle_weights
+        n = self.grid.n
+        c = self.grid.triangle_weights
+        self.PW = np.zeros((n, n))
+        self.p_max = 0.0
+        for rows, cols, block in _table_blocks(f):
+            self.p_max = max(self.p_max, float(block.max()))
+            np.multiply(block, c[cols], out=self.PW[rows, cols])
 
     def _trig(self, eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
-        """Columns (cos tb, sin tb) and (cos ta, sin ta), each n x 2."""
-        tb = self.nu_beta + eta.values
-        ta = self.nu_alpha + eta.at_midnodes()
-        return (np.stack([np.cos(tb), np.sin(tb)], axis=1),
-                np.stack([np.cos(ta), np.sin(ta)], axis=1))
+        return _angle_columns(self.nu_beta, self.nu_alpha, eta)
 
-    def value(self, eta: AngleField) -> float:
+    def value_rows(self, eta: AngleField) -> tuple[float, np.ndarray]:
+        """Psi and the product ``R = PW @ B`` it is summed from; the
+        gradient at the same ``eta`` can take ``R`` instead of forming
+        it again."""
         B, A = self._trig(eta)
         R = self.PW @ B                        # (PW cos tb, PW sin tb)
-        # row j of the triangle rule: sum_k PW_jk sin(tb_k - ta_j)
-        return math.fsum(A[:, 0] * R[:, 1] - A[:, 1] * R[:, 0])
+        return _row_sum(A, R), R
 
-    def gradient(self, eta: AngleField) -> np.ndarray:
+    def value(self, eta: AngleField) -> float:
+        return self.value_rows(eta)[0]
+
+    def gradient(self, eta: AngleField,
+                 R: np.ndarray | None = None) -> np.ndarray:
+        """Gradient in the mean-zero gauge; ``R`` is ``value_rows``'s
+        product at the same ``eta``, if the caller has it."""
         B, A = self._trig(eta)
+        if R is None:
+            R = self.PW @ B
         # column and row sums of PW_jk cos(tb_k - ta_j)
         g = (B * (A.T @ self.PW).T).sum(axis=1)   # d / d eta(beta_k)
-        rows = (A * (self.PW @ B)).sum(axis=1)     # midpoint contributions
+        rows = (A * R).sum(axis=1)                 # midpoint contributions
         g -= 0.5 * (rows + np.roll(rows, 1))
         return g - g.mean()
 
@@ -131,8 +161,24 @@ class _Workspace:
 
 def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:
     """Value of the functional; identical discretization to the path
-    action of ``gamma_from_eta``."""
-    return _Workspace(p, f).value(eta)
+    action of ``gamma_from_eta``.
+
+    One value needs only ``PW @ B``, so the blocks of the coefficient
+    table (``coeffs._table_blocks``: Toeplitz gaps, ``e`` clamped at
+    zero) are weighted and multiplied into it as they are formed, and
+    no n x n array is held.  The weighted entries are those of
+    ``_Workspace.PW``; the products are summed in blocks, so the value
+    can differ from ``_Workspace.value`` in the last digits (measured
+    within 1.6e-16 relative up to n = 2048).
+    """
+    nu_beta, nu_alpha = nu_tables(p, f.grid)
+    B, A = _angle_columns(nu_beta[:-1], nu_alpha, eta)
+    c = f.grid.triangle_weights
+    R = np.zeros_like(B)
+    for rows, cols, block in _table_blocks(f):
+        block *= c[cols]
+        R[rows] = block @ B[cols]
+    return _row_sum(A, R)
 
 
 def psi_gradient(p: SpherePoint, f: HullFn, eta: AngleField) -> AngleField:
@@ -152,7 +198,7 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
             cfg: OptimizerConfig) -> tuple[np.ndarray, float, dict]:
     grid = ws.grid
     n = grid.n
-    step0 = cfg.step0 if cfg.step0 > 0 else 1.0 / max(ws.P.max(), 1e-12)
+    step0 = cfg.step0 if cfg.step0 > 0 else 1.0 / max(ws.p_max, 1e-12)
     band = cfg.band if cfg.band > 0 else max(8, n // 8)
 
     def bandpass(v: np.ndarray) -> np.ndarray:
@@ -166,7 +212,9 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
         return v - v.mean()
 
     eta = project(bandpass(eta0))
-    val = ws.value(AngleField(grid, eta - eta.mean()))
+    # R is PW @ B at the current eta, from the value that accepted it;
+    # the next gradient is taken at the same field and reuses it
+    val, R = ws.value_rows(AngleField(grid, eta - eta.mean()))
     step = step0
     grad_norm = math.inf
     iters = 0
@@ -175,7 +223,7 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
     g_prev = None
     for iters in range(1, cfg.max_iters + 1):
         field_eta = AngleField(grid, eta - eta.mean())
-        g = bandpass(ws.gradient(field_eta))
+        g = bandpass(ws.gradient(field_eta, R))
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= cfg.grad_tol:
             iters -= 1
@@ -193,9 +241,10 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
         trial = step
         while trial > step0 * 1e-12:
             cand = project(eta + trial * g)
-            cand_val = ws.value(AngleField(grid, cand - cand.mean()))
+            cand_val, cand_R = ws.value_rows(
+                AngleField(grid, cand - cand.mean()))
             if cand_val >= val + cfg.armijo * float(g @ (cand - eta)):
-                eta, val = cand, cand_val
+                eta, val, R = cand, cand_val, cand_R
                 accepted = True
                 break
             trial *= cfg.backtrack

@@ -17,6 +17,7 @@ import numpy as np
 
 from .quadrature import Grid
 from .hull import random_hull_point
+from .coeffs import gap_vectors, toeplitz
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
 from .norms import (DegenerateNormError, JACOBIAN_DEFINITIONS, Norm2D,
@@ -345,17 +346,13 @@ def _to_midnodes(v: np.ndarray, last: np.ndarray) -> np.ndarray:
 
 def _gap_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """``(S^T, C^T)`` with ``S^T[k, j] = 1 / sin^2 a`` and ``C^T[k, j]
-    = cos a / sin^2 a`` at the gap ``a = beta_k - alpha_j``, zero for
-    ``k <= j``: one gap buffer becomes ``S^T`` in place."""
-    st = grid.beta_nodes[:, None] - grid.alpha_nodes[None, :]
-    ct = np.cos(st)
-    np.sin(st, out=st)
-    st *= st
-    np.reciprocal(st, out=st)
-    for k in range(grid.n):
-        st[k, k:] = 0.0
-    ct *= st
-    return st, ct
+    = cos a / sin^2 a`` at the gap ``a = (k - j - 1/2) * step`` of
+    ``beta_k - alpha_j``, zero for ``k <= j``: both from the per-gap
+    vectors of ``coeffs.gap_vectors``."""
+    ca, sa2 = gap_vectors(grid)
+    s = 1.0 / sa2
+    return (np.tril(toeplitz(s, grid.n).T, -1),
+            np.tril(toeplitz(ca * s, grid.n).T, -1))
 
 
 def _row_integrands(y: np.ndarray, t0: np.ndarray, t1: np.ndarray,

@@ -98,15 +98,71 @@ def test_p_grid_matches_scalar_definition():
         assert table[j, k] == pytest.approx(want, abs=1e-10)
 
 
-def test_p_grid_equals_the_elementwise_table():
-    grid = Grid(64)
-    f = hull.random_hull_point(5, 0.4, 0.3, grid)
+def _elementwise_table(f, a):
+    """The coefficient table from the closed form at the gaps ``a``."""
     x = f.at_midnodes()[:, None]
     y = f.values[None, :]
-    a = grid.beta_nodes[None, :] - grid.alpha_nodes[:, None]
     e = coeffs._e_values(a, x, y)
-    want = np.triu(e / (np.sin(x) ** 2 * np.sin(y) ** 2), 1)
-    assert np.array_equal(coeffs.p_grid(f).p, want)
+    return np.triu(e / (np.sin(x) ** 2 * np.sin(y) ** 2), 1)
+
+
+def _toeplitz_gaps(grid):
+    """The gap of entry [j, k], rounded once: (k - j - 1/2) * step."""
+    k = np.arange(grid.n)
+    return (k[None, :] - k[:, None] - 0.5) * grid.step
+
+
+def test_p_grid_equals_the_elementwise_table():
+    # blocks of n rows below n = 182, of 32768 // n rows above
+    for n in (3, 64, 200):
+        grid = Grid(n)
+        f = hull.random_hull_point(5, 0.4, 0.3, grid)
+        want = _elementwise_table(f, _toeplitz_gaps(grid))
+        assert np.array_equal(coeffs.p_grid(f).p, want)
+
+
+LONG_PI = 4 * np.arctan(np.longdouble(1))
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("point", ["sphere:0.9,0.7", "random:1",
+                                   "random:2", "random:3"])
+def test_p_grid_against_the_long_double_closed_form(n, point):
+    """The table against the closed form in long double at the exact
+    gaps (k - j - 1/2) pi / n, with the same double values of f.  Both
+    the table and the one from the node difference beta_k - alpha_j
+    lose digits to the cancellation in cos^2 x + cos^2 y - 2 cos a cos x
+    cos y at small gaps; where the gap is wide that rounding is of the
+    order of the gap's own error, and there the rounded-once gap is
+    closer on average."""
+    grid = Grid(n)
+    if point.startswith("sphere"):
+        f = hull.sphere_point(SpherePoint(0.9, 0.7), grid)
+    else:
+        f = hull.random_hull_point(int(point[7:]), 0.25, 0.3, grid)
+    k = np.arange(n)
+    exact = (k[None, :] - k[:, None] - np.longdouble(0.5)) * (LONG_PI / n)
+    upper = k[None, :] > k[:, None]
+    x = f.at_midnodes().astype(np.longdouble)[:, None]
+    y = f.values.astype(np.longdouble)[None, :]
+    cx, cy = np.cos(x), np.cos(y)
+    e = 1 - (cx * cx + cy * cy - 2 * np.cos(exact) * cx * cy) \
+        / np.sin(exact) ** 2
+    want = np.where(upper, np.maximum(e, 0) / (np.sin(x) ** 2
+                                                * np.sin(y) ** 2), 0)
+    # the gap is within one ulp of the exact one (half an ulp of
+    # (k - j - 1/2) * step); the node difference carries ulp(beta_k)
+    ulp = np.spacing(exact[upper].astype(float))
+    old_gap = grid.beta_nodes[None, :] - grid.alpha_nodes[:, None]
+    assert (np.abs(_toeplitz_gaps(grid) - exact)[upper] / ulp).max() <= 1.0
+    assert (np.abs(old_gap - exact)[upper] / ulp).max() > 100.0
+    new_err = np.abs(coeffs.p_grid(f).p - want).astype(float)
+    old_err = np.abs(_elementwise_table(f, old_gap) - want).astype(float)
+    # cancellation: measured at most 1.4e-9 of the largest entry
+    assert new_err.max() <= 1e-8 * float(want.max())
+    wide = upper & (exact >= 0.5)
+    # measured ratios 0.91 - 0.99
+    assert new_err[wide].mean() <= old_err[wide].mean()
 
 
 def test_p_grid_zero_outside_triangle():

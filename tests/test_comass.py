@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fillhull import comass, hull
+from fillhull.coeffs import p_grid
 from fillhull.comass import OptimizerConfig
 from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField
@@ -151,6 +152,8 @@ def test_workspace_rejects_boundary_functions():
     f = hull.boundary_point(0.0, GRID)
     with pytest.raises(ValueError):
         comass.psi(H, f, AngleField.zero(GRID))
+    with pytest.raises(ValueError):
+        comass._Workspace(H, f)
 
 
 def test_band_override_is_honored():
@@ -172,16 +175,18 @@ def test_workspace_weights_match_the_dense_triangle_rule():
     n, h2 = GRID.n, GRID.step ** 2
     W = np.triu(np.full((n, n), h2), k=1)
     W[: n - 1, n - 1] *= 1.5
-    assert np.array_equal(ws.PW, ws.P * W)
+    P = p_grid(f).p
+    assert np.array_equal(ws.PW, P * W)
+    assert ws.p_max == P.max()
 
 
-def _dense_reference(ws, eta, v):
+def _dense_reference(ws, f, eta, v):
     """Value, gradient and Hessian quadratic form of Psi from the full
     n x n tables of sin and cos of tb_k - ta_j, term by term."""
     tb = ws.nu_beta + eta.values
     ta = ws.nu_alpha + eta.at_midnodes()
     delta = tb[None, :] - ta[:, None]
-    value = integrate_triangle(ws.P * np.sin(delta), ws.grid)
+    value = integrate_triangle(p_grid(f).p * np.sin(delta), ws.grid)
     G = ws.PW * np.cos(delta)
     g = G.sum(axis=0)
     rows = G.sum(axis=1)
@@ -197,7 +202,7 @@ def _capped_field(grid, rng, amp):
     return AngleField(grid, v * (amp / np.abs(v).max()))
 
 
-@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("n", [64, 512, 1024])
 @pytest.mark.parametrize("point", ["hemisphere", "random:3,0.4,0.3"])
 @pytest.mark.parametrize("eta_kind", ["zero", "interior", "at_cap"])
 def test_workspace_matches_the_dense_reference(n, point, eta_kind):
@@ -215,7 +220,7 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
            "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
     v = _capped_field(grid, rng, 0.3)
     value, g, q = ws.value(eta), ws.gradient(eta), ws.quadform(eta, v)
-    ref_value, ref_g, ref_q = _dense_reference(ws, eta, v)
+    ref_value, ref_g, ref_q = _dense_reference(ws, f, eta, v)
     assert value == pytest.approx(ref_value, rel=1e-13)
     assert q == pytest.approx(ref_q, rel=1e-12)
     if point == "hemisphere" and eta_kind == "zero":
@@ -229,3 +234,49 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
     assert ws.value(eta) == value
     assert np.array_equal(ws.gradient(eta), g)
     assert ws.quadform(eta, v) == q
+
+
+@pytest.mark.parametrize("n", [64, 512, 1024])
+@pytest.mark.parametrize("point", ["hemisphere", "random:3,0.4,0.3"])
+def test_streamed_psi_matches_the_workspace_value(n, point):
+    grid = Grid(n)
+    if point == "hemisphere":
+        h, f = H, hull.sphere_point(H, grid)
+    else:
+        f = hull.random_hull_point(3, 0.4, 0.3, grid)
+        _, h = hull.dist_to_hemisphere(f)
+    ws = comass._Workspace(h, f)
+    rng = np.random.default_rng(n + 1)
+    for eta in (AngleField.zero(grid),
+                _capped_field(grid, rng, OptimizerConfig().eta_cap)):
+        # the same weighted entries, summed block by block: measured
+        # within 1.5e-16
+        assert comass.psi(h, f, eta) == pytest.approx(ws.value(eta),
+                                                      rel=1e-14)
+
+
+def test_gradient_from_the_value_product_is_bit_identical():
+    f = hull.random_hull_point(3, 0.4, 0.3, GRID)
+    _, h = hull.dist_to_hemisphere(f)
+    ws = comass._Workspace(h, f)
+    rng = np.random.default_rng(5)
+    fields = [AngleField.zero(GRID)] + [
+        _capped_field(GRID, rng, amp)
+        for amp in (0.05, OptimizerConfig().eta_cap)]
+    for eta in fields:
+        value, R = ws.value_rows(eta)
+        assert value == ws.value(eta)
+        assert np.array_equal(ws.gradient(eta, R), ws.gradient(eta))
+
+
+def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
+    f = hull.random_hull_point(3, 0.25, 0.3, GRID)
+    _, h = hull.dist_to_hemisphere(f)
+    eta, val, diag = comass.maximize_eta(h, f)
+    assert diag["iterations"] > 5
+    fresh = comass._Workspace.gradient
+    monkeypatch.setattr(comass._Workspace, "gradient",
+                        lambda self, eta, R=None: fresh(self, eta))
+    eta2, val2, diag2 = comass.maximize_eta(h, f)
+    assert np.array_equal(eta.values, eta2.values)
+    assert (val, diag) == (val2, diag2)
