@@ -17,7 +17,6 @@ from .hull import (
     random_hull_point,
 )
 from .coeffs import (
-    CoeffGrid,
     p_scalar,
     height,
     p_derivatives,

@@ -71,13 +71,22 @@ def _jsonable(obj):
 
 
 def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
-    """Build a hull function from a generator spec or a JSON file path."""
+    """Build a hull function from a generator spec or a JSON file path;
+    a file must be sampled on ``grid`` and be a hull member."""
     if os.path.exists(spec):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
-                return hull.HullFn.from_json(fh.read())
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                f = hull.HullFn.from_json(fh.read())
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise InputError(f"cannot read hull file {spec!r}: {exc}")
+        if f.grid.n != grid.n:
+            raise InputError(f"hull file {spec!r} has n = {f.grid.n}, "
+                             f"the run grid has n = {grid.n}")
+        if not hull.is_member(f):
+            raise InputError(f"hull file {spec!r} is not a hull member "
+                             "(range [0, pi] and 1-Lipschitz with the "
+                             "antipodal wrap)")
+        return f
     kind, _, rest = spec.partition(":")
     try:
         if kind == "sphere":
@@ -99,7 +108,14 @@ def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
     raise InputError(f"unknown generator kind {kind!r} in {spec!r}")
 
 
-def _emit(report: dict, cfg: RunConfig, csv_text: str | None) -> None:
+def _emit(command: str, results: dict, cfg: RunConfig,
+          csv_text: str | None) -> None:
+    """Write the report ``{command, config, results}`` of a command, or
+    its CSV table under ``--format csv`` where it has one."""
+    report = {"command": command,
+              "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
+                         "seed": cfg.seed},
+              "results": results}
     if cfg.fmt == "csv" and csv_text is not None:
         text = csv_text
     else:
@@ -117,23 +133,17 @@ def cmd_comass(args, cfg: RunConfig) -> int:
     opt = comass.OptimizerConfig(seed=cfg.seed, multistart=args.multistart)
     value, diag = comass.comass_ir(f, opt, eval_grid=Grid(cfg.eval_n))
     h = diag["hemisphere_point"]
-    report = {
-        "command": "comass",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": {
-            "comass": value,
-            "comass_normalized": value / PI,
-            "hemisphere_tau": h.tau,
-            "hemisphere_d": h.d,
-            "hemisphere_dist": diag["hemisphere_dist"],
-            "eta_inf": diag["eta_inf"],
-            "iterations": diag["iterations"],
-            "grad_norm": diag["grad_norm"],
-            "converged": diag["converged"],
-        },
-    }
-    _emit(report, cfg, None)
+    _emit("comass", {
+        "comass": value,
+        "comass_normalized": value / PI,
+        "hemisphere_tau": h.tau,
+        "hemisphere_d": h.d,
+        "hemisphere_dist": diag["hemisphere_dist"],
+        "eta_inf": diag["eta_inf"],
+        "iterations": diag["iterations"],
+        "grad_norm": diag["grad_norm"],
+        "converged": diag["converged"],
+    }, cfg, None)
     return 0 if diag["converged"] else 3
 
 
@@ -159,13 +169,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         lines.append(f"{r['t']:.12g},{r['dist']:.12g},{r['defect']:.12g},"
                      f"{r['eta_inf']:.12g},{r['iters']},"
                      f"{str(r['converged']).lower()}")
-    report = {
-        "command": "sweep",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": table,
-    }
-    _emit(report, cfg, "\n".join(lines) + "\n")
+    _emit("sweep", table, cfg, "\n".join(lines) + "\n")
     if not all(r["converged"] for r in table["rows"]):
         return 3
     return 0
@@ -182,14 +186,8 @@ def cmd_cone(args, cfg: RunConfig) -> int:
     for definition in volumes.JACOBIAN_DEFINITIONS:
         lines.append(f"cone,{definition},{values[definition]:.12g},"
                      f"{grid.n},{args.param_n}")
-    report = {
-        "command": "cone",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": {"masses": values, "param_n": args.param_n,
-                    "chart_grid_n": grid.n},
-    }
-    _emit(report, cfg, "\n".join(lines) + "\n")
+    _emit("cone", {"masses": values, "param_n": args.param_n,
+                   "chart_grid_n": grid.n}, cfg, "\n".join(lines) + "\n")
     return 0
 
 
@@ -202,13 +200,7 @@ def cmd_lowerbound(args, cfg: RunConfig) -> int:
             for o in offsets]
     lines = ["offset,area"] + [f"{r['offset']:.12g},{r['area']:.12g}"
                                for r in rows]
-    report = {
-        "command": "lowerbound",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": {"rows": rows},
-    }
-    _emit(report, cfg, "\n".join(lines) + "\n")
+    _emit("lowerbound", {"rows": rows}, cfg, "\n".join(lines) + "\n")
     return 0
 
 
@@ -226,20 +218,14 @@ def cmd_l1(args, cfg: RunConfig) -> int:
         if best is None or v > best["value"]:
             best = rows[-1]
     bound = PI * PI / 2
-    report = {
-        "command": "l1",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": {
-            "rows": rows,
-            "max_value": best["value"],
-            "argmax_seed": best["seed"],
-            "bound": bound,
-            "exceeds_bound": bool(best["value"] > bound + 1e-2),
-        },
-    }
     lines = ["seed,value"] + [f"{r['seed']},{r['value']:.12g}" for r in rows]
-    _emit(report, cfg, "\n".join(lines) + "\n")
+    _emit("l1", {
+        "rows": rows,
+        "max_value": best["value"],
+        "argmax_seed": best["seed"],
+        "bound": bound,
+        "exceeds_bound": bool(best["value"] > bound + 1e-2),
+    }, cfg, "\n".join(lines) + "\n")
     return 0
 
 
@@ -279,7 +265,7 @@ def run_checks(n: int, seed: int = 0) -> list[tuple[str, bool, str]]:
            abs(coeffs.p_scalar(0.7, PI / 2, PI / 2) - 1.0) < 1e-12,
            "p(a, pi/2, pi/2) = 1")
     f = hull.random_hull_point(seed + 1, 0.4, 0.3, grid)
-    table = coeffs.p_grid(f).p
+    table = coeffs.p_grid(f)
     xm = f.at_midnodes()
     ok = True
     worst = 0.0
@@ -348,17 +334,11 @@ def cmd_check(args, cfg: RunConfig) -> int:
     n = 128 if args.fast else 256
     results = run_checks(n, cfg.seed)
     failed = [name for name, ok, _ in results if not ok]
-    report = {
-        "command": "check",
-        "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                   "seed": cfg.seed},
-        "results": {
-            "checks": [{"name": name, "passed": ok, "detail": detail}
-                       for name, ok, detail in results],
-            "n_failed": len(failed),
-        },
-    }
-    _emit(report, cfg, None)
+    _emit("check", {
+        "checks": [{"name": name, "passed": ok, "detail": detail}
+                   for name, ok, detail in results],
+        "n_failed": len(failed),
+    }, cfg, None)
     return 0 if not failed else 1
 
 
@@ -416,10 +396,7 @@ def main(argv=None) -> int:
         cfg = RunConfig(grid_n=args.grid_n, eval_n=args.eval_n,
                         seed=args.seed, fmt=args.format, out=args.out)
         return args.fn(args, cfg)
-    except InputError as exc:
-        print(f"fillhull: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:       # InputError among them
         print(f"fillhull: {exc}", file=sys.stderr)
         return 2
     except hull.ConvergenceError as exc:

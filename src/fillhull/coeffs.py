@@ -29,7 +29,6 @@ clamp at zero applied on the strict upper triangle, zeros below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +38,6 @@ from .quadrature import Grid, integrate_triangle
 from .hull import HullFn, SpherePoint, dist_to_boundary
 
 __all__ = [
-    "CoeffGrid",
     "p_scalar",
     "height",
     "p_derivatives",
@@ -143,16 +141,6 @@ def p_derivatives(a: float, x: float, y: float):
     return p_x, p_y, p_xx, p_xy, p_yy
 
 
-@dataclass(frozen=True)
-class CoeffGrid:
-    """Triangle table ``p[j, k] = p((k - j - 1/2) * step, f(alpha_j),
-    f(beta_k))`` for midpoint nodes ``alpha_j < beta_k``; entries
-    outside the triangle are zero."""
-
-    grid: Grid
-    p: np.ndarray = field(repr=False)
-
-
 def _table_blocks(f: HullFn):
     """Yield ``(rows, cols, block)`` with ``block`` a fresh array equal
     to ``p[rows, cols]`` of the coefficient table of ``f``; together
@@ -187,7 +175,7 @@ def _table_blocks(f: HullFn):
         yield block, cols, e
 
 
-def p_grid(f: HullFn) -> CoeffGrid:
+def p_grid(f: HullFn) -> np.ndarray:
     """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
     f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
     in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
@@ -199,13 +187,12 @@ def p_grid(f: HullFn) -> CoeffGrid:
     p = np.zeros((n, n))
     for rows, cols, block in _table_blocks(f):
         p[rows, cols] = block
-    return CoeffGrid(f.grid, p)
+    return p
 
 
 def p_l1_norm(f: HullFn) -> float:
     """Triangle integral of the (nonnegative) coefficient table."""
-    cg = p_grid(f)
-    return integrate_triangle(cg.p, f.grid)
+    return integrate_triangle(p_grid(f), f.grid)
 
 
 def hemisphere_speed(p: SpherePoint, alpha) -> np.ndarray | float:

@@ -13,7 +13,7 @@ ascent in the mean-zero gauge with Barzilai-Borwein steps and an
 Armijo safeguard.
 
 The ascent direction is band limited: the gradient is projected onto
-the Fourier modes below a cutoff (default ``n // 8``).  Near the grid
+the Fourier modes below a cutoff (``max(8, n // 8)``).  Near the grid
 Nyquist frequency the staggered node/midpoint coupling of the
 discretization nearly annihilates the Hessian, so unfiltered ascent
 accumulates grid-scale oscillations there that carry no information
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .quadrature import Grid
-from .hull import HullFn, SpherePoint, dist_to_hemisphere
+from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
 from .coeffs import _table_blocks
 from .pathspace import AngleField, nu_tables
 
@@ -48,28 +49,25 @@ __all__ = [
 
 PI = math.pi
 
+# ``_ascend``: iteration limit, stopping gradient norm, Armijo search
+MAX_ITERS = 400
+GRAD_TOL = 1e-8
+BACKTRACK = 0.5
+ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    max_iters: int = 400
-    grad_tol: float = 1e-8
-    step0: float = 0.0          # 0 means 1 / (max p entry)
-    backtrack: float = 0.5
-    eta_cap: float = 0.15
+    """``multistart`` ascents of ``maximize_eta``, all but the first
+    from random fields drawn with ``seed``; ``eta_cap`` is fixed."""
+
+    eta_cap: ClassVar[float] = 0.15
     multistart: int = 1
-    armijo: float = 1e-4
     seed: int = 0
-    band: int = 0               # 0 means n // 8 Fourier modes
 
     def __post_init__(self) -> None:
-        if self.max_iters <= 0 or self.grad_tol <= 0 or self.multistart <= 0:
-            raise ValueError("config fields must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack must lie in (0,1)")
-        if self.eta_cap <= 0 or self.armijo <= 0 or self.step0 < 0:
-            raise ValueError("config fields must be positive")
-        if self.band < 0:
-            raise ValueError("band must be nonnegative")
+        if self.multistart <= 0:
+            raise ValueError("multistart must be positive")
 
 
 def _angle_columns(nu_beta: np.ndarray, nu_alpha: np.ndarray,
@@ -194,12 +192,13 @@ def psi_hessian_quadform(p: SpherePoint, f: HullFn, eta: AngleField,
     return _Workspace(p, f).quadform(eta, v)
 
 
-def _ascend(ws: _Workspace, eta0: np.ndarray,
-            cfg: OptimizerConfig) -> tuple[np.ndarray, float, dict]:
+def _ascend(ws: _Workspace,
+            eta0: np.ndarray) -> tuple[np.ndarray, float, dict]:
     grid = ws.grid
     n = grid.n
-    step0 = cfg.step0 if cfg.step0 > 0 else 1.0 / max(ws.p_max, 1e-12)
-    band = cfg.band if cfg.band > 0 else max(8, n // 8)
+    cap = OptimizerConfig.eta_cap
+    step0 = 1.0 / max(ws.p_max, 1e-12)
+    band = max(8, n // 8)
 
     def bandpass(v: np.ndarray) -> np.ndarray:
         spec = np.fft.rfft(v)
@@ -208,7 +207,7 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
         return np.fft.irfft(spec, n)
 
     def project(v: np.ndarray) -> np.ndarray:
-        v = np.clip(v, -cfg.eta_cap, cfg.eta_cap)
+        v = np.clip(v, -cap, cap)
         return v - v.mean()
 
     eta = project(bandpass(eta0))
@@ -221,11 +220,11 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
     cap_active = False
     eta_prev = None
     g_prev = None
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, MAX_ITERS + 1):
         field_eta = AngleField(grid, eta - eta.mean())
         g = bandpass(ws.gradient(field_eta, R))
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm <= cfg.grad_tol:
+        if grad_norm <= GRAD_TOL:
             iters -= 1
             break
         if g_prev is not None:
@@ -243,15 +242,15 @@ def _ascend(ws: _Workspace, eta0: np.ndarray,
             cand = project(eta + trial * g)
             cand_val, cand_R = ws.value_rows(
                 AngleField(grid, cand - cand.mean()))
-            if cand_val >= val + cfg.armijo * float(g @ (cand - eta)):
+            if cand_val >= val + ARMIJO * float(g @ (cand - eta)):
                 eta, val, R = cand, cand_val, cand_R
                 accepted = True
                 break
-            trial *= cfg.backtrack
+            trial *= BACKTRACK
         if not accepted:
             break
-        cap_active = bool(np.abs(eta).max() >= cfg.eta_cap - 1e-12)
-    converged = grad_norm <= cfg.grad_tol
+        cap_active = bool(np.abs(eta).max() >= cap - 1e-12)
+    converged = grad_norm <= GRAD_TOL
     diag = {"iterations": iters, "grad_norm": grad_norm,
             "cap_active": cap_active, "converged": converged}
     return eta - eta.mean(), val, diag
@@ -261,8 +260,9 @@ def maximize_eta(p: SpherePoint, f: HullFn,
                  cfg: OptimizerConfig = OptimizerConfig()
                  ) -> tuple[AngleField, float, dict]:
     """Projected gradient ascent on Psi over mean-zero angle fields
-    with ``sup |eta| <= eta_cap``.  Non-convergence is reported in the
-    diagnostics, not raised."""
+    with ``sup |eta| <= OptimizerConfig.eta_cap``, at most ``MAX_ITERS``
+    steps from ``1 / max p``.  A gradient norm above ``GRAD_TOL`` at the
+    end is reported in the diagnostics as non-convergence, not raised."""
     ws = _Workspace(p, f)
     rng = np.random.default_rng(cfg.seed)
     best = None
@@ -271,7 +271,7 @@ def maximize_eta(p: SpherePoint, f: HullFn,
             eta0 = np.zeros(ws.grid.n)
         else:
             eta0 = rng.normal(scale=0.2 * cfg.eta_cap, size=ws.grid.n)
-        eta, val, diag = _ascend(ws, eta0, cfg)
+        eta, val, diag = _ascend(ws, eta0)
         if best is None or val > best[1]:
             best = (eta, val, diag)
     eta, val, diag = best
@@ -323,7 +323,6 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
     over the converged rows whose defect exceeds ``defect_floor``
     (rows at the optimizer noise floor carry no rate information).
     """
-    from .hull import sphere_point
     h_fn = sphere_point(h, g.grid)
     rows = []
     for t in t_list:

@@ -109,14 +109,14 @@ class SpherePoint:
             raise ValueError(f"d must lie in [0, pi/2], got {self.d}")
 
 
-def is_member(f: HullFn, tol: float = 1e-9) -> bool:
-    """Check the two hull constraints: value range and 1-Lipschitz.
+def is_member(f: HullFn) -> bool:
+    """Check the two hull constraints, up to 1e-9: value range and
+    1-Lipschitz.
 
     The Lipschitz check includes the wrap step through the antipodal
     extension, ``|f(pi) - f(pi - step)| = |(pi - f(0)) - f(pi - step)|``.
     """
-    v = f.values
-    step = f.grid.step
+    v, step, tol = f.values, f.grid.step, 1e-9
     if v.min() < -tol or v.max() > PI + tol:
         return False
     if np.abs(np.diff(v)).max(initial=0.0) > step + tol:

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 PI = math.pi
+DEGENERATE_NORM = 1e-9      # a least sample at or below it: degenerate
 
 JACOBIAN_DEFINITIONS = ("mass", "mass_star", "busemann_hausdorff",
                         "holmes_thompson", "inner_riemannian")
@@ -77,10 +78,9 @@ class Norm2D:
     def theta_nodes(self) -> np.ndarray:
         return np.arange(self.m) * (PI / self.m)
 
-    def check_nondegenerate(self, tol: float = 1e-9) -> None:
-        if self.unit_norms.min() <= tol:
-            raise DegenerateNormError(
-                f"norm degenerates to {self.unit_norms.min():.3e}")
+    def check_nondegenerate(self) -> None:
+        if (least := self.unit_norms.min()) <= DEGENERATE_NORM:
+            raise DegenerateNormError(f"norm degenerates to {least:.3e}")
 
     @cached_property
     def _polygon(self) -> "_Polygons":

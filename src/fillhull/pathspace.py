@@ -70,9 +70,8 @@ class PlanePath:
                 raise ValueError("mid_points shape mismatch")
             object.__setattr__(self, "mid_points", mid)
 
-    def is_admissible(self, tol: float = 1e-9) -> bool:
-        return bool(np.hypot(self.points[:, 0],
-                             self.points[:, 1]).max() <= 1.0 + tol)
+    def is_admissible(self) -> bool:
+        return bool(np.hypot(*self.points.T).max() <= 1.0 + 1e-9)
 
     def extended(self) -> np.ndarray:
         """Samples on the full circle, length ``2n``."""
@@ -154,7 +153,7 @@ def omega_action(f: HullFn, gamma: PlanePath) -> float:
     """Action of the form of ``f`` on the path."""
     if f.grid.n != gamma.grid.n:
         raise ValueError("grid mismatch")
-    P = p_grid(f).p
+    P = p_grid(f)
     gb = gamma.points
     gm = gamma.at_midnodes()
     cross = gm[:, 0][:, None] * gb[:, 1][None, :] \
@@ -229,14 +228,14 @@ def sigma_path(p: SpherePoint,
     return sigma, area
 
 
-def fuglede_check(p: SpherePoint, eta: AngleField,
-                  m_t: int = 2048) -> tuple[complex, complex, float, float]:
+def fuglede_check(p: SpherePoint,
+                  eta: AngleField) -> tuple[complex, complex, float, float]:
     """Fourier stability data of the sigma loop.
 
     Reparametrizes sigma by the arclength variable ``t = nu_h(alpha)``,
     computes the Fourier coefficients ``c0, c1`` by the periodic
-    trapezoid rule, and returns ``(c0, c1, sup|w|, 5*pi*(pi - A))``
-    where ``w(t) = c0 + c1 e^{it} - sigma(t)``.
+    trapezoid rule at 2048 values of ``t``, and returns ``(c0, c1,
+    sup|w|, 5*pi*(pi - A))`` where ``w(t) = c0 + c1 e^{it} - sigma(t)``.
     """
     grid = eta.grid
     n = grid.n
@@ -248,6 +247,7 @@ def fuglede_check(p: SpherePoint, eta: AngleField,
     s_ext = sigma.extended()
     s_full = np.vstack([s_ext, s_ext[:1]])
 
+    m_t = 2048
     t = np.arange(m_t) * (TWO_PI / m_t)
     alpha_t = np.interp(t, nu_full, alpha_full)
     sx = np.interp(alpha_t, alpha_full, s_full[:, 0])

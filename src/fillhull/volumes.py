@@ -20,8 +20,9 @@ from .hull import random_hull_point
 from .coeffs import gap_vectors, toeplitz
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
-from .norms import (DegenerateNormError, JACOBIAN_DEFINITIONS, Norm2D,
-                    check_definitions, jacobian, jacobians, john_ellipse)
+from .norms import (DEGENERATE_NORM, DegenerateNormError,
+                    JACOBIAN_DEFINITIONS, Norm2D, check_definitions,
+                    jacobian, jacobians, john_ellipse)
 
 __all__ = [
     "Norm2D",
@@ -42,6 +43,7 @@ __all__ = [
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+N_DIRECTIONS = 64   # equispaced in [0, pi), of every metric derivative
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,11 @@ _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
                  if (b > 0 or a > 0) and math.gcd(abs(a), b) == 1)
 
 
-def _row_metric_derivative(chart: SurfaceChart, i: int,
-                           m: int) -> tuple[np.ndarray, np.ndarray]:
+def _row_metric_derivative(chart: SurfaceChart,
+                           i: int) -> tuple[np.ndarray, np.ndarray]:
     """Metric derivative norms of every node of parameter row ``i``:
-    the ``(n1, m)`` resampled unit norms and the ``(n1,)`` one-sided
-    flags.  See ``metric_derivative``.
+    the ``(n1, N_DIRECTIONS)`` resampled unit norms and the ``(n1,)``
+    one-sided flags.  See ``metric_derivative``.
 
     Each offset costs one sup-difference of two whole rows per scale
     and side: the periodic axis 1 is shifted by rolling a row, and the
@@ -148,19 +150,19 @@ def _row_metric_derivative(chart: SurfaceChart, i: int,
                 samples[use, col] = value()[use]
                 have[use, col] = True
                 flagged |= use & one_sided_rule
-    return _resample_row(thetas, samples, have, m), flagged
+    return _resample_row(thetas, samples, have), flagged
 
 
 def _resample_row(thetas_all: np.ndarray, samples: np.ndarray,
-                  have: np.ndarray, m: int) -> np.ndarray:
+                  have: np.ndarray) -> np.ndarray:
     """Complete each node's samples along its available offsets, at
-    angles ``thetas_all``, to ``m`` equispaced directions: the polygon
-    through the sampled unit-ball boundary points, vectorized over the
-    nodes that share a set of offsets; a node with a vanishing sample
-    goes through ``np.interp`` on its own."""
-    target = np.arange(m) * (PI / m)
+    angles ``thetas_all``, to the ``(n1, N_DIRECTIONS)`` norms of a
+    row: the polygon through the sampled unit-ball boundary points,
+    vectorized over the nodes that share a set of offsets; a node with
+    a vanishing sample goes through ``np.interp`` on its own."""
+    target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     u = np.column_stack([np.cos(target), np.sin(target)])
-    out = np.empty((len(samples), m))
+    out = np.empty((len(samples), N_DIRECTIONS))
     groups: dict[bytes, list[int]] = {}
     for node, pattern in enumerate(have):
         groups.setdefault(pattern.tobytes(), []).append(node)
@@ -197,10 +199,11 @@ def _resample_row(thetas_all: np.ndarray, samples: np.ndarray,
     return out
 
 
-def metric_derivative(chart: SurfaceChart, node: tuple[int, int],
-                      m: int = 64) -> tuple[Norm2D, bool]:
-    """Metric derivative norm at a parameter node, resampled at ``m``
-    equispaced directions, and whether any of its samples is one-sided.
+def metric_derivative(chart: SurfaceChart,
+                      node: tuple[int, int]) -> tuple[Norm2D, bool]:
+    """Metric derivative norm at a parameter node, resampled at
+    ``N_DIRECTIONS`` equispaced directions, and whether any of its
+    samples is one-sided.
 
     Differences are taken only along integer node offsets so the chart
     is never interpolated between parameter nodes; interpolation would
@@ -218,8 +221,8 @@ def metric_derivative(chart: SurfaceChart, node: tuple[int, int],
     does.
     """
     i, j = node
-    norms, flagged = _row_metric_derivative(chart, i, m)
-    return Norm2D(m, norms[j]), bool(flagged[j])
+    norms, flagged = _row_metric_derivative(chart, i)
+    return Norm2D(N_DIRECTIONS, norms[j]), bool(flagged[j])
 
 
 def _axis_weights(axis: np.ndarray, periodic: bool) -> np.ndarray:
@@ -232,8 +235,7 @@ def _axis_weights(axis: np.ndarray, periodic: bool) -> np.ndarray:
 
 
 def finsler_mass_table(chart: SurfaceChart,
-                       definitions=JACOBIAN_DEFINITIONS,
-                       m_dirs: int = 64) -> dict[str, float]:
+                       definitions=JACOBIAN_DEFINITIONS) -> dict[str, float]:
     """Finsler masses of the chart for several volume definitions in
     one pass: parameter quadrature of the volume Jacobians of the
     metric derivative, one parameter row at a time.  Nodes where the
@@ -252,9 +254,8 @@ def finsler_mass_table(chart: SurfaceChart,
     w1 = _axis_weights(chart.axis1, chart.periodic1)
     totals = dict.fromkeys(definitions, 0.0)
     for i in range(len(chart.axis0)):
-        norms, _ = _row_metric_derivative(chart, i, m_dirs)
-        # the test of Norm2D.check_nondegenerate
-        cols = np.flatnonzero(norms.min(axis=1) > 1e-9)
+        norms, _ = _row_metric_derivative(chart, i)
+        cols = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
         if not len(cols):
             continue
         for definition, values in jacobians(norms[cols],
@@ -264,17 +265,16 @@ def finsler_mass_table(chart: SurfaceChart,
     return totals
 
 
-def finsler_mass(chart: SurfaceChart, definition: str,
-                 m_dirs: int = 64) -> float:
+def finsler_mass(chart: SurfaceChart, definition: str) -> float:
     """Finsler mass of the chart for one volume definition."""
-    return finsler_mass_table(chart, (definition,), m_dirs)[definition]
+    return finsler_mass_table(chart, (definition,))[definition]
 
 
 def cone_chart(n_r: int = 48, n_alpha: int = 48,
-               grid: Grid = Grid(256), r_max: float = 1.0) -> SurfaceChart:
+               grid: Grid = Grid(256)) -> SurfaceChart:
     """The cone over the boundary circle,
-    ``f(r, alpha) = (pi/2)(1 - r) + r * d_alpha``."""
-    rs = np.linspace(0.0, r_max, n_r)
+    ``f(r, alpha) = (pi/2)(1 - r) + r * d_alpha``, ``r`` in [0, 1]."""
+    rs = np.linspace(0.0, 1.0, n_r)
     alphas = np.arange(n_alpha) * (TWO_PI / n_alpha)
     dist = np.arccos(np.cos(grid.beta_nodes[None, :] - alphas[:, None]))
     values = ((PI / 2) * (1.0 - rs)[:, None, None]
@@ -442,13 +442,12 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     return float(total)
 
 
-def coordinate_filling_area(alpha: float, offset: float,
-                            n_t: int = 4096) -> float:
+def coordinate_filling_area(alpha: float, offset: float) -> float:
     """Signed shoelace area of the loop
     ``t -> (d_alpha(t), d_{alpha+offset}(t))`` of two coordinate
     distance functions.  For offset pi/2 the loop is the tilted square
     through (0, pi/2) and the area is pi^2 / 2."""
-    n_t = 4 * max(1, n_t // 4)      # keep the square's corners on nodes
+    n_t = 4096                      # a multiple of 4: corners on nodes
     t = alpha + np.arange(n_t) * (TWO_PI / n_t)
     x = np.arccos(np.cos(t - alpha))
     y = np.arccos(np.cos(t - alpha - offset))

@@ -76,17 +76,41 @@ def test_comass_command_is_deterministic(capsys):
 
 def test_malformed_hull_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code, _ = run(capsys, "comass", str(path))
+    for text in ("{not json", "[1, 2]", "5", '{"n": null, "values": []}'):
+        path.write_text(text)
+        code, _ = run(capsys, "comass", str(path))
+        assert code == 2
+    # a path that exists but cannot be read as a file
+    code, _ = run(capsys, "comass", str(tmp_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("n, values, message", [
+    # sampled on another grid than the run's --grid-n 512
+    (100, hull.sphere_point(hull.SpherePoint(0.5, 0.7), Grid(100)).values,
+     "has n = 100, the run grid has n = 512"),
+    # in range but not 1-Lipschitz
+    (512, np.random.default_rng(0).uniform(0.5, 2.5, 512), "not a hull"),
+    # 1-Lipschitz inside, but f(pi) = pi - f(0) is far from f(pi - step)
+    (512, np.ones(512), "not a hull"),
+])
+def test_unusable_hull_file_exits_2(tmp_path, capsys, n, values, message):
+    path = tmp_path / "point.json"
+    path.write_text(hull.HullFn(Grid(n), values).to_json())
+    assert cli.main(["--grid-n", "512", "comass", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_bad_run_config_exits_2(capsys):
-    code, _ = run(capsys, "--grid-n", "16", "comass", "sphere:0.5,0.7")
-    assert code == 2
-    code, _ = run(capsys, "--grid-n", "256", "--eval-n", "128",
-                  "comass", "sphere:0.5,0.7")
-    assert code == 2
+    for argv in (("--grid-n", "16", "comass", "sphere:0.5,0.7"),
+                 ("--grid-n", "256", "--eval-n", "128",
+                  "comass", "sphere:0.5,0.7"),
+                 ("comass", "sphere:0.5,0.7", "--multistart", "0")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
 
 
 def test_bad_table_sizes_exit_2(capsys):

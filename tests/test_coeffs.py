@@ -87,7 +87,7 @@ def test_p_derivatives_match_finite_differences():
 
 def test_p_grid_matches_scalar_definition():
     f = hull.random_hull_point(7, 0.4, 0.3, GRID)
-    table = coeffs.p_grid(f).p
+    table = coeffs.p_grid(f)
     fm = f.at_midnodes()
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -118,7 +118,7 @@ def test_p_grid_equals_the_elementwise_table():
         grid = Grid(n)
         f = hull.random_hull_point(5, 0.4, 0.3, grid)
         want = _elementwise_table(f, _toeplitz_gaps(grid))
-        assert np.array_equal(coeffs.p_grid(f).p, want)
+        assert np.array_equal(coeffs.p_grid(f), want)
 
 
 LONG_PI = 4 * np.arctan(np.longdouble(1))
@@ -156,7 +156,7 @@ def test_p_grid_against_the_long_double_closed_form(n, point):
     old_gap = grid.beta_nodes[None, :] - grid.alpha_nodes[:, None]
     assert (np.abs(_toeplitz_gaps(grid) - exact)[upper] / ulp).max() <= 1.0
     assert (np.abs(old_gap - exact)[upper] / ulp).max() > 100.0
-    new_err = np.abs(coeffs.p_grid(f).p - want).astype(float)
+    new_err = np.abs(coeffs.p_grid(f) - want).astype(float)
     old_err = np.abs(_elementwise_table(f, old_gap) - want).astype(float)
     # cancellation: measured at most 1.4e-9 of the largest entry
     assert new_err.max() <= 1e-8 * float(want.max())
@@ -167,7 +167,7 @@ def test_p_grid_against_the_long_double_closed_form(n, point):
 
 def test_p_grid_zero_outside_triangle():
     f = hull.sphere_point(SpherePoint(0.1, 0.8), GRID)
-    table = coeffs.p_grid(f).p
+    table = coeffs.p_grid(f)
     assert np.all(table[np.tril_indices(GRID.n, k=0)] == 0.0)
 
 

@@ -471,7 +471,7 @@ def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
     used = set()
     for chart in charts:
         for i in range(len(chart.axis0)):
-            norms, flags = volumes._row_metric_derivative(chart, i, 64)
+            norms, flags = volumes._row_metric_derivative(chart, i)
             for j in range(len(chart.axis1)):
                 want, flagged, count = reference_metric_derivative(
                     chart, (i, j))
@@ -623,7 +623,7 @@ def test_row_jacobians_equal_the_node_reference_on_charts():
     counts = []
     for chart in charts:
         for i in range(len(chart.axis0)):
-            rows, _ = volumes._row_metric_derivative(chart, i, 64)
+            rows, _ = volumes._row_metric_derivative(chart, i)
             live = rows[rows.min(axis=1) > 1e-9]
             if len(live):
                 counts += assert_batch_matches_the_node_reference(live)[0]
@@ -761,7 +761,7 @@ def reference_surface_integral(chart):
     total = 0.0
     for i in range(len(chart.axis0)):
         for j in range(len(chart.axis1)):
-            P = p_grid(HullFn(chart.grid, chart.values[i, j])).p
+            P = p_grid(HullFn(chart.grid, chart.values[i, j]))
             t0 = reference_tangent(chart, 0, i, j)
             t1 = reference_tangent(chart, 1, i, j)
             t0m = 0.5 * (t0 + np.concatenate([t0[1:], -t0[:1]]))
