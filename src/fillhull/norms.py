@@ -391,8 +391,8 @@ def _jacobians(poly: _Polygons, definition: str) -> np.ndarray:
         # the support values sample the dual norm on a convex ball, so
         # the polar formula reads its area without a second hull
         return _polar_areas(_dual_norms(poly)) / PI
-    return PI / np.array([_ellipse_axes(L)[3]
-                          for L in _john_ellipses(poly.normals)])
+    # the John ellipse L B has area pi |det L|
+    return 1.0 / np.abs(np.linalg.det(_john_ellipses(poly.normals)))
 
 
 def jacobian(norm: Norm2D, definition: str) -> float:

@@ -48,20 +48,19 @@ N_DIRECTIONS = 64   # equispaced in [0, pi), of every metric derivative
 
 @dataclass(frozen=True)
 class SurfaceChart:
-    """Lipschitz chart into the hull over a rectangular parameter grid.
+    """Lipschitz chart into the hull over a polar parameter grid.
 
     ``values[i, j]`` are the hull-function samples at parameter node
-    ``(axis0[i], axis1[j])``.  A periodic axis wraps around (its node
-    spacing continues past the last node); a non-periodic axis includes
-    both endpoints.
+    ``(axis0[i], axis1[j])``.  Every chart is a disk in polar
+    coordinates: the radial axis 0 includes both endpoints, and the
+    angular axis 1 wraps around (its node spacing continues past the
+    last node).  Each axis has at least two nodes and a positive step.
     """
 
     name: str
     grid: Grid
     axis0: np.ndarray = field(repr=False)
     axis1: np.ndarray = field(repr=False)
-    periodic0: bool
-    periodic1: bool
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
@@ -69,6 +68,10 @@ class SurfaceChart:
         expect = (len(self.axis0), len(self.axis1), self.grid.n)
         if v.shape != expect:
             raise ValueError(f"values shape {v.shape}, expected {expect}")
+        for k, axis in enumerate((self.axis0, self.axis1)):
+            if len(axis) < 2 or not axis[1] - axis[0] > 0.0:
+                raise ValueError(f"axis {k} needs at least two nodes and "
+                                 "a positive step")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "axis0", np.asarray(self.axis0, float))
         object.__setattr__(self, "axis1", np.asarray(self.axis1, float))
@@ -81,44 +84,33 @@ _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
 
 
 def _row_metric_derivative(chart: SurfaceChart,
-                           i: int) -> tuple[np.ndarray, np.ndarray]:
+                           i: int) -> tuple[np.ndarray, bool]:
     """Metric derivative norms of every node of parameter row ``i``:
-    the ``(n1, N_DIRECTIONS)`` resampled unit norms and the ``(n1,)``
-    one-sided flags.  See ``metric_derivative``.
+    the ``(n1, N_DIRECTIONS)`` resampled unit norms and whether any of
+    the row's samples is one-sided.  See ``metric_derivative``.
 
-    Each offset costs one sup-difference of two whole rows per scale
-    and side: the periodic axis 1 is shifted by rolling a row, and the
-    boundary rule is a mask over the row, which on a periodic axis 1
-    is all or nothing."""
+    Whether a neighbour at ``(i + a, j + b)`` exists depends only on
+    the row, as the angular axis 1 wraps; so each offset picks one rule
+    for the whole row, and costs one sup-difference of two whole rows
+    per scale and side, the angular shift being a roll of the row."""
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
     n0, n1 = len(chart.axis0), len(chart.axis1)
     V = chart.values
     cols = np.arange(n1)
 
-    def exists(a: int, b: int) -> np.ndarray:
-        """Which nodes ``(i, j)`` of the row have a node at ``(i + a,
-        j + b)``."""
-        if not (chart.periodic0 or 0 <= i + a < n0):
-            return np.zeros(n1, bool)
-        if chart.periodic1:
-            return np.ones(n1, bool)
-        return (0 <= cols + b) & (cols + b < n1)
-
     def sup_diff(a: int, b: int, c: int, d: int) -> np.ndarray:
         """``max |V[i + a, j + b] - V[i + c, j + d]|`` for every ``j``,
-        indices wrapped: row ``i + a`` is rolled against row ``i + c``
-        and the maxima rolled back."""
-        diff = V[(i + a) % n0].take((cols + (b - d)) % n1, axis=0)
-        diff -= V[(i + c) % n0]
+        angular indices wrapped: row ``i + a`` is rolled against row
+        ``i + c`` and the maxima rolled back."""
+        diff = V[i + a].take((cols + (b - d)) % n1, axis=0)
+        diff -= V[i + c]
         np.abs(diff, out=diff)
         return diff.max(axis=-1).take((cols + d) % n1)
 
-    thetas = np.array([math.atan2(b * h1, a * h0) % PI for a, b in _OFFSETS])
-    samples = np.zeros((n1, len(_OFFSETS)))
-    have = np.zeros((n1, len(_OFFSETS)), bool)
-    flagged = np.zeros(n1, bool)
-    for col, (a, b) in enumerate(_OFFSETS):
+    thetas, samples = [], []
+    flagged = False
+    for a, b in _OFFSETS:
         # Richardson extrapolation over the offset length: the
         # sup-difference of a Lipschitz chart carries an O(t) curvature
         # term that doubling the offset exposes and cancels
@@ -130,80 +122,72 @@ def _row_metric_derivative(chart: SurfaceChart,
         def one_sided(k: int, s: int) -> np.ndarray:
             return sup_diff(s * k * a, s * k * b, 0, 0) / (k * length)
 
-        ok = {(s, k): exists(s * k * a, s * k * b)
-              for s in (1, -1) for k in (1, 2)}
-        # (nodes it applies to, flagged, value), the first that applies
-        # to a node gives its sample
-        rules = (
-            (ok[1, 2] & ok[-1, 2], False,
-             lambda: 2.0 * central(1) - central(2)),
-            (ok[1, 2], True, lambda: 2.0 * one_sided(1, 1) - one_sided(2, 1)),
-            (ok[-1, 2], True,
-             lambda: 2.0 * one_sided(1, -1) - one_sided(2, -1)),
-            (ok[1, 1] & ok[-1, 1], True, lambda: central(1)),
-            (ok[1, 1], True, lambda: one_sided(1, 1)),
-            (ok[-1, 1], True, lambda: one_sided(1, -1)),
-        )
-        for applies, one_sided_rule, value in rules:
-            use = applies & ~have[:, col]
-            if use.any():
-                samples[use, col] = value()[use]
-                have[use, col] = True
-                flagged |= use & one_sided_rule
-    return _resample_row(thetas, samples, have), flagged
+        up1, down1 = 0 <= i + a < n0, 0 <= i - a < n0
+        up2, down2 = 0 <= i + 2 * a < n0, 0 <= i - 2 * a < n0
+        if up2 and down2:
+            sample = 2.0 * central(1) - central(2)
+        elif up2:
+            sample = 2.0 * one_sided(1, 1) - one_sided(2, 1)
+        elif down2:
+            sample = 2.0 * one_sided(1, -1) - one_sided(2, -1)
+        elif up1 and down1:
+            sample = central(1)
+        elif up1:
+            sample = one_sided(1, 1)
+        elif down1:
+            sample = one_sided(1, -1)
+        else:
+            continue
+        flagged |= not (up2 and down2)
+        thetas.append(math.atan2(b * h1, a * h0) % PI)
+        samples.append(sample)
+    return _resample_row(np.array(thetas), np.column_stack(samples)), flagged
 
 
-def _resample_row(thetas_all: np.ndarray, samples: np.ndarray,
-                  have: np.ndarray) -> np.ndarray:
-    """Complete each node's samples along its available offsets, at
-    angles ``thetas_all``, to the ``(n1, N_DIRECTIONS)`` norms of a
+def _resample_row(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Complete the ``(n1, k)`` samples of a row along its kept offsets,
+    at angles ``thetas``, to the ``(n1, N_DIRECTIONS)`` norms of the
     row: the polygon through the sampled unit-ball boundary points,
-    vectorized over the nodes that share a set of offsets; a node with
-    a vanishing sample goes through ``np.interp`` on its own."""
+    vectorized over the nodes; a node with a vanishing sample goes
+    through ``np.interp`` on its own."""
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     u = np.column_stack([np.cos(target), np.sin(target)])
     out = np.empty((len(samples), N_DIRECTIONS))
-    groups: dict[bytes, list[int]] = {}
-    for node, pattern in enumerate(have):
-        groups.setdefault(pattern.tobytes(), []).append(node)
-    for nodes in groups.values():
-        pattern = have[nodes[0]]
-        nodes = np.asarray(nodes)
-        thetas = thetas_all[pattern]
-        order = np.argsort(thetas)
-        thetas = thetas[order]
-        norms = samples[nodes][:, pattern][:, order]
-        seminorm = norms.min(axis=1) < 1e-12
-        for node, row in zip(nodes[seminorm], norms[seminorm]):
-            # seminorm: interpolate the sampled values directly;
-            # downstream Jacobians treat it as zero area
-            ext_t = np.concatenate([thetas, thetas + PI,
-                                    [thetas[0] + TWO_PI]])
-            ext_n = np.concatenate([row, row, [row[0]]])
-            out[node] = np.interp(target, ext_t, ext_n)
-        nodes, norms = nodes[~seminorm], norms[~seminorm]
-        if not len(nodes):
-            continue
-        # polygon through the sampled unit-ball boundary points
-        full_t = np.concatenate([thetas, thetas + PI])
-        pts = np.column_stack([np.cos(full_t), np.sin(full_t)])[None] \
-            / np.concatenate([norms, norms], axis=1)[:, :, None]
-        k = np.searchsorted(full_t, target, side="right") - 1
-        p = pts[:, k]
-        q = pts[:, (k + 1) % len(full_t)]
-        num = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-        den = u[:, 0] * (q[..., 1] - p[..., 1]) \
-            - u[:, 1] * (q[..., 0] - p[..., 0])
-        rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
-        out[nodes] = 1.0 / np.maximum(rho, 1e-15)
+    order = np.argsort(thetas)
+    thetas = thetas[order]
+    norms = samples[:, order]
+    seminorm = norms.min(axis=1) < 1e-12
+    for node in np.flatnonzero(seminorm):
+        # seminorm: interpolate the sampled values directly;
+        # downstream Jacobians treat it as zero area
+        row = norms[node]
+        ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
+        ext_n = np.concatenate([row, row, [row[0]]])
+        out[node] = np.interp(target, ext_t, ext_n)
+    live = ~seminorm
+    if not live.any():
+        return out
+    norms = norms[live]
+    # polygon through the sampled unit-ball boundary points
+    full_t = np.concatenate([thetas, thetas + PI])
+    pts = np.column_stack([np.cos(full_t), np.sin(full_t)])[None] \
+        / np.concatenate([norms, norms], axis=1)[:, :, None]
+    k = np.searchsorted(full_t, target, side="right") - 1
+    p = pts[:, k]
+    q = pts[:, (k + 1) % len(full_t)]
+    num = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+    den = u[:, 0] * (q[..., 1] - p[..., 1]) \
+        - u[:, 1] * (q[..., 0] - p[..., 0])
+    rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
+    out[live] = 1.0 / np.maximum(rho, 1e-15)
     return out
 
 
 def metric_derivative(chart: SurfaceChart,
                       node: tuple[int, int]) -> tuple[Norm2D, bool]:
     """Metric derivative norm at a parameter node, resampled at
-    ``N_DIRECTIONS`` equispaced directions, and whether any of its
-    samples is one-sided.
+    ``N_DIRECTIONS`` equispaced directions, and whether any sample of
+    the node's row is one-sided.
 
     Differences are taken only along integer node offsets so the chart
     is never interpolated between parameter nodes; interpolation would
@@ -213,7 +197,9 @@ def metric_derivative(chart: SurfaceChart,
     doubled neighbours exist; otherwise, in this order, the Richardson
     step of one-sided differences, a plain central difference, or a
     plain one-sided difference, all flagged; an offset with no
-    neighbour on either side is dropped.  The sampled directions are
+    neighbour on either side is dropped.  The chart is polar, so only
+    the radial axis 0 has ends: the rule, and so the one-sided flag,
+    is the same for every node of a row.  The sampled directions are
     completed to a full norm by the polygon through the sampled
     unit-ball boundary points, which is exact for the polygonal balls
     these charts produce and second order accurate for smooth ones.
@@ -222,16 +208,16 @@ def metric_derivative(chart: SurfaceChart,
     """
     i, j = node
     norms, flagged = _row_metric_derivative(chart, i)
-    return Norm2D(N_DIRECTIONS, norms[j]), bool(flagged[j])
+    return Norm2D(N_DIRECTIONS, norms[j]), flagged
 
 
-def _axis_weights(axis: np.ndarray, periodic: bool) -> np.ndarray:
-    step = axis[1] - axis[0]
-    if periodic:
-        return np.full(len(axis), step)
-    w = np.full(len(axis), step)
-    w[0] = w[-1] = 0.5 * step
-    return w
+def _axis_weights(chart: SurfaceChart) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights of the two axes: the trapezoid rule on the
+    radial axis 0, uniform weights on the angular axis 1."""
+    h0 = chart.axis0[1] - chart.axis0[0]
+    w0 = np.full(len(chart.axis0), h0)
+    w0[0] = w0[-1] = 0.5 * h0
+    return w0, np.full(len(chart.axis1), chart.axis1[1] - chart.axis1[0])
 
 
 def finsler_mass_table(chart: SurfaceChart,
@@ -250,8 +236,7 @@ def finsler_mass_table(chart: SurfaceChart,
     # a NaN norm would pass the degeneracy test below unnoticed
     if not np.isfinite(chart.values).all():
         raise ValueError("chart values must be finite")
-    w0 = _axis_weights(chart.axis0, chart.periodic0)
-    w1 = _axis_weights(chart.axis1, chart.periodic1)
+    w0, w1 = _axis_weights(chart)
     totals = dict.fromkeys(definitions, 0.0)
     for i in range(len(chart.axis0)):
         norms, _ = _row_metric_derivative(chart, i)
@@ -279,29 +264,30 @@ def cone_chart(n_r: int = 48, n_alpha: int = 48,
     dist = np.arccos(np.cos(grid.beta_nodes[None, :] - alphas[:, None]))
     values = ((PI / 2) * (1.0 - rs)[:, None, None]
               + rs[:, None, None] * dist[None, :, :])
-    return SurfaceChart("cone", grid, rs, alphas, False, True, values)
+    return SurfaceChart("cone", grid, rs, alphas, values)
 
 
 def cap_chart(r: float = 0.3, n_d: int = 33, n_tau: int = 64,
               grid: Grid = Grid(256)) -> SurfaceChart:
     """Polar cap of the hemisphere: parameters ``(d, tau)`` with
     ``d in [r, pi/2]`` and ``tau`` around the full circle."""
-    if r < 0.3:
-        raise ValueError("cap radius parameter must satisfy r >= 0.3")
+    if not 0.3 <= r < PI / 2:
+        raise ValueError("cap radius parameter must satisfy "
+                         "0.3 <= r < pi/2")
     ds = np.linspace(r, PI / 2, n_d)
     taus = np.arange(n_tau) * (TWO_PI / n_tau)
     # the hemisphere point arccos(cos d cos(alpha - tau)) at every node
     values = np.cos(ds)[:, None, None] \
         * np.cos(grid.beta_nodes[None, :] - taus[:, None])
     np.arccos(values, out=values)
-    return SurfaceChart("cap", grid, ds, taus, False, True, values)
+    return SurfaceChart("cap", grid, ds, taus, values)
 
 
 def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
                         amplitude: float = 0.15) -> SurfaceChart:
     """Interior perturbation of a cap chart with identical boundary
     rows: a pointwise convex combination with a random hull point,
-    weighted by a bump vanishing at the non-periodic boundary."""
+    weighted by a bump vanishing at both ends of the radial axis."""
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError("amplitude must lie in [0, 1]")
     target = random_hull_point(bump_seed, roughness=0.3, eps=0.25,
@@ -312,24 +298,7 @@ def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
     values = ((1.0 - bump)[:, None, None] * cap.values
               + bump[:, None, None] * target.values[None, None, :])
     return SurfaceChart("perturbed cap", cap.grid, cap.axis0, cap.axis1,
-                        cap.periodic0, cap.periodic1, values)
-
-
-def _tangent_stencil(axis: np.ndarray,
-                     periodic: bool) -> tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]:
-    """Partial derivative along one parameter axis, as indices and
-    steps: node ``k`` has tangent ``(V[up[k]] - V[down[k]]) / den[k]``,
-    central inside and one-sided at a non-periodic edge."""
-    n = len(axis)
-    h = axis[1] - axis[0]
-    up, down = np.arange(1, n + 1), np.arange(-1, n - 1)
-    den = np.full(n, 2.0 * h)
-    if periodic:
-        return up % n, down % n, den
-    up[-1], down[0] = n - 1, 0
-    den[[0, -1]] = h
-    return up, down, den
+                        values)
 
 
 def _to_midnodes(v: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -429,15 +398,18 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
                          "boundary circle; p is undefined")
     st, ct = _gap_tables(chart.grid)
     c = chart.grid.triangle_weights
-    w0 = _axis_weights(chart.axis0, chart.periodic0)
-    w1 = _axis_weights(chart.axis1, chart.periodic1)
-    up0, down0, den0 = _tangent_stencil(chart.axis0, chart.periodic0)
-    up1, down1, den1 = _tangent_stencil(chart.axis1, chart.periodic1)
+    w0, w1 = _axis_weights(chart)
+    n0 = len(chart.axis0)
+    h0 = chart.axis0[1] - chart.axis0[0]
+    h1 = chart.axis1[1] - chart.axis1[0]
     total = 0.0
-    for i in range(len(chart.axis0)):
+    for i in range(n0):
         y = V[i]
-        t0 = (V[up0[i]] - V[down0[i]]) / den0[i]
-        t1 = (y[up1] - y[down1]) / den1[:, None]
+        # the tangents: central differences, one-sided at the two
+        # radial ends, and wrapped on the angular axis
+        lo, hi = max(i - 1, 0), min(i + 1, n0 - 1)
+        t0 = (V[hi] - V[lo]) / ((hi - lo) * h0)
+        t1 = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) / (2.0 * h1)
         total += w0[i] * (w1 @ _row_integrands(y, t0, t1, c, st, ct))
     return float(total)
 

@@ -339,8 +339,22 @@ def test_surface_chart_validates_value_shape():
     grid = Grid(64)
     with pytest.raises(ValueError):
         SurfaceChart("bad", grid, np.linspace(0, 1, 4),
-                     np.linspace(0, 1, 5), False, False,
-                     np.zeros((4, 5, grid.n + 1)))
+                     np.linspace(0, 1, 5), np.zeros((4, 5, grid.n + 1)))
+
+
+def test_surface_chart_rejects_a_one_node_or_non_increasing_axis():
+    grid = Grid(16)
+    for axis0, axis1 in (([0.5], np.linspace(0, 1, 5)),
+                         (np.linspace(0, 1, 4), [1.0]),
+                         (np.full(4, 0.5), np.linspace(0, 1, 5)),
+                         (np.linspace(0, 1, 4), np.linspace(1, 0, 5))):
+        with pytest.raises(ValueError, match="at least two nodes and a "
+                           "positive step"):
+            SurfaceChart("bad", grid, axis0, axis1,
+                         np.ones((len(axis0), len(axis1), grid.n)))
+    # a one-node radial axis has no step
+    with pytest.raises(ValueError, match="axis 0"):
+        volumes.cone_chart(1, 8, Grid(64))
 
 
 def test_cone_metric_derivative_closed_form():
@@ -382,14 +396,11 @@ def reference_metric_derivative(chart, node, m=64):
     V = chart.values
     center = V[i0, j0]
 
-    def in_range(a, b):
-        ok = chart.periodic0 or 0 <= i0 + a < n0
-        if not chart.periodic1:
-            ok = ok and 0 <= j0 + b < n1
-        return ok
+    def in_range(a):
+        return 0 <= i0 + a < n0
 
     def at(a, b):
-        return V[(i0 + a) % n0, (j0 + b) % n1]
+        return V[i0 + a, (j0 + b) % n1]
 
     def diff(a, b):
         length = math.hypot(a * h0, b * h1)
@@ -402,15 +413,15 @@ def reference_metric_derivative(chart, node, m=64):
             return float(np.abs(at(s * k * a, s * k * b)
                                 - center).max()) / (k * length)
 
-        if in_range(2 * a, 2 * b) and in_range(-2 * a, -2 * b):
+        if in_range(2 * a) and in_range(-2 * a):
             return 2.0 * central(1) - central(2), False
         for s in (1, -1):
-            if in_range(2 * s * a, 2 * s * b):
+            if in_range(2 * s * a):
                 return 2.0 * one_sided(1, s) - one_sided(2, s), True
-        if in_range(a, b) and in_range(-a, -b):
+        if in_range(a) and in_range(-a):
             return central(1), True
         for s in (1, -1):
-            if in_range(s * a, s * b):
+            if in_range(s * a):
                 return one_sided(1, s), True
         return None
 
@@ -452,43 +463,40 @@ def reference_metric_derivative(chart, node, m=64):
     return Norm2D(m, 1.0 / np.maximum(rho, 1e-15)), boundary, len(thetas)
 
 
-def synthetic_chart(n0, n1, periodic, seed):
+def synthetic_chart(n0, n1, seed):
     grid = Grid(16)
     values = np.random.default_rng(seed).normal(size=(n0, n1, grid.n))
     return SurfaceChart("synthetic", grid, np.linspace(0.0, 1.0, n0),
-                        np.linspace(0.0, 2.0, n1), periodic, periodic,
-                        values)
+                        np.linspace(0.0, 2.0, n1), values)
 
 
 def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
     cap = volumes.cap_chart(0.3, 17, 32, Grid(64))
-    charts = [volumes.cone_chart(n, n, Grid(128)) for n in (4, 5, 7, 16, 24)]
+    charts = [volumes.cone_chart(n, n, Grid(128))
+              for n in (3, 4, 5, 7, 16, 24)]
     charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
-    charts += [synthetic_chart(n0, n1, periodic, seed)
-               for seed, (n0, n1, periodic) in enumerate(
-                   [(5, 6, True), (3, 4, True), (7, 5, False), (3, 3, False),
-                    (9, 2, False)])]
+    charts += [synthetic_chart(n0, n1, seed)
+               for seed, (n0, n1) in enumerate([(5, 6), (3, 4)])]
     used = set()
     for chart in charts:
         for i in range(len(chart.axis0)):
-            norms, flags = volumes._row_metric_derivative(chart, i)
+            norms, flagged = volumes._row_metric_derivative(chart, i)
             for j in range(len(chart.axis1)):
-                want, flagged, count = reference_metric_derivative(
+                want, want_flagged, count = reference_metric_derivative(
                     chart, (i, j))
                 used.add(count)
                 assert np.array_equal(norms[j], want.unit_norms)
-                assert bool(flags[j]) == flagged
-        got, flagged = volumes.metric_derivative(chart, (i, 1))
+                assert flagged is want_flagged
+        got, got_flagged = volumes.metric_derivative(chart, (i, 1))
         assert np.array_equal(got.unit_norms, norms[1])
-        assert flagged == bool(flags[1])
+        assert got_flagged is flagged
     # nodes that drop offsets with no neighbour on either side are covered
     assert {14, 20, 24} <= used and min(used) < 14
 
 
 def test_finsler_mass_table_equals_the_node_reference_sum():
     chart = volumes.cone_chart(24, 24, Grid(128))
-    w0 = volumes._axis_weights(chart.axis0, chart.periodic0)
-    w1 = volumes._axis_weights(chart.axis1, chart.periodic1)
+    w0, w1 = volumes._axis_weights(chart)
     want = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
     for i in range(len(chart.axis0)):
         for j in range(len(chart.axis1)):
@@ -671,8 +679,7 @@ def test_finsler_mass_table_checks_definitions_before_any_node():
     # a constant chart: every metric derivative is the zero seminorm
     grid = Grid(16)
     flat = SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
-                        np.linspace(0.0, 1.0, 5), False, False,
-                        np.ones((4, 5, grid.n)))
+                        np.linspace(0.0, 1.0, 5), np.ones((4, 5, grid.n)))
     assert volumes.finsler_mass_table(flat) \
         == dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
     with pytest.raises(ValueError, match="unknown volume definition"):
@@ -683,8 +690,7 @@ def test_finsler_mass_table_rejects_a_non_finite_chart():
     cone = volumes.cone_chart(5, 5, Grid(64))
     values = cone.values.copy()
     values[2, 3, 7] = math.nan
-    chart = SurfaceChart("nan", cone.grid, cone.axis0, cone.axis1,
-                         cone.periodic0, cone.periodic1, values)
+    chart = SurfaceChart("nan", cone.grid, cone.axis0, cone.axis1, values)
     with pytest.raises(ValueError, match="chart values must be finite"):
         volumes.finsler_mass_table(chart)
 
@@ -705,6 +711,14 @@ def test_finsler_mass_table_matches_single_definition_calls():
 def test_cap_chart_rejects_small_radius():
     with pytest.raises(ValueError):
         volumes.cap_chart(0.1)
+
+
+def test_cap_chart_rejects_radii_at_or_past_the_equator():
+    # at pi/2 the radial step is zero (a NaN surface integral, zero
+    # masses); past it the radial axis runs downward (negative masses)
+    for r in (PI / 2, 1.6):
+        with pytest.raises(ValueError, match="r < pi/2"):
+            volumes.cap_chart(r, 9, 16, Grid(64))
 
 
 def test_perturbed_cap_keeps_boundary_rows():
@@ -734,30 +748,24 @@ def test_cap_surface_integral_is_positive():
 
 def reference_tangent(chart, axis, i, j):
     """Partial derivative of the chart along one parameter axis at node
-    ``(i, j)``: central differences inside, one-sided at a non-periodic
-    edge."""
+    ``(i, j)``: central differences, one-sided at the two ends of the
+    radial axis 0 and wrapped on the angular axis 1."""
     V = chart.values
-    if axis == 0:
-        n, periodic, h = len(chart.axis0), chart.periodic0, \
-            chart.axis0[1] - chart.axis0[0]
-        get = lambda k: V[k % n if periodic else k, j]
-    else:
-        n, periodic, h = len(chart.axis1), chart.periodic1, \
-            chart.axis1[1] - chart.axis1[0]
-        get = lambda k: V[i, k % n if periodic else k]
-    k = i if axis == 0 else j
-    if periodic or 0 < k < n - 1:
-        return (get(k + 1) - get(k - 1)) / (2.0 * h)
-    if k == 0:
-        return (get(1) - get(0)) / h
-    return (get(n - 1) - get(n - 2)) / h
+    if axis == 1:
+        n, h = len(chart.axis1), chart.axis1[1] - chart.axis1[0]
+        return (V[i, (j + 1) % n] - V[i, (j - 1) % n]) / (2.0 * h)
+    n, h = len(chart.axis0), chart.axis0[1] - chart.axis0[0]
+    if 0 < i < n - 1:
+        return (V[i + 1, j] - V[i - 1, j]) / (2.0 * h)
+    if i == 0:
+        return (V[1, j] - V[0, j]) / h
+    return (V[n - 1, j] - V[n - 2, j]) / h
 
 
 def reference_surface_integral(chart):
     """Per-node coefficient table, explicit cross table and the triangle
     rule: the surface integral written out term by term."""
-    w0 = volumes._axis_weights(chart.axis0, chart.periodic0)
-    w1 = volumes._axis_weights(chart.axis1, chart.periodic1)
+    w0, w1 = volumes._axis_weights(chart)
     total = 0.0
     for i in range(len(chart.axis0)):
         for j in range(len(chart.axis1)):
@@ -775,10 +783,7 @@ def reference_surface_integral(chart):
 def test_surface_integral_matches_term_by_term_reference():
     for n in (64, 256):
         cap = volumes.cap_chart(0.3, 9, 16, Grid(n))
-        # the tau columns cut to an arc: neither axis is periodic
-        arc = SurfaceChart("arc", cap.grid, cap.axis0, cap.axis1[:7],
-                           cap.periodic0, False, cap.values[:, :7])
-        for chart in (cap, arc, volumes.perturbed_cap_chart(
+        for chart in (cap, volumes.perturbed_cap_chart(
                 cap, bump_seed=2, amplitude=0.2)):
             want = reference_surface_integral(chart)
             assert volumes.omega_surface_integral(chart) == pytest.approx(
@@ -812,13 +817,13 @@ def test_surface_integral_rejects_boundary_nodes():
     values = cap.values.copy()
     values[2, 3] = boundary_point(cap.grid.beta_nodes[5], cap.grid).values
     chart = SurfaceChart("touching", cap.grid, cap.axis0, cap.axis1,
-                         cap.periodic0, cap.periodic1, values)
+                         values)
     with pytest.raises(ValueError, match=r"chart node \(2, 3\) touches"):
         volumes.omega_surface_integral(chart)
     # of two touching nodes, the first in row-major order is named
     values[1, 6] = PI - values[2, 3]
     chart = SurfaceChart("touching twice", cap.grid, cap.axis0, cap.axis1,
-                         cap.periodic0, cap.periodic1, values)
+                         values)
     with pytest.raises(ValueError, match=r"chart node \(1, 6\) touches"):
         volumes.omega_surface_integral(chart)
 
