@@ -10,6 +10,7 @@ of the two-form and the shoelace lower-bound loop.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -44,6 +45,7 @@ __all__ = [
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 N_DIRECTIONS = 64   # equispaced in [0, pi), of every metric derivative
+_STEP_RTOL = 1e-9   # relative rounding allowed in a chart's axis steps
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,9 @@ class SurfaceChart:
     ``values[i, j]`` are the hull-function samples at parameter node
     ``(axis0[i], axis1[j])``.  Every chart is a disk in polar
     coordinates: the radial axis 0 includes both endpoints, and the
-    angular axis 1 wraps around (its node spacing continues past the
-    last node).  Each axis has at least two nodes and a positive step.
+    angular axis 1 wraps around: its node spacing continues past the
+    last node, so its ``n1`` steps make one turn of ``2 pi``.  Each
+    axis has at least two nodes and a uniform positive step.
     """
 
     name: str
@@ -68,86 +71,114 @@ class SurfaceChart:
         expect = (len(self.axis0), len(self.axis1), self.grid.n)
         if v.shape != expect:
             raise ValueError(f"values shape {v.shape}, expected {expect}")
-        for k, axis in enumerate((self.axis0, self.axis1)):
+        axes = [np.asarray(axis, float) for axis in (self.axis0,
+                                                     self.axis1)]
+        for k, axis in enumerate(axes):
             if len(axis) < 2 or not axis[1] - axis[0] > 0.0:
                 raise ValueError(f"axis {k} needs at least two nodes and "
                                  "a positive step")
+            steps = np.diff(axis)
+            if not np.ptp(steps) <= _STEP_RTOL * steps[0]:
+                raise ValueError(f"axis {k} needs uniform steps")
+        turn = len(axes[1]) * (axes[1][1] - axes[1][0])
+        if not math.isclose(turn, TWO_PI, rel_tol=_STEP_RTOL):
+            raise ValueError("the angular axis 1 must make one turn: "
+                             f"n1 * step = {turn:.12g}, not 2 pi")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "axis0", np.asarray(self.axis0, float))
-        object.__setattr__(self, "axis1", np.asarray(self.axis1, float))
+        object.__setattr__(self, "axis0", axes[0])
+        object.__setattr__(self, "axis1", axes[1])
 
 
 # coprime integer offsets of radius 4 covering the upper half plane,
 # the shortest representative per direction
 _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
                  if (b > 0 or a > 0) and math.gcd(abs(a), b) == 1)
+# parameter nodes per block of rows of ``finsler_mass_table``: at 96
+# the Jacobians of a block peak at about 1.2 MB of temporaries, and
+# larger blocks ran no faster on a 24 x 24 cone
+_BLOCK = 96
 
 
-def _row_metric_derivative(chart: SurfaceChart,
-                           i: int) -> tuple[np.ndarray, bool]:
-    """Metric derivative norms of every node of parameter row ``i``:
-    the ``(n1, N_DIRECTIONS)`` resampled unit norms and whether any of
-    the row's samples is one-sided.  See ``metric_derivative``.
+def _metric_derivatives(chart: SurfaceChart,
+                        rows: range) -> tuple[np.ndarray, list[bool]]:
+    """Metric derivative norms of every node of the parameter ``rows``:
+    the ``(len(rows) * n1, N_DIRECTIONS)`` resampled unit norms in
+    row-major order, and per row whether any of its samples is
+    one-sided.  See ``metric_derivative``.
 
     Whether a neighbour at ``(i + a, j + b)`` exists depends only on
     the row, as the angular axis 1 wraps; so each offset picks one rule
-    for the whole row, and costs one sup-difference of two whole rows
-    per scale and side, the angular shift being a roll of the row."""
+    per row, and the consecutive rows with the same rule cost one
+    sup-difference of two row slices per scale.  The rows that keep
+    the same offsets are resampled together."""
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
     n0, n1 = len(chart.axis0), len(chart.axis1)
     V = chart.values
-    cols = np.arange(n1)
+    buf = np.empty((len(rows), n1, chart.grid.n))
+    samples = np.empty((len(rows), n1, len(_OFFSETS)))
+    kept = np.zeros((len(rows), len(_OFFSETS)), bool)
+    flags = np.zeros(len(rows), bool)
 
-    def sup_diff(a: int, b: int, c: int, d: int) -> np.ndarray:
-        """``max |V[i + a, j + b] - V[i + c, j + d]|`` for every ``j``,
-        angular indices wrapped: row ``i + a`` is rolled against row
-        ``i + c`` and the maxima rolled back."""
-        diff = V[i + a].take((cols + (b - d)) % n1, axis=0)
-        diff -= V[i + c]
-        np.abs(diff, out=diff)
-        return diff.max(axis=-1).take((cols + d) % n1)
+    def sup_diff(lo: int, hi: int, a: int, b: int, c: int,
+                 d: int) -> np.ndarray:
+        """``max |V[i + a, j + b] - V[i + c, j + d]|`` for every row
+        ``i`` in ``[lo, hi)`` and every ``j``, angular indices wrapped:
+        rows ``i + a`` shifted by ``e = b - d`` against rows ``i + c``,
+        in two slices with no copy, and the maxima rolled back by
+        ``d``."""
+        e, d = (b - d) % n1, d % n1
+        out = buf[:hi - lo]
+        A, B = V[lo + a:hi + a], V[lo + c:hi + c]
+        np.subtract(A[:, e:], B[:, :n1 - e], out=out[:, :n1 - e])
+        np.subtract(A[:, :e], B[:, n1 - e:], out=out[:, n1 - e:])
+        np.abs(out, out=out)
+        top = out.max(axis=2)
+        return np.concatenate((top[:, d:], top[:, :d]), axis=1)
 
-    thetas, samples = [], []
-    flagged = False
-    for a, b in _OFFSETS:
-        # Richardson extrapolation over the offset length: the
-        # sup-difference of a Lipschitz chart carries an O(t) curvature
-        # term that doubling the offset exposes and cancels
+    def rule(i: int, a: int) -> tuple[int, int, int]:
+        """Richardson extrapolation over the offset length: the
+        sup-difference of a Lipschitz chart carries an O(t) curvature
+        term that doubling the offset exposes and cancels.  The scale
+        ``k`` is 2 if a doubled neighbour of row ``i`` exists, else 1;
+        ``p`` and ``q`` tell whether the neighbours at that scale
+        exist, both for a central difference."""
+        k = 2 if 0 <= i + 2 * a < n0 or 0 <= i - 2 * a < n0 else 1
+        return k, int(0 <= i + k * a < n0), int(0 <= i - k * a < n0)
+
+    for o, (a, b) in enumerate(_OFFSETS):
         length = math.hypot(a * h0, b * h1)
-
-        def central(k: int) -> np.ndarray:
-            return sup_diff(k * a, k * b, -k * a, -k * b) / (2 * k * length)
-
-        def one_sided(k: int, s: int) -> np.ndarray:
-            return sup_diff(s * k * a, s * k * b, 0, 0) / (k * length)
-
-        up1, down1 = 0 <= i + a < n0, 0 <= i - a < n0
-        up2, down2 = 0 <= i + 2 * a < n0, 0 <= i - 2 * a < n0
-        if up2 and down2:
-            sample = 2.0 * central(1) - central(2)
-        elif up2:
-            sample = 2.0 * one_sided(1, 1) - one_sided(2, 1)
-        elif down2:
-            sample = 2.0 * one_sided(1, -1) - one_sided(2, -1)
-        elif up1 and down1:
-            sample = central(1)
-        elif up1:
-            sample = one_sided(1, 1)
-        elif down1:
-            sample = one_sided(1, -1)
-        else:
-            continue
-        flagged |= not (up2 and down2)
-        thetas.append(math.atan2(b * h1, a * h0) % PI)
-        samples.append(sample)
-    return _resample_row(np.array(thetas), np.column_stack(samples)), flagged
+        for (k, p, q), run in itertools.groupby(
+                rows, lambda i, a=a: rule(i, a)):
+            if not p + q:
+                continue
+            run = list(run)
+            lo, hi = run[0], run[-1] + 1
+            D = [sup_diff(lo, hi, p * s * a, p * s * b, -q * s * a,
+                          -q * s * b) / ((p + q) * s * length)
+                 for s in range(1, k + 1)]
+            at = slice(lo - rows[0], hi - rows[0])
+            samples[at, :, o] = 2.0 * D[0] - D[1] if k == 2 else D[0]
+            kept[at, o] = True
+            flags[at] |= not (k == 2 and p and q)
+    thetas = np.array([math.atan2(b * h1, a * h0) % PI
+                       for a, b in _OFFSETS])
+    groups = {}
+    for r, mask in enumerate(kept):
+        groups.setdefault(tuple(np.flatnonzero(mask)), []).append(r)
+    out = np.empty((len(rows), n1, N_DIRECTIONS))
+    for cols, members in groups.items():
+        cols = list(cols)
+        out[members] = _resample(
+            thetas[cols], samples[members][:, :, cols].reshape(-1, len(cols))
+        ).reshape(len(members), n1, N_DIRECTIONS)
+    return out.reshape(-1, N_DIRECTIONS), flags.tolist()
 
 
-def _resample_row(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Complete the ``(n1, k)`` samples of a row along its kept offsets,
-    at angles ``thetas``, to the ``(n1, N_DIRECTIONS)`` norms of the
-    row: the polygon through the sampled unit-ball boundary points,
+def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Complete the ``(nodes, k)`` samples along the same kept offsets,
+    at angles ``thetas``, to the ``(nodes, N_DIRECTIONS)`` norms: the
+    polygon through the sampled unit-ball boundary points,
     vectorized over the nodes; a node with a vanishing sample goes
     through ``np.interp`` on its own."""
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
@@ -207,8 +238,8 @@ def metric_derivative(chart: SurfaceChart,
     does.
     """
     i, j = node
-    norms, flagged = _row_metric_derivative(chart, i)
-    return Norm2D(N_DIRECTIONS, norms[j]), flagged
+    norms, flags = _metric_derivatives(chart, range(i, i + 1))
+    return Norm2D(N_DIRECTIONS, norms[j]), flags[0]
 
 
 def _axis_weights(chart: SurfaceChart) -> tuple[np.ndarray, np.ndarray]:
@@ -224,29 +255,36 @@ def finsler_mass_table(chart: SurfaceChart,
                        definitions=JACOBIAN_DEFINITIONS) -> dict[str, float]:
     """Finsler masses of the chart for several volume definitions in
     one pass: parameter quadrature of the volume Jacobians of the
-    metric derivative, one parameter row at a time.  Nodes where the
-    metric derivative degenerates to a seminorm contribute zero,
-    matching the seminorm convention.
+    metric derivative.  Nodes where the metric derivative degenerates
+    to a seminorm contribute zero, matching the seminorm convention.
 
-    The nodes of a row go through ``jacobians`` together, so the
-    temporaries stay the size of one row and each node gets the value
-    ``jacobian`` gives its norm; the weighted Jacobians are added node
-    by node in row-major order."""
+    The parameter rows go in blocks of whole rows of about ``_BLOCK``
+    nodes (at least one row).  Each row keeps its own offset rule, the
+    rows of a block that keep the same offsets are resampled together,
+    and the live nodes of a block go through one ``jacobians`` call, so
+    the temporaries stay the size of one block and each node gets the
+    value ``jacobian`` gives its norm; the weighted Jacobians are added
+    node by node in row-major order."""
     check_definitions(definitions)
     # a NaN norm would pass the degeneracy test below unnoticed
     if not np.isfinite(chart.values).all():
         raise ValueError("chart values must be finite")
     w0, w1 = _axis_weights(chart)
+    n0, n1 = len(chart.axis0), len(chart.axis1)
+    step = max(1, _BLOCK // n1)
     totals = dict.fromkeys(definitions, 0.0)
-    for i in range(len(chart.axis0)):
-        norms, _ = _row_metric_derivative(chart, i)
-        cols = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
-        if not len(cols):
+    for i in range(0, n0, step):
+        norms, _ = _metric_derivatives(chart, range(n0)[i:i + step])
+        live = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
+        if not len(live):
             continue
-        for definition, values in jacobians(norms[cols],
+        weights = np.outer(w0[i:i + step], w1).ravel()[live]
+        for definition, values in jacobians(norms[live],
                                             definitions).items():
-            for j, J in zip(cols, values):
-                totals[definition] += w0[i] * w1[j] * J
+            total = totals[definition]
+            for term in (weights * values).tolist():
+                total += term
+            totals[definition] = total
     return totals
 
 

@@ -177,6 +177,17 @@ def test_cone_csv_schema(capsys):
     assert all(line.startswith("cone,") for line in lines[1:])
 
 
+def test_cone_below_16_nodes_warns_on_stderr(capsys):
+    assert cli.main(["--grid-n", "128", "cone", "--param-n", "4"]) == 0
+    captured = capsys.readouterr()
+    assert validate(captured.out)["results"]["param_n"] == 4
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "--param-n 4" in lines[0] and "16" in lines[0]
+    assert cli.main(["--grid-n", "128", "cone", "--param-n", "16"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_lowerbound_values_and_symmetry(capsys):
     offs = f"0.0,{PI/4},{PI/2},{3*PI/4}"
     code, out = run(capsys, "lowerbound", "--offsets", offs)

@@ -357,6 +357,27 @@ def test_surface_chart_rejects_a_one_node_or_non_increasing_axis():
         volumes.cone_chart(1, 8, Grid(64))
 
 
+def test_surface_chart_rejects_uneven_steps_and_a_partial_turn():
+    grid = Grid(16)
+    turn = np.arange(5) * (2 * PI / 5)
+    for axis0, axis1, message in (
+            ([0.0, 0.1, 0.3, 0.4], turn, "axis 0 needs uniform steps"),
+            # the first step makes one turn, the others do not
+            (np.linspace(0, 1, 4), turn * [1, 1, 1, 1, 1.1],
+             "axis 1 needs uniform steps"),
+            # a uniform axis over [0, 2] is differenced from its last
+            # node back to 0 as if one step apart
+            (np.linspace(0, 1, 4), np.linspace(0, 2, 5), "one turn"),
+            # 2 pi repeats the node at 0
+            (np.linspace(0, 1, 4), np.linspace(0, 2 * PI, 5), "one turn")):
+        with pytest.raises(ValueError, match=message):
+            SurfaceChart("bad", grid, axis0, axis1,
+                         np.ones((len(axis0), len(axis1), grid.n)))
+    # rounding in the steps of linspace and arange is accepted
+    SurfaceChart("ok", grid, np.linspace(0.3, PI / 2, 33), turn,
+                 np.ones((33, 5, grid.n)))
+
+
 def test_cone_metric_derivative_closed_form():
     chart = volumes.cone_chart(33, 33, Grid(128))
     i = 16
@@ -467,7 +488,7 @@ def synthetic_chart(n0, n1, seed):
     grid = Grid(16)
     values = np.random.default_rng(seed).normal(size=(n0, n1, grid.n))
     return SurfaceChart("synthetic", grid, np.linspace(0.0, 1.0, n0),
-                        np.linspace(0.0, 2.0, n1), values)
+                        np.arange(n1) * (2 * PI / n1), values)
 
 
 def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
@@ -479,9 +500,16 @@ def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
                for seed, (n0, n1) in enumerate([(5, 6), (3, 4)])]
     used = set()
     for chart in charts:
-        for i in range(len(chart.axis0)):
-            norms, flagged = volumes._row_metric_derivative(chart, i)
-            for j in range(len(chart.axis1)):
+        n0, n1 = len(chart.axis0), len(chart.axis1)
+        # the whole chart as one block: rows with different rules and
+        # kept offsets side by side
+        block, block_flags = volumes._metric_derivatives(chart, range(n0))
+        for i in range(n0):
+            norms, (flagged,) = volumes._metric_derivatives(
+                chart, range(i, i + 1))
+            assert np.array_equal(block[i * n1:(i + 1) * n1], norms)
+            assert block_flags[i] is flagged
+            for j in range(n1):
                 want, want_flagged, count = reference_metric_derivative(
                     chart, (i, j))
                 used.add(count)
@@ -631,7 +659,7 @@ def test_row_jacobians_equal_the_node_reference_on_charts():
     counts = []
     for chart in charts:
         for i in range(len(chart.axis0)):
-            rows, _ = volumes._row_metric_derivative(chart, i)
+            rows, _ = volumes._metric_derivatives(chart, range(i, i + 1))
             live = rows[rows.min(axis=1) > 1e-9]
             if len(live):
                 counts += assert_batch_matches_the_node_reference(live)[0]
@@ -679,7 +707,7 @@ def test_finsler_mass_table_checks_definitions_before_any_node():
     # a constant chart: every metric derivative is the zero seminorm
     grid = Grid(16)
     flat = SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
-                        np.linspace(0.0, 1.0, 5), np.ones((4, 5, grid.n)))
+                        np.arange(5) * (2 * PI / 5), np.ones((4, 5, grid.n)))
     assert volumes.finsler_mass_table(flat) \
         == dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
     with pytest.raises(ValueError, match="unknown volume definition"):
@@ -760,6 +788,47 @@ def reference_tangent(chart, axis, i, j):
     if i == 0:
         return (V[1, j] - V[0, j]) / h
     return (V[n - 1, j] - V[n - 2, j]) / h
+
+
+def row_reference_mass_table(chart):
+    """The mass table a row at a time: each row's metric derivatives
+    through their own ``jacobians`` call, the weighted Jacobians added
+    node by node in row-major order."""
+    w0, w1 = volumes._axis_weights(chart)
+    want = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
+    for i in range(len(chart.axis0)):
+        norms, _ = volumes._metric_derivatives(chart, range(i, i + 1))
+        cols = np.flatnonzero(norms.min(axis=1) > volumes.DEGENERATE_NORM)
+        if not len(cols):
+            continue
+        for d, values in jacobians(norms[cols]).items():
+            for j, J in zip(cols, values):
+                want[d] += w0[i] * w1[j] * J
+    return want
+
+
+def test_block_mass_table_equals_the_row_reference():
+    charts = [volumes.cone_chart(n, n, Grid(128))
+              for n in (3, 4, 5, 7, 16, 24, 48)]
+    for n_d, n_tau in ((17, 32), (33, 64)):
+        cap = volumes.cap_chart(0.3, n_d, n_tau, Grid(64))
+        charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
+    grid = Grid(16)
+    charts.append(SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
+                               np.arange(5) * (2 * PI / 5),
+                               np.ones((4, 5, grid.n))))
+    for chart in charts:
+        assert volumes.finsler_mass_table(chart) \
+            == row_reference_mass_table(chart), chart.values.shape
+    # blocks end mid-chart, and the 3- and 4-row cones keep different
+    # offsets in rows of one block
+    assert any(len(c.axis0) * len(c.axis1) > volumes._BLOCK for c in charts)
+    for n in (3, 4):
+        cone = volumes.cone_chart(n, n, Grid(128))
+        assert n * n <= volumes._BLOCK
+        kept = {reference_metric_derivative(cone, (i, 0))[2]
+                for i in range(n)}
+        assert len(kept) > 1
 
 
 def reference_surface_integral(chart):
