@@ -119,24 +119,22 @@ class _Workspace:
     def _trig(self, eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
         return _angle_columns(self.nu_beta, self.nu_alpha, eta)
 
-    def value_rows(self, eta: AngleField) -> tuple[float, np.ndarray]:
-        """Psi and the product ``R = PW @ B`` it is summed from; the
-        gradient at the same ``eta`` can take ``R`` instead of forming
-        it again."""
+    def value_rows(self, eta: AngleField) -> tuple[float, tuple]:
+        """Psi and the rows ``(B, A, R)`` it is summed from: the trig
+        columns and the product ``R = PW @ B``.  The gradient at the same
+        ``eta`` can take them instead of forming them again."""
         B, A = self._trig(eta)
         R = self.PW @ B                        # (PW cos tb, PW sin tb)
-        return _row_sum(A, R), R
+        return _row_sum(A, R), (B, A, R)
 
     def value(self, eta: AngleField) -> float:
         return self.value_rows(eta)[0]
 
-    def gradient(self, eta: AngleField,
-                 R: np.ndarray | None = None) -> np.ndarray:
-        """Gradient in the mean-zero gauge; ``R`` is ``value_rows``'s
-        product at the same ``eta``, if the caller has it."""
-        B, A = self._trig(eta)
-        if R is None:
-            R = self.PW @ B
+    def gradient(self, eta: AngleField, rows: tuple | None = None
+                 ) -> np.ndarray:
+        """Gradient in the mean-zero gauge; ``rows`` are ``value_rows``'s
+        at the same ``eta``, if the caller has them."""
+        B, A, R = rows if rows is not None else self.value_rows(eta)[1]
         # column and row sums of PW_jk cos(tb_k - ta_j)
         g = (B * (A.T @ self.PW).T).sum(axis=1)   # d / d eta(beta_k)
         rows = (A * R).sum(axis=1)                 # midpoint contributions
@@ -211,9 +209,10 @@ def _ascend(ws: _Workspace,
         return v - v.mean()
 
     eta = project(bandpass(eta0))
-    # R is PW @ B at the current eta, from the value that accepted it;
-    # the next gradient is taken at the same field and reuses it
-    val, R = ws.value_rows(AngleField(grid, eta - eta.mean()))
+    # rows are the trig columns and PW @ B at the current eta, from the
+    # value that accepted it; the next gradient is taken at the same
+    # field and reuses them
+    val, rows = ws.value_rows(AngleField(grid, eta - eta.mean()))
     step = step0
     grad_norm = math.inf
     iters = 0
@@ -222,7 +221,7 @@ def _ascend(ws: _Workspace,
     g_prev = None
     for iters in range(1, MAX_ITERS + 1):
         field_eta = AngleField(grid, eta - eta.mean())
-        g = bandpass(ws.gradient(field_eta, R))
+        g = bandpass(ws.gradient(field_eta, rows))
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= GRAD_TOL:
             iters -= 1
@@ -240,10 +239,10 @@ def _ascend(ws: _Workspace,
         trial = step
         while trial > step0 * 1e-12:
             cand = project(eta + trial * g)
-            cand_val, cand_R = ws.value_rows(
+            cand_val, cand_rows = ws.value_rows(
                 AngleField(grid, cand - cand.mean()))
             if cand_val >= val + ARMIJO * float(g @ (cand - eta)):
-                eta, val, R = cand, cand_val, cand_R
+                eta, val, rows = cand, cand_val, cand_rows
                 accepted = True
                 break
             trial *= BACKTRACK

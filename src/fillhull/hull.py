@@ -8,7 +8,8 @@ half at read time, so the symmetry is structural rather than tested.
 Distinguished subsets:
 
 * the circle itself, given by distance functions ``boundary_point``,
-* the embedded upper hemisphere, given by ``sphere_point``,
+* the embedded upper hemisphere, given by ``sphere_point``, and the
+  point on it nearest to ``f`` within a certified ``HEMISPHERE_GAP``,
 * the truncated hull (values clamped to ``[eps, pi - eps]``),
 * functions with Lipschitz constant < 1 (``shrink_toward_center``),
   which serve as the practical certificate for strict interiority.
@@ -154,73 +155,72 @@ def dist_to_boundary(f: HullFn) -> float:
 
 # Certified optimality gap of ``dist_to_hemisphere``.
 HEMISPHERE_GAP = 1e-9
-# Matrix entries per block of chart evaluations.
-_BLOCK = 1 << 16
-# Child-center offsets of a chart square, in units of the child side.
-_CHILDREN = 0.5 * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0],
-                            [1.0, 1.0]])
 
 
-def _chart_dists(uv: np.ndarray, cos_b: np.ndarray, sin_b: np.ndarray,
-                 fv: np.ndarray) -> np.ndarray:
-    """``F(u, v) = max_k |g(beta_k) - f(beta_k)|`` at chart points.
-
-    The chart point ``(u, v)`` with ``rho = |(u, v)|`` is the sphere
-    point ``p = (sinc(rho) u, sinc(rho) v, cos rho)`` at distance ``rho``
-    from the pole, and ``g(beta)`` is its distance to the circle point
-    ``e = (cos beta, sin beta, 0)``.  That distance is
-    ``arccos(p . e)``, computed as ``2 arcsin(|p - e| / 2)``: the chord
-    keeps full accuracy where ``p . e`` is close to 1 (``d`` near 0),
-    where the arccos loses half the digits.
-    """
-    rho = np.hypot(uv[:, 0], uv[:, 1])
-    p = uv * np.sinc(rho / PI)[:, None]
-    height2 = np.cos(rho) ** 2
-    out = np.empty(len(uv))
-    rows = max(1, _BLOCK // fv.size)
-    for i in range(0, len(uv), rows):
-        blk = slice(i, i + rows)
-        x = p[blk, :1] - cos_b
-        y = p[blk, 1:] - sin_b
-        half_chord = 0.5 * np.sqrt(x * x + y * y + height2[blk, None])
-        g = 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
-        out[blk] = np.abs(g - fv).max(axis=1)
-    return out
+def _basis(nodes: tuple[int, ...], step: float, offsets: np.ndarray
+           ) -> tuple[float, float, float, float] | None:
+    """Bound ``T`` and point ``(x, y, z^2)`` of three circle nodes, or
+    None unless they positively span with all ``F_i + T <= pi``.  ``z^2 =
+    |p - e_i|^2 - |X - e_i|^2`` at the nearest node keeps ``d`` accurate
+    where ``1 - |X|^2`` cancels."""
+    nodes = sorted(nodes)  # counterclockwise, so spanning means lam > 0
+    a = [k * step for k in nodes]
+    F = [float(offsets[k]) for k in nodes]
+    lam = [math.sin(a[(i + 2) % 3] - a[(i + 1) % 3]) for i in range(3)]
+    if min(lam) <= 0.0:
+        return None
+    T = math.atan2(sum(v * math.cos(x) for v, x in zip(lam, F)),
+                   sum(v * math.sin(x) for v, x in zip(lam, F)))
+    if max(F) + T > PI:
+        return None
+    k = lam.index(max(lam))  # the other two are the best conditioned pair
+    i, j = (k + 1) % 3, (k + 2) % 3
+    ci, cj, det = math.cos(F[i] + T), math.cos(F[j] + T), lam[k]
+    x = (ci * math.sin(a[j]) - cj * math.sin(a[i])) / det
+    y = (cj * math.cos(a[i]) - ci * math.cos(a[j])) / det
+    k = F.index(min(F))
+    return T, x, y, (4.0 * math.sin(0.5 * (F[k] + T)) ** 2
+                     - (x - math.cos(a[k])) ** 2 - (y - math.sin(a[k])) ** 2)
 
 
 def dist_to_hemisphere(f: HullFn) -> tuple[float, SpherePoint]:
     """Nearest hemisphere point, certified to within ``HEMISPHERE_GAP``.
 
-    Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) on the
-    azimuthal equidistant chart ``(u, v) = (pi/2 - d)(cos tau, sin tau)``
-    over the square ``[-pi/2, pi/2]^2``, which has no pole singularity.
-    The chart map to the sphere is 1-Lipschitz (``sin rho <= rho``) and
-    each ``g(beta_k)`` is a spherical distance to a fixed point, so the
-    objective ``F`` of ``_chart_dists`` is 1-Lipschitz and a square of
-    side ``h`` holds no value below ``F(center) - h / sqrt(2)``.  Each
-    level evaluates the centers of the live squares, drops those whose
-    bound cannot beat the best value by the gap and splits the rest in
-    four; when none is left, the best center is within the gap of the
-    global minimum.  Chart points with ``rho > pi/2`` lie below the
-    equator and have the same ``g`` as their mirror images, which gives
-    ``d = |pi/2 - rho|``.
+    Over the ``2n`` circle nodes ``e_k``, offset by ``F_k`` (f, and ``pi -
+    f`` at the antipodes), the sup distance of the point over ``X = cos d
+    (cos tau, sin tau)`` is ``max_k arccos <X, e_k> - F_k``, at most ``T``
+    on the half-planes ``<X, e_k> >= cos(F_k + T)``.  Three nodes that
+    positively span fix its minimum, an LP-type problem (Matousek, Sharir
+    and Welzl 1992); with ``lam`` the sines of their opposite gaps, ``sum
+    lam_i e_i = 0``, so the root of ``sum lam_i cos(F_i + T)`` is a lower
+    bound (Farkas).  The exchange swaps in the node most violated at the
+    basis point, keeps the best triple that still spans, and stops when
+    the distance there is within ``HEMISPHERE_GAP`` of the bound (or of
+    0), else raises ``ConvergenceError``.  It starts at ``X = (2/n) sum
+    cos f(beta_k) e_k``, exact on the hemisphere; ``tau = 0`` at the pole.
     """
-    nodes = f.grid.beta_nodes
-    cos_b, sin_b = np.cos(nodes), np.sin(nodes)
-    centers = np.zeros((1, 2))
-    side = PI
-    best, best_uv = math.inf, centers[0]
-    while len(centers):
-        vals = _chart_dists(centers, cos_b, sin_b, f.values)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best, best_uv = float(vals[i]), centers[i]
-        live = centers[vals - side / math.sqrt(2.0) < best - HEMISPHERE_GAP]
-        side /= 2.0
-        centers = (live[:, None, :] + side * _CHILDREN).reshape(-1, 2)
-    u, v = best_uv
-    return best, SpherePoint(math.atan2(v, u) % TWO_PI,
-                             abs(PI / 2 - math.hypot(u, v)))
+    n, nodes, offsets = f.grid.n, f.grid.beta_nodes, f.extended()
+    x, y = 2.0 / n * np.cos([nodes, nodes - PI / 2]) @ np.cos(f.values)
+    T, basis, z2 = -math.inf, (), 1.0 - x * x - y * y
+    while True:
+        d = math.atan2(math.sqrt(max(z2, 0.0)), math.hypot(x, y))
+        tau = 0.0 if d == PI / 2 else (math.atan2(y, x) + TWO_PI) % TWO_PI
+        # half chords: their non-negative terms keep small distances accurate
+        s = np.sin(0.5 * (nodes - tau))
+        s = np.sqrt(math.sin(0.5 * d) ** 2 + math.cos(d) * s * s)
+        v = 2.0 * np.arcsin(np.minimum(s, 1.0)) - f.values
+        v = np.concatenate([v, -v])
+        m = int(np.argmax(v))
+        if v[m] - max(T, 0.0) <= HEMISPHERE_GAP:
+            return float(v[m]), SpherePoint(tau, d)
+        triples = ([basis[:k] + basis[k + 1:] + (m,) for k in range(3)]
+                   if basis else  # m and the nodes a third of a turn away
+                   [tuple((m + 2 * n * k // 3) % (2 * n) for k in range(3))])
+        found = [(sol, t) for t in triples
+                 if (sol := _basis(t, f.grid.step, offsets)) and sol[0] > T]
+        if not found:
+            raise ConvergenceError("no exchange reaches HEMISPHERE_GAP")
+        (T, x, y, z2), basis = max(found, key=lambda s: s[0][0])
 
 
 def truncate(f: HullFn, eps: float) -> HullFn:

@@ -246,19 +246,45 @@ def test_gradient_from_the_value_product_is_bit_identical():
         _capped_field(GRID, rng, amp)
         for amp in (0.05, OptimizerConfig().eta_cap)]
     for eta in fields:
-        value, R = ws.value_rows(eta)
+        value, rows = ws.value_rows(eta)
         assert value == ws.value(eta)
-        assert np.array_equal(ws.gradient(eta, R), ws.gradient(eta))
+        assert np.array_equal(ws.gradient(eta, rows), ws.gradient(eta))
 
 
 def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
+    # every value and gradient of the run, not only its result, matches a
+    # run whose gradients form their trig columns and PW @ B afresh
     f = hull.random_hull_point(3, 0.25, 0.3, GRID)
     _, h = hull.dist_to_hemisphere(f)
-    eta, val, diag = comass.maximize_eta(h, f)
+    value_rows = comass._Workspace.value_rows
+    gradient = comass._Workspace.gradient
+
+    def run(reuse):
+        calls = []
+
+        def traced_value_rows(self, eta):
+            out = value_rows(self, eta)
+            calls.append(("value", out[0]))
+            return out
+
+        def traced_gradient(self, eta, rows=None):
+            if not reuse:   # the rows at eta, formed afresh and untraced
+                rows = value_rows(self, eta)[1]
+            g = gradient(self, eta, rows)
+            calls.append(("gradient", g))
+            return g
+
+        monkeypatch.setattr(comass._Workspace, "value_rows",
+                            traced_value_rows)
+        monkeypatch.setattr(comass._Workspace, "gradient", traced_gradient)
+        return comass.maximize_eta(h, f), calls
+
+    (eta, val, diag), calls = run(reuse=True)
+    (eta2, val2, diag2), calls2 = run(reuse=False)
     assert diag["iterations"] > 5
-    fresh = comass._Workspace.gradient
-    monkeypatch.setattr(comass._Workspace, "gradient",
-                        lambda self, eta, R=None: fresh(self, eta))
-    eta2, val2, diag2 = comass.maximize_eta(h, f)
     assert np.array_equal(eta.values, eta2.values)
     assert (val, diag) == (val2, diag2)
+    assert len(calls) == len(calls2)
+    for (kind, x), (kind2, x2) in zip(calls, calls2):
+        assert kind == kind2
+        assert np.array_equal(x, x2)

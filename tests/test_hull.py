@@ -11,6 +11,57 @@ PI = math.pi
 GRID = Grid(256)
 
 
+# The Lipschitz branch and bound that ``dist_to_hemisphere`` replaced,
+# kept as the reference it is compared against.
+_BLOCK = 1 << 16
+_CHILDREN = 0.5 * np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0],
+                            [1.0, 1.0]])
+
+
+def _chart_dists(uv, cos_b, sin_b, fv):
+    """``F(u, v) = max_k |g(beta_k) - f(beta_k)|`` at chart points ``(u,
+    v) = (pi/2 - d)(cos tau, sin tau)``, with ``g`` in chord form."""
+    rho = np.hypot(uv[:, 0], uv[:, 1])
+    p = uv * np.sinc(rho / PI)[:, None]
+    height2 = np.cos(rho) ** 2
+    out = np.empty(len(uv))
+    rows = max(1, _BLOCK // fv.size)
+    for i in range(0, len(uv), rows):
+        blk = slice(i, i + rows)
+        x = p[blk, :1] - cos_b
+        y = p[blk, 1:] - sin_b
+        half_chord = 0.5 * np.sqrt(x * x + y * y + height2[blk, None])
+        g = 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
+        out[blk] = np.abs(g - fv).max(axis=1)
+    return out
+
+
+def reference_dist_to_hemisphere(f):
+    """Lipschitz branch and bound (Piyavskii 1972; Shubert 1972) on the
+    azimuthal equidistant chart over ``[-pi/2, pi/2]^2``: the objective
+    is 1-Lipschitz there, so a square of side ``h`` holds no value below
+    ``F(center) - h / sqrt(2)``; squares that cannot beat the best value
+    by ``HEMISPHERE_GAP`` are dropped and the rest split in four.  Chart
+    points with ``rho > pi/2`` mirror to ``d = |pi/2 - rho|``."""
+    nodes = f.grid.beta_nodes
+    cos_b, sin_b = np.cos(nodes), np.sin(nodes)
+    centers = np.zeros((1, 2))
+    side = PI
+    best, best_uv = math.inf, centers[0]
+    while len(centers):
+        vals = _chart_dists(centers, cos_b, sin_b, f.values)
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, best_uv = float(vals[i]), centers[i]
+        live = centers[vals - side / math.sqrt(2.0)
+                       < best - hull.HEMISPHERE_GAP]
+        side /= 2.0
+        centers = (live[:, None, :] + side * _CHILDREN).reshape(-1, 2)
+    u, v = best_uv
+    return best, SpherePoint(math.atan2(v, u) % (2 * PI),
+                             abs(PI / 2 - math.hypot(u, v)))
+
+
 def test_boundary_point_is_member_with_zero_boundary_distance():
     f = hull.boundary_point(1.3, GRID)
     assert hull.is_member(f)
@@ -76,6 +127,8 @@ def test_dist_to_hemisphere_recovers_sphere_points():
         assert dist <= hull.HEMISPHERE_GAP
         assert hull.sup_dist(hull.sphere_point(q, GRID), f) <= 1e-8
         assert q.d == pytest.approx(p.d, abs=1e-6)
+        if p.d == PI / 2:
+            assert (q.tau, q.d) == (0.0, PI / 2)   # tau = 0 at the pole
 
 
 def test_dist_to_hemisphere_is_below_a_dense_scan():
@@ -91,6 +144,49 @@ def test_dist_to_hemisphere_is_below_a_dense_scan():
         assert dist <= scan + hull.HEMISPHERE_GAP
         assert hull.sup_dist(hull.sphere_point(q, GRID), f) == pytest.approx(
             dist, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_dist_to_hemisphere_matches_the_branch_and_bound(n):
+    # sweep-like blends from the sweep's default hemisphere point toward
+    # random:0..31,0.25,0.3, and ten sphere points
+    grid = Grid(n)
+    h = hull.sphere_point(SpherePoint(0.0, 0.7), grid).values
+    inputs = [HullFn(grid, (1 - t) * h + t * g.values)
+              for g in (hull.random_hull_point(seed, 0.25, 0.3, grid)
+                        for seed in range(32))
+              for t in (0.02, 0.2, 1.0)]
+    rng = np.random.default_rng(1)
+    inputs += [hull.sphere_point(SpherePoint(rng.uniform(0, 2 * PI),
+                                             rng.uniform(0, PI / 2)), grid)
+               for _ in range(10)]
+    for f in inputs:
+        dist, q = hull.dist_to_hemisphere(f)
+        ref, _ = reference_dist_to_hemisphere(f)
+        assert ref - hull.HEMISPHERE_GAP <= dist <= ref + 1e-15
+        assert hull.sup_dist(hull.sphere_point(q, grid), f) == pytest.approx(
+            dist, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [512, 2048])
+def test_dist_to_hemisphere_is_certified_at_the_boundary_circle(n):
+    # tau = 1 and 2.5 lie over 1e-4 from every node, where the arccos of
+    # sphere_point is accurate to 1e-12
+    grid = Grid(n)
+    for tau in (1.0, 2.5):
+        for d in (0.0, 1e-9, 1e-7, 1e-3):
+            f = hull.sphere_point(SpherePoint(tau, d), grid)
+            dist, q = hull.dist_to_hemisphere(f)
+            assert dist <= hull.HEMISPHERE_GAP
+            assert q.tau == pytest.approx(tau, abs=1e-9)
+            assert hull.sup_dist(hull.sphere_point(q, grid), f) == (
+                pytest.approx(dist, abs=1e-12))
+    # 1e-4 from a boundary point, which is a hemisphere point
+    f = hull.truncate(hull.boundary_point(0.7, grid), 1e-4)
+    dist, q = hull.dist_to_hemisphere(f)
+    assert dist <= 1e-4
+    assert hull.sup_dist(hull.sphere_point(q, grid), f) == pytest.approx(
+        dist, abs=1e-12)
 
 
 def test_truncate_clamps_and_stays_member():
