@@ -48,6 +48,14 @@ class InputError(ValueError):
     pass
 
 
+def finite(text: str) -> float:
+    """``float(text)`` that rejects nan and inf, which no input takes."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
+
+
 def _round_sig(x: float, digits: int = 12) -> float:
     if x == 0 or not math.isfinite(x):
         return x
@@ -84,23 +92,23 @@ def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
                              f"the run grid has n = {grid.n}")
         if not hull.is_member(f):
             raise InputError(f"hull file {spec!r} is not a hull member "
-                             "(range [0, pi] and 1-Lipschitz with the "
-                             "antipodal wrap)")
+                             "(finite, range [0, pi] and 1-Lipschitz with "
+                             "the antipodal wrap)")
         return f
     kind, _, rest = spec.partition(":")
     try:
         if kind == "sphere":
-            tau, d = (float(v) for v in rest.split(","))
+            tau, d = (finite(v) for v in rest.split(","))
             return hull.sphere_point(hull.SpherePoint(tau % (2 * PI), d),
                                      grid)
         if kind == "random":
             seed, rough, eps = rest.split(",")
-            return hull.random_hull_point(int(seed), float(rough),
-                                          float(eps), grid)
+            return hull.random_hull_point(int(seed), finite(rough),
+                                          finite(eps), grid)
         if kind == "shrink":
             base, _, lam = rest.rpartition(",")
             return hull.shrink_toward_center(parse_hull_spec(base, grid),
-                                             float(lam))
+                                             finite(lam))
     except InputError:
         raise
     except (ValueError, TypeError) as exc:
@@ -121,8 +129,11 @@ def _emit(command: str, results: dict, cfg: RunConfig,
     else:
         text = json.dumps(_jsonable(report), indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:      # a missing directory, no permission
+            raise InputError(f"cannot write --out: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -149,13 +160,13 @@ def cmd_comass(args, cfg: RunConfig) -> int:
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     try:
-        t_list = [float(v) for v in args.t_list.split(",") if v.strip()]
+        t_list = [finite(v) for v in args.t_list.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad t list: {exc}")
     if not t_list:
         raise InputError("empty t list")
     try:
-        tau, d = (float(v) for v in args.h.split(","))
+        tau, d = (finite(v) for v in args.h.split(","))
     except ValueError as exc:
         raise InputError(f"bad hemisphere spec: {exc}")
     grid = Grid(cfg.grid_n)
@@ -196,7 +207,7 @@ def cmd_cone(args, cfg: RunConfig) -> int:
 
 def cmd_lowerbound(args, cfg: RunConfig) -> int:
     try:
-        offsets = [float(v) for v in args.offsets.split(",") if v.strip()]
+        offsets = [finite(v) for v in args.offsets.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad offsets: {exc}")
     rows = [{"offset": o, "area": volumes.coordinate_filling_area(0.0, o)}
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default="random:1,0.25,0.3", help="endpoint spec")
     p.add_argument("--t-list",
                    default="0.02,0.04,0.06,0.08,0.1,0.12,0.14,0.16,0.18,0.2")
-    p.add_argument("--defect-floor", type=float, default=5e-5)
+    p.add_argument("--defect-floor", type=finite, default=5e-5)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("cone", help="cone chart mass table")
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("l1", help="coefficient L1 norm over a random corpus")
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--eps", type=float, default=0.3)
+    p.add_argument("--eps", type=finite, default=0.3)
     p.set_defaults(fn=cmd_l1)
 
     p = sub.add_parser("check", help="run the cross-module invariant suite")

@@ -39,7 +39,6 @@ from .hull import HullFn, SpherePoint, dist_to_boundary
 
 __all__ = [
     "p_scalar",
-    "height",
     "p_derivatives",
     "p_grid",
     "p_l1_norm",
@@ -112,12 +111,6 @@ def p_scalar(a: float, x: float, y: float) -> float:
     _check_domain(a, x, y)
     sx, sy = math.sin(x), math.sin(y)
     return float(_e_values(a, x, y)) / (sx * sx * sy * sy)
-
-
-def height(a: float, x: float, y: float) -> float:
-    """``sqrt(e)``; satisfies ``p = height^2 / (sin^2 x sin^2 y)``."""
-    _check_domain(a, x, y)
-    return math.sqrt(float(_e_values(a, x, y)))
 
 
 def p_derivatives(a: float, x: float, y: float):

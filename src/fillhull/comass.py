@@ -25,7 +25,6 @@ reported maximum only at the level of the quadrature error.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -40,11 +39,9 @@ __all__ = [
     "OptimizerConfig",
     "psi",
     "psi_gradient",
-    "psi_hessian_quadform",
     "maximize_eta",
     "comass_ir",
     "calibration_sweep",
-    "concavity_certificate",
 ]
 
 PI = math.pi
@@ -142,9 +139,10 @@ class _Workspace:
         return g - g.mean()
 
     def quadform(self, eta: AngleField, v: AngleField) -> float:
-        """-sum of PW_jk sin(tb_k - ta_j) (v_k - vm_j)^2, with the square
-        expanded as v_k^2 - 2 v_k vm_j + vm_j^2: one product of PW with
-        an n x 6 matrix."""
+        """Second derivative of Psi along ``v`` (negative in the
+        concavity regime): -sum of PW_jk sin(tb_k - ta_j) (v_k - vm_j)^2,
+        with the square expanded as v_k^2 - 2 v_k vm_j + vm_j^2: one
+        product of PW with an n x 6 matrix."""
         B, A = self._trig(eta)
         vk = v.values[:, None]
         vm = v.at_midnodes()
@@ -181,13 +179,6 @@ def psi_gradient(p: SpherePoint, f: HullFn, eta: AngleField) -> AngleField:
     """Exact gradient of the discrete functional in the mean-zero gauge."""
     ws = _Workspace(p, f)
     return AngleField(eta.grid, ws.gradient(eta))
-
-
-def psi_hessian_quadform(p: SpherePoint, f: HullFn, eta: AngleField,
-                         v: AngleField) -> float:
-    """Second derivative of Psi along ``v``; negative in the concavity
-    regime."""
-    return _Workspace(p, f).quadform(eta, v)
 
 
 def _ascend(ws: _Workspace,
@@ -348,39 +339,3 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
         out["intercept"] = float(intercept)
     return out
 
-
-def concavity_certificate(p: SpherePoint, f: HullFn, eps2: float,
-                          trials: int, seed: int = 0) -> float:
-    """Empirical strict-concavity constant on the ``sup |eta| <= eps2``
-    ball: the minimum over random segment pairs of
-    ``-Q(eta_t; v) / ||v||_2^2`` at ``t in {0, 1/2, 1}``."""
-    if trials == 0:
-        warnings.warn("concavity_certificate called with trials = 0; "
-                      "returning the empty-minimum sentinel")
-        return math.inf
-    ws = _Workspace(p, f)
-    grid = ws.grid
-    rng = np.random.default_rng(seed)
-    alphas = grid.beta_nodes
-
-    def random_field() -> np.ndarray:
-        v = np.zeros(grid.n)
-        for k in (1, 2, 3):
-            v += (rng.normal() * np.cos(2 * k * alphas)
-                  + rng.normal() * np.sin(2 * k * alphas))
-        v -= v.mean()
-        scale = rng.uniform(0.2, 1.0) * eps2 / max(np.abs(v).max(), 1e-12)
-        return v * scale
-
-    best = math.inf
-    for _ in range(trials):
-        e0 = random_field()
-        e1 = random_field()
-        dv = e1 - e0
-        v = AngleField(grid, dv - dv.mean())
-        norm2 = PI * float(v.values @ v.values) * grid.step
-        for t in (0.0, 0.5, 1.0):
-            et = (1 - t) * e0 + t * e1
-            q = ws.quadform(AngleField(grid, et - et.mean()), v)
-            best = min(best, -q / norm2)
-    return best

@@ -111,14 +111,14 @@ class SpherePoint:
 
 
 def is_member(f: HullFn) -> bool:
-    """Check the two hull constraints, up to 1e-9: value range and
-    1-Lipschitz.
+    """Check the two hull constraints, up to 1e-9: finite values in
+    range and 1-Lipschitz.
 
     The Lipschitz check includes the wrap step through the antipodal
     extension, ``|f(pi) - f(pi - step)| = |(pi - f(0)) - f(pi - step)|``.
     """
     v, step, tol = f.values, f.grid.step, 1e-9
-    if v.min() < -tol or v.max() > PI + tol:
+    if not np.isfinite(v).all() or v.min() < -tol or v.max() > PI + tol:
         return False
     if np.abs(np.diff(v)).max(initial=0.0) > step + tol:
         return False
@@ -267,6 +267,8 @@ def random_hull_point(seed: int, roughness: float, eps: float,
     """
     if not 0.0 < eps < PI / 2:
         raise ValueError(f"eps must lie in (0, pi/2), got {eps}")
+    if not math.isfinite(roughness):
+        raise ValueError(f"roughness must be finite, got {roughness}")
     rng = np.random.default_rng(seed)
     tau = rng.uniform(0.0, TWO_PI)
     d = rng.uniform(min(eps + 0.05, PI / 2), PI / 2)

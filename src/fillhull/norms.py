@@ -36,7 +36,6 @@ __all__ = [
     "Norm2D",
     "DegenerateNormError",
     "JACOBIAN_DEFINITIONS",
-    "check_definitions",
     "john_ellipse",
     "jacobian",
     "jacobians",
@@ -371,13 +370,6 @@ def _max_wedges(p: np.ndarray) -> np.ndarray:
                   - p[:, :, None, 1] * p[:, None, :, 0]).max(axis=(1, 2))
 
 
-def check_definitions(definitions) -> None:
-    """Reject any name not in ``JACOBIAN_DEFINITIONS``."""
-    for definition in definitions:
-        if definition not in JACOBIAN_DEFINITIONS:
-            raise ValueError(f"unknown volume definition {definition!r}")
-
-
 def _jacobians(poly: _Polygons, definition: str) -> np.ndarray:
     """Jacobian of a checked definition for every node of ``poly``; see
     ``jacobian``."""
@@ -402,16 +394,15 @@ def jacobian(norm: Norm2D, definition: str) -> float:
     over the largest wedge of two hull vertices, mass* the largest
     wedge of two facet normals (the vertices of the dual ball).  This
     is the one-node case of ``jacobians``."""
-    check_definitions((definition,))
+    if definition not in JACOBIAN_DEFINITIONS:
+        raise ValueError(f"unknown volume definition {definition!r}")
     return float(_jacobians(norm._polygon, definition)[0])
 
 
-def jacobians(unit_norms: np.ndarray,
-              definitions=JACOBIAN_DEFINITIONS) -> dict[str, np.ndarray]:
-    """Jacobians of several definitions for every row of the ``(nodes,
-    m)`` non-degenerate sampled norms: one batched hull build and, per
+def jacobians(unit_norms: np.ndarray) -> dict[str, np.ndarray]:
+    """Jacobians of every definition for every row of the ``(nodes, m)``
+    non-degenerate sampled norms: one batched hull build and, per
     definition, one batched pass of the code ``jacobian`` runs on one
     node, so each node's value is the same."""
-    check_definitions(definitions)
     poly = _hull_polygons(unit_norms)
-    return {d: _jacobians(poly, d) for d in definitions}
+    return {d: _jacobians(poly, d) for d in JACOBIAN_DEFINITIONS}

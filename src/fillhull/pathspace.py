@@ -36,7 +36,6 @@ __all__ = [
     "mu_path",
     "sigma_path",
     "fuglede_check",
-    "basepoint_invariance",
 ]
 
 PI = math.pi
@@ -261,28 +260,3 @@ def fuglede_check(p: SpherePoint,
     bound = 5.0 * PI * (PI - area)
     return c0, c1, w_sup, bound
 
-
-def _shift_hull(f: HullFn, s: int) -> HullFn:
-    idx = (np.arange(f.grid.n) + s) % (2 * f.grid.n)
-    return HullFn(f.grid, f.extended()[idx])
-
-
-def _shift_path(gamma: PlanePath, s: int) -> PlanePath:
-    idx = (np.arange(gamma.grid.n) + s) % (2 * gamma.grid.n)
-    pts = gamma.extended()[idx]
-    mid = None
-    if gamma.mid_points is not None:
-        mid_ext = np.concatenate([gamma.mid_points, -gamma.mid_points])
-        mid = mid_ext[idx]
-    return PlanePath(gamma.grid, pts, mid)
-
-
-def basepoint_invariance(f: HullFn, gamma: PlanePath,
-                         shift_steps: int) -> tuple[float, float]:
-    """Action before and after cyclically shifting the base point by
-    ``shift_steps`` grid cells (antipodal wrap on both arguments).  The
-    two values agree up to quadrature tolerance."""
-    before = omega_action(f, gamma)
-    after = omega_action(_shift_hull(f, shift_steps),
-                         _shift_path(gamma, shift_steps))
-    return before, after

@@ -22,7 +22,7 @@ from .coeffs import gap_vectors, toeplitz
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
 from .norms import (DEGENERATE_NORM, DegenerateNormError,
-                    JACOBIAN_DEFINITIONS, Norm2D, check_definitions,
+                    JACOBIAN_DEFINITIONS, Norm2D,
                     jacobian, jacobians, john_ellipse)
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "john_ellipse",
     "jacobian",
     "metric_derivative",
-    "finsler_mass",
     "finsler_mass_table",
     "cone_chart",
     "cap_chart",
@@ -251,11 +250,10 @@ def _axis_weights(chart: SurfaceChart) -> tuple[np.ndarray, np.ndarray]:
     return w0, np.full(len(chart.axis1), chart.axis1[1] - chart.axis1[0])
 
 
-def finsler_mass_table(chart: SurfaceChart,
-                       definitions=JACOBIAN_DEFINITIONS) -> dict[str, float]:
-    """Finsler masses of the chart for several volume definitions in
-    one pass: parameter quadrature of the volume Jacobians of the
-    metric derivative.  Nodes where the metric derivative degenerates
+def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
+    """Finsler masses of the chart for every volume definition in one
+    pass: parameter quadrature of the volume Jacobians of the metric
+    derivative.  Nodes where the metric derivative degenerates
     to a seminorm contribute zero, matching the seminorm convention.
 
     The parameter rows go in blocks of whole rows of about ``_BLOCK``
@@ -265,32 +263,25 @@ def finsler_mass_table(chart: SurfaceChart,
     the temporaries stay the size of one block and each node gets the
     value ``jacobian`` gives its norm; the weighted Jacobians are added
     node by node in row-major order."""
-    check_definitions(definitions)
     # a NaN norm would pass the degeneracy test below unnoticed
     if not np.isfinite(chart.values).all():
         raise ValueError("chart values must be finite")
     w0, w1 = _axis_weights(chart)
     n0, n1 = len(chart.axis0), len(chart.axis1)
     step = max(1, _BLOCK // n1)
-    totals = dict.fromkeys(definitions, 0.0)
+    totals = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
     for i in range(0, n0, step):
         norms, _ = _metric_derivatives(chart, range(n0)[i:i + step])
         live = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
         if not len(live):
             continue
         weights = np.outer(w0[i:i + step], w1).ravel()[live]
-        for definition, values in jacobians(norms[live],
-                                            definitions).items():
+        for definition, values in jacobians(norms[live]).items():
             total = totals[definition]
             for term in (weights * values).tolist():
                 total += term
             totals[definition] = total
     return totals
-
-
-def finsler_mass(chart: SurfaceChart, definition: str) -> float:
-    """Finsler mass of the chart for one volume definition."""
-    return finsler_mass_table(chart, (definition,))[definition]
 
 
 def cone_chart(n_r: int = 48, n_alpha: int = 48,

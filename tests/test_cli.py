@@ -93,6 +93,9 @@ def test_malformed_hull_file_exits_2(tmp_path, capsys):
     (512, np.random.default_rng(0).uniform(0.5, 2.5, 512), "not a hull"),
     # 1-Lipschitz inside, but f(pi) = pi - f(0) is far from f(pi - step)
     (512, np.ones(512), "not a hull"),
+    # one NaN sample: every range and Lipschitz comparison with it is false
+    (512, np.where(np.arange(512) == 200, np.nan, hull.sphere_point(
+        hull.SpherePoint(0.5, 0.7), Grid(512)).values), "not a hull"),
 ])
 def test_unusable_hull_file_exits_2(tmp_path, capsys, n, values, message):
     path = tmp_path / "point.json"
@@ -111,6 +114,25 @@ def test_bad_run_config_exits_2(capsys):
         code, out = run(capsys, *argv)
         assert code == 2
         assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("comass", "random:1,nan,0.3"),
+    ("comass", "random:1,inf,0.3"),
+    ("sweep", "--t-list", "0.1,nan"),
+    ("sweep", "--defect-floor", "inf"),
+    ("lowerbound", "--offsets", "nan,inf"),
+    ("lowerbound", "--offsets", "0.5,-inf"),
+])
+def test_non_finite_numbers_exit_2(capsys, argv):
+    try:
+        code = cli.main(["--grid-n", "128", *argv])
+    except SystemExit as exc:       # argparse rejects an option's value
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_bad_table_sizes_exit_2(capsys):
@@ -219,6 +241,12 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     assert code == 0
     assert out == ""
     validate(path.read_text())
+    # a directory that does not exist: one line on stderr, no traceback
+    missing = tmp_path / "missing" / "report.json"
+    assert cli.main(["--out", str(missing), "lowerbound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "cannot write" in captured.err
 
 
 def test_check_fast_passes_cleanly(capsys):

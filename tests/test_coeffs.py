@@ -41,8 +41,11 @@ def test_p_equals_height_squared_over_sines():
         a = rng.uniform(0.2, PI - 0.2)
         x = rng.uniform(0.2, PI - 0.2)
         y = rng.uniform(0.2, PI - 0.2)
-        h = coeffs.height(a, x, y)
-        want = h * h / (math.sin(x) ** 2 * math.sin(y) ** 2)
+        # e = height^2, written out and clamped at zero
+        e = 1.0 - ((math.cos(x) ** 2 + math.cos(y) ** 2
+                    - 2.0 * math.cos(a) * math.cos(x) * math.cos(y))
+                   / math.sin(a) ** 2)
+        want = max(e, 0.0) / (math.sin(x) ** 2 * math.sin(y) ** 2)
         assert coeffs.p_scalar(a, x, y) == pytest.approx(want, abs=1e-12)
 
 
@@ -62,8 +65,9 @@ def test_p_derivatives_match_finite_differences():
         x = rng.uniform(0.4, PI - 0.4)
         y = rng.uniform(0.4, PI - 0.4)
         # the closed forms differentiate the raw expression, so stay
-        # clear of the region where the height clamps to zero
-        if coeffs.height(a, x, y) ** 2 < 0.05:
+        # clear of the region where the squared height e clamps to zero
+        e = coeffs.p_scalar(a, x, y) * (math.sin(x) * math.sin(y)) ** 2
+        if e < 0.05:
             continue
         done += 1
         p_x, p_y, p_xx, p_xy, p_yy = coeffs.p_derivatives(a, x, y)

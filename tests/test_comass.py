@@ -49,7 +49,7 @@ def test_hessian_quadform_matches_finite_differences():
     f = hull.sphere_point(H, GRID)
     eta = random_field(GRID, rng)
     v = random_field(GRID, rng, amp=0.3)
-    q = comass.psi_hessian_quadform(H, f, eta, v)
+    q = comass._Workspace(H, f).quadform(eta, v)
     t = 1e-4
     up = AngleField.from_values(GRID, eta.values + t * v.values)
     dn = AngleField.from_values(GRID, eta.values - t * v.values)
@@ -63,21 +63,8 @@ def test_hessian_is_negative_near_the_maximizer():
     f = hull.sphere_point(H, GRID)
     for _ in range(10):
         v = random_field(GRID, rng, amp=0.1)
-        q = comass.psi_hessian_quadform(H, f, AngleField.zero(GRID), v)
+        q = comass._Workspace(H, f).quadform(AngleField.zero(GRID), v)
         assert q < 0
-
-
-def test_concavity_certificate_is_positive():
-    f = hull.sphere_point(H, GRID)
-    c = comass.concavity_certificate(H, f, eps2=0.1, trials=10)
-    assert c > 0
-
-
-def test_concavity_certificate_warns_on_zero_trials():
-    f = hull.sphere_point(H, GRID)
-    with pytest.warns(UserWarning):
-        c = comass.concavity_certificate(H, f, eps2=0.1, trials=0)
-    assert c == math.inf
 
 
 def test_maximize_eta_at_hemisphere_point_returns_pi_and_tiny_eta():

@@ -215,6 +215,12 @@ def test_random_hull_point_is_member_and_deterministic():
     assert f1.values.max() <= PI - 0.3 + 1e-9
 
 
+def test_random_hull_point_rejects_non_finite_roughness():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="roughness must be finite"):
+            hull.random_hull_point(1, bad, 0.3, GRID)
+
+
 def test_random_hull_point_zero_roughness_is_truncated_hemisphere():
     f = hull.random_hull_point(2, 0.0, 0.3, GRID)
     dist, _ = hull.dist_to_hemisphere(f)
