@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -403,9 +404,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a comma list of numbers
+_LIST_OPTIONS = ("--h", "--t-list", "--offsets")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    words = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a list such as "-0.5,1.0", which is not one
+    # negative number, as an option: join it to its option with "="
+    for k in range(len(words) - 1, 0, -1):
+        if words[k - 1] in _LIST_OPTIONS and re.match(r"-[\d.]", words[k]):
+            words[k - 1:k + 1] = [words[k - 1] + "=" + words[k]]
+    args = parser.parse_args(words)
     try:
         cfg = RunConfig(grid_n=args.grid_n, eval_n=args.eval_n,
                         seed=args.seed, fmt=args.format, out=args.out)

@@ -15,9 +15,11 @@ vertices give mass, its facet normals ``c_i`` (the vertices of the dual
 polygon) give mass*, its gauge gives the ball area and the dual norm,
 and the John ellipse is the exact solution of a 3-variable max-det
 problem over the ``c_i``.  The polygons of many norms are built and
-measured together, padded with zero rows to a common size
-(``jacobians``); ``Norm2D``, ``jacobian`` and ``john_ellipse`` are the
-one-node case of that code.
+measured together (``jacobians``): the hull's first pass runs on the
+regular layout of ``2m`` points per node, and the polygons are padded
+with zero rows to ``K`` vertices, which the kernels take a column at a
+time.  ``Norm2D``, ``jacobian`` and ``john_ellipse`` are the one-node
+case of that code.
 """
 
 from __future__ import annotations
@@ -180,47 +182,45 @@ def _hull_polygons(unit_norms: np.ndarray) -> _Polygons:
     neighbours lies in their triangle with the origin: all such points
     are dropped at once until none is left.  Unlike a sort by
     coordinates, this order has no ties up to rounding on axis-parallel
-    edges.  The points of every node form one flat array with a node id
-    per point, and each pass finds a point's neighbours within its
-    node's run.  The elimination keeps each point set symmetric, so the
-    first half of a node's run is its half-turn of vertices."""
+    edges.  The first pass runs on the regular layout, x and y as two
+    ``(nodes, 2m)`` arrays with a node's neighbours along its row; the
+    survivors form flat x and y arrays with a node id per point, and
+    each later pass finds a point's neighbours within its node's run.
+    The elimination keeps each point set symmetric, so the first half
+    of a node's run is its half-turn of vertices."""
     nodes, m = unit_norms.shape
     th = np.arange(m) * (PI / m)
-    half = np.column_stack([np.cos(th), np.sin(th)])[None] \
-        / unit_norms[:, :, None]
-    pts = np.concatenate([half, -half], axis=1)
-    tol = 1e-14 * (pts * pts).sum(axis=2).max(axis=1)
-    pts = pts.reshape(-1, 2)
-    node = np.repeat(np.arange(nodes), 2 * m)
-    while True:
-        first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-        last = np.r_[first[1:], len(node)] - 1
+    x, y = np.cos(th) / unit_norms, np.sin(th) / unit_norms
+    x, y = np.concatenate([x, -x], axis=1), np.concatenate([y, -y], axis=1)
+    tol = 1e-14 * (x * x + y * y).max(axis=1)
+    # the edge into each point; the edge out of it goes into the next
+    ex, ey = x - np.roll(x, 1, axis=1), y - np.roll(y, 1, axis=1)
+    keep = ex * np.roll(ey, -1, axis=1) - ey * np.roll(ex, -1, axis=1) \
+        > tol[:, None]
+    x, y, node = x[keep], y[keep], np.nonzero(keep)[0]
+    while not keep.all():
+        first = np.flatnonzero(np.diff(node, prepend=-1))
+        last = np.append(first[1:], len(node)) - 1
         prev = np.arange(-1, len(node) - 1)
         prev[first] = last
         succ = np.arange(1, len(node) + 1)
         succ[last] = first
-        e_in, e_out = pts - pts[prev], pts[succ] - pts
-        keep = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0] \
-            > tol[node]
-        if keep.all():
-            break
-        pts, node = pts[keep], node[keep]
+        ex, ey = x - x[prev], y - y[prev]
+        keep = ex * ey[succ] - ey * ex[succ] > tol[node]
+        x, y, node = x[keep], y[keep], node[keep]
     counts = np.bincount(node, minlength=nodes) // 2
     pos = np.arange(len(node)) - np.searchsorted(node, node)
-    take = pos < counts[node]
-    vertices = np.zeros((nodes, counts.max(), 2))
-    vertices[node[take], pos[take]] = pts[take]
-    # facet i runs from vertex i to the next one, the last facet to the
-    # negated first vertex
-    nxt = np.zeros_like(vertices)
-    nxt[:, :-1] = vertices[:, 1:]
-    nxt[np.arange(nodes), counts - 1] = -vertices[:, 0]
-    det = vertices[..., 0] * nxt[..., 1] - vertices[..., 1] * nxt[..., 0]
-    det[np.arange(vertices.shape[1]) >= counts[:, None]] = 1.0
-    normals = np.stack([nxt[..., 1] - vertices[..., 1],
-                        vertices[..., 0] - nxt[..., 0]], axis=-1) \
-        / det[..., None]
-    return _Polygons(m, counts, vertices, normals)
+    take = np.flatnonzero(pos < counts[node])
+    v, w = np.zeros((2, 2, nodes, counts.max()))
+    # facet i runs from vertex i to the next point of the run, which
+    # after the last vertex is the negated first one
+    v[:, node[take], pos[take]] = x[take], y[take]
+    w[:, node[take], pos[take]] = x[take + 1], y[take + 1]
+    det = v[0] * w[1] - v[1] * w[0]
+    det[np.arange(v.shape[2]) >= counts[:, None]] = 1.0
+    return _Polygons(m, counts, np.stack(v, axis=-1),
+                     np.stack([w[1] - v[1], v[0] - w[0]], axis=-1)
+                     / det[..., None])
 
 
 def _polar_areas(norms: np.ndarray) -> np.ndarray:
@@ -240,23 +240,27 @@ def _ball_areas(poly: _Polygons) -> np.ndarray:
     before the first vertex it is the last facet's."""
     th = np.arange(poly.m) * (PI / poly.m)
     ux, uy = np.cos(th), np.sin(th)
+    u_angle = np.mod(np.arctan2(uy, ux), PI)
     v = poly.vertices
-    real = np.arange(v.shape[1]) < poly.counts[:, None]
-    angles = np.where(real, np.arctan2(v[..., 1], v[..., 0]), np.inf)
-    sector = (angles[:, None, :]
-              <= np.mod(np.arctan2(uy, ux), PI)[:, None]).sum(axis=2) - 1
-    sector = np.where(sector < 0, poly.counts[:, None] - 1, sector)
-    c = poly.normals[np.arange(len(v))[:, None], sector]
-    return _polar_areas(np.abs(c[..., 0] * ux + c[..., 1] * uy))
+    sector = np.zeros((len(v), poly.m), int)
+    for k, angle in enumerate(np.arctan2(v[..., 1], v[..., 0]).T):
+        sector += (angle[:, None] <= u_angle) & (k < poly.counts)[:, None]
+    sector = (sector - 1) % poly.counts[:, None]
+    cx, cy = (np.take_along_axis(poly.normals[..., s], sector, axis=1)
+              for s in (0, 1))
+    return _polar_areas(np.abs(cx * ux + cy * uy))
 
 
 def _dual_norms(poly: _Polygons) -> np.ndarray:
     """Dual norm of each hull polygon at the sampled directions: its
-    support function, a maximum over its vertices."""
+    support function, a running maximum over its vertex columns."""
     th = np.arange(poly.m) * (PI / poly.m)
-    p = poly.vertices[:, None]
-    return np.abs(np.cos(th)[None, :, None] * p[..., 0]
-                  + np.sin(th)[None, :, None] * p[..., 1]).max(axis=2)
+    ux, uy = np.cos(th), np.sin(th)
+    out = np.zeros((len(poly.counts), poly.m))
+    for px, py in poly.vertices.transpose(1, 2, 0):
+        np.maximum(out, np.abs(ux * px[:, None] + uy * py[:, None]),
+                   out=out)
+    return out
 
 
 # candidate active sets among three or four facets: every pair, then

@@ -93,8 +93,8 @@ class SurfaceChart:
 _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
                  if (b > 0 or a > 0) and math.gcd(abs(a), b) == 1)
 # parameter nodes per block of rows of ``finsler_mass_table``: at 96
-# the Jacobians of a block peak at about 1.2 MB of temporaries, and
-# larger blocks ran no faster on a 24 x 24 cone
+# the Jacobians of a block peak at about 0.7 MB of temporaries; 192
+# ran a 24 x 24 cone faster, but at a higher peak RSS
 _BLOCK = 96
 
 
@@ -181,7 +181,6 @@ def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
     vectorized over the nodes; a node with a vanishing sample goes
     through ``np.interp`` on its own."""
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
-    u = np.column_stack([np.cos(target), np.sin(target)])
     out = np.empty((len(samples), N_DIRECTIONS))
     order = np.argsort(thetas)
     thetas = thetas[order]
@@ -198,16 +197,16 @@ def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
     if not live.any():
         return out
     norms = norms[live]
-    # polygon through the sampled unit-ball boundary points
+    # polygon through the sampled unit-ball boundary points: the chord
+    # from point k to point k + 1 of the full turn, where point i has
+    # the direction full_t[i] and the norm of sample i mod len(thetas)
     full_t = np.concatenate([thetas, thetas + PI])
-    pts = np.column_stack([np.cos(full_t), np.sin(full_t)])[None] \
-        / np.concatenate([norms, norms], axis=1)[:, :, None]
     k = np.searchsorted(full_t, target, side="right") - 1
-    p = pts[:, k]
-    q = pts[:, (k + 1) % len(full_t)]
-    num = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-    den = u[:, 0] * (q[..., 1] - p[..., 1]) \
-        - u[:, 1] * (q[..., 0] - p[..., 0])
+    u = np.stack([np.cos(full_t), np.sin(full_t)])
+    p, q = (u[:, None, i] / norms[:, i % len(thetas)]
+            for i in (k, (k + 1) % len(full_t)))
+    num = p[0] * q[1] - p[1] * q[0]
+    den = np.cos(target) * (q[1] - p[1]) - np.sin(target) * (q[0] - p[0])
     rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
     out[live] = 1.0 / np.maximum(rho, 1e-15)
     return out

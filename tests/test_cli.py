@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fillhull import cli, hull
+from fillhull import cli, hull, volumes
 from fillhull.quadrature import Grid
 
 PI = math.pi
@@ -164,6 +164,29 @@ def test_convergence_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli.hull, "random_hull_point", fail)
     code, _ = run(capsys, "--grid-n", "128", "comass", "random:0,0.4,0.3")
     assert code == 3
+
+
+@pytest.mark.parametrize("form", [("--offsets", "-0.5,1.0"),
+                                  ("--offsets=-0.5,1.0",)])
+def test_lowerbound_takes_a_list_that_starts_with_a_negative_number(
+        capsys, form):
+    code, out = run(capsys, "lowerbound", *form)
+    assert code == 0
+    rows = validate(out)["results"]["rows"]
+    assert [r["offset"] for r in rows] == [-0.5, 1.0]
+    # the signed area is odd in the offset
+    assert rows[0]["area"] == pytest.approx(
+        -volumes.coordinate_filling_area(0.0, 0.5), abs=1e-9)
+
+
+def test_sweep_takes_a_hemisphere_point_with_a_negative_angle(capsys):
+    outs = []
+    for form in (("--h", "-1.0,0.6"), ("--h=-1.0,0.6",)):
+        code, out = run(capsys, "--grid-n", "128", "sweep", *form,
+                        "--t-list", "0.2", "--g", "random:1,0.25,0.3")
+        assert code == 0
+        outs.append(validate(out)["results"])
+    assert outs[0] == outs[1]
 
 
 def test_sweep_empty_t_list_exits_2(capsys):

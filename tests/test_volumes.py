@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -633,16 +634,62 @@ def reference_jacobian(norm):
             "inner_riemannian": PI / area}, len(p), sizes
 
 
+def reference_hull_polygons(unit_norms):
+    """``norms._Polygons`` of the ``(nodes, m)`` sampled norms by the
+    turn-left elimination on one flat point array with a node id per
+    point, every pass over every remaining point, each point's
+    neighbours found within its node's run."""
+    nodes, m = unit_norms.shape
+    th = np.arange(m) * (PI / m)
+    half = np.column_stack([np.cos(th), np.sin(th)])[None] \
+        / unit_norms[:, :, None]
+    pts = np.concatenate([half, -half], axis=1)
+    tol = 1e-14 * (pts * pts).sum(axis=2).max(axis=1)
+    pts = pts.reshape(-1, 2)
+    node = np.repeat(np.arange(nodes), 2 * m)
+    while True:
+        first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        last = np.r_[first[1:], len(node)] - 1
+        prev = np.arange(-1, len(node) - 1)
+        prev[first] = last
+        succ = np.arange(1, len(node) + 1)
+        succ[last] = first
+        e_in, e_out = pts - pts[prev], pts[succ] - pts
+        keep = e_in[:, 0] * e_out[:, 1] - e_in[:, 1] * e_out[:, 0] \
+            > tol[node]
+        if keep.all():
+            break
+        pts, node = pts[keep], node[keep]
+    counts = np.bincount(node, minlength=nodes) // 2
+    pos = np.arange(len(node)) - np.searchsorted(node, node)
+    take = pos < counts[node]
+    vertices = np.zeros((nodes, counts.max(), 2))
+    vertices[node[take], pos[take]] = pts[take]
+    nxt = np.zeros_like(vertices)
+    nxt[:, :-1] = vertices[:, 1:]
+    nxt[np.arange(nodes), counts - 1] = -vertices[:, 0]
+    det = vertices[..., 0] * nxt[..., 1] - vertices[..., 1] * nxt[..., 0]
+    det[np.arange(vertices.shape[1]) >= counts[:, None]] = 1.0
+    normals = np.stack([nxt[..., 1] - vertices[..., 1],
+                        vertices[..., 0] - nxt[..., 0]], axis=-1) \
+        / det[..., None]
+    return counts, vertices, normals
+
+
 def assert_batch_matches_the_node_reference(unit_norms):
-    """The batched Jacobians of the ``(nodes, m)`` norms against the
-    reference node by node; returns the vertex counts and the trial-set
-    sizes of every node."""
+    """The batched hull polygons of the ``(nodes, m)`` norms equal the
+    flat elimination, and the batched Jacobians the reference node by
+    node; returns the vertex counts and the trial-set sizes of every
+    node."""
     got = jacobians(unit_norms)
-    vertex_counts = _hull_polygons(unit_norms).counts
+    poly = _hull_polygons(unit_norms)
+    for have, want in zip((poly.counts, poly.vertices, poly.normals),
+                          reference_hull_polygons(unit_norms)):
+        assert np.array_equal(have, want)
     counts, sizes = [], []
     for n, row in enumerate(unit_norms):
         want, k, trials = reference_jacobian(Norm2D(len(row), row))
-        assert vertex_counts[n] == k
+        assert poly.counts[n] == k
         for d in JACOBIAN_DEFINITIONS[:4]:
             assert np.array_equal(got[d][n], want[d]), (n, d)
         assert got["inner_riemannian"][n] == pytest.approx(
@@ -658,8 +705,12 @@ def test_row_jacobians_equal_the_node_reference_on_charts():
     charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
     counts = []
     for chart in charts:
-        for i in range(len(chart.axis0)):
-            rows, _ = volumes._metric_derivatives(chart, range(i, i + 1))
+        n0, n1 = len(chart.axis0), len(chart.axis1)
+        # the blocks of rows of finsler_mass_table
+        step = max(1, volumes._BLOCK // n1)
+        for i in range(0, n0, step):
+            rows, _ = volumes._metric_derivatives(chart,
+                                                  range(n0)[i:i + step])
             live = rows[rows.min(axis=1) > 1e-9]
             if len(live):
                 counts += assert_batch_matches_the_node_reference(live)[0]
@@ -695,6 +746,25 @@ def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
          Norm2D.random(3, 64).unit_norms,
          Norm2D.euclidean(64, scale=1e-6).unit_norms]))
     assert counts[:2] == [2, 64] and counts[3] == 64
+    # a batch where the first pass drops nothing: no flat pass runs
+    counts, _ = assert_batch_matches_the_node_reference(np.stack(
+        [Norm2D.euclidean(64, scale=s).unit_norms for s in (1.0, 1e-6)]))
+    assert counts == [64, 64]
+
+
+def test_jacobians_of_a_block_stay_below_one_megabyte():
+    # 96 nodes, rows 8-11 of the benchmark's cone at Grid(256): about
+    # 7 KB of temporaries per node
+    rows, _ = volumes._metric_derivatives(
+        volumes.cone_chart(24, 24, Grid(256)), range(8, 12))
+    assert rows.shape == (96, volumes.N_DIRECTIONS)
+    tracemalloc.start()
+    try:
+        jacobians(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6, peak
 
 
 def test_norm2d_rejects_non_finite_norms():
