@@ -18,12 +18,18 @@ per-grid gap tables are therefore two cached vectors of ``cos a`` and
 ``sin^2 a`` over the 2n - 1 values of ``k - j``, read as n x n
 Toeplitz views (no copy, no trig per hull function).  The gap is one
 rounding of ``(k - j - 1/2) * step``, never the difference ``beta_k -
-alpha_j`` of two rounded nodes.  ``_table_blocks`` is the one place
-the table of a hull function is formed: blocks of rows of ``p``, the
-clamp at zero applied on the strict upper triangle, zeros below it.
-``p_grid`` stores the blocks as the dense table; the Psi workspace of
-``comass`` folds them into its weighted table, and the one-shot
-``comass.psi`` reduces them as they come, holding no n x n array.
+alpha_j`` of two rounded nodes.
+
+``p_grid`` forms the dense table, clamped at zero on the strict upper
+triangle; the l1 probe, ``check``, the path action and the tests read
+it.  Psi never does: ``WeightedTable`` applies the same table, times
+the triangle rule's column weights, to a few n-vectors.  It forms the
+entries within a few gaps of either end of the gap range one by one,
+with ``p_grid``'s arithmetic and clamp, and expands the rest over the
+two Toeplitz tables ``1 / sin^2 a`` and ``cos a / sin^2 a``
+(``GapOperator``), each a correlation done by one batched FFT of length
+2n.  The expansion cannot clamp ``e`` at zero; where ``e`` is negative
+it is rounding (about -1e-11 at most), and it moves Psi by rounding.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .quadrature import Grid, integrate_triangle
 from .hull import HullFn, SpherePoint, dist_to_boundary
@@ -101,6 +107,215 @@ def toeplitz(v: np.ndarray, n: int) -> np.ndarray:
     return sliding_window_view(v, n)[::-1]
 
 
+# near gaps a table forms entry by entry for values of Psi
+NEAR_GAPS = 8
+
+
+def gradient_near_gaps(n: int) -> int:
+    """Near gaps for gradients of Psi: ``n // 10``, at least
+    ``NEAR_GAPS``.
+
+    Expanded over ``S`` and ``C``, a row of the table is a sum of terms
+    of the size of ``1 / sin^2 a`` that cancel to O(1); with ``K`` near
+    gaps taken entry by entry, the rounding left in a row product,
+    relative to the product, grows like ``n / K``.  A value of Psi
+    stays within 7.5e-15 of the dense sum with ``K = 8`` up to n =
+    2048.  Its gradient is a cancellation of such row products and
+    wants more: against the dense products, ``K = n / 10`` puts its
+    error at 0.45, 0.50 and 0.89 of its 1e-13 test tolerance at n =
+    512, 1024 and 2048, where ``K = 8`` was 3.8 and 8.1 times over at
+    512 and 1024.
+    """
+    return max(NEAR_GAPS, n // 10)
+
+
+class GapOperator:
+    """The strict upper triangular Toeplitz tables ``S[j, k] = 1 / sin^2
+    a`` and ``C[j, k] = cos a / sin^2 a`` at the gap ``a = (k - j - 1/2)
+    * step``, restricted to the far gaps ``K < k - j < n - K`` for ``K``
+    near gaps, applied to rows of n-vectors.
+
+    ``(S x)_j = sum_m s_m x_{j+m}`` is a correlation with the kernel
+    ``s_m``, and ``S^T x`` the matching convolution, so each is one
+    batched real FFT of length 2n (no wrap-around: the kernel and the
+    rows span fewer than 2n entries) against a kernel spectrum cached
+    per grid and ``K``.  The kernels are those of ``gap_vectors``, one
+    rounding per gap.
+    """
+
+    def __init__(self, grid: Grid, near: int):
+        n = grid.n
+        K = min(near, n - 1)
+        ca, sa2 = gap_vectors(grid)
+        # gap m = 1 .. n - 1 sits at index m + n - 1 of the gap vectors
+        s = 1.0 / sa2[n:]
+        kernels = np.stack([s, ca[n:] * s])
+        self.n = n
+        # (S x)_j takes x_{j+m} at circular lag -m: kernel entry 2n - m
+        r = np.zeros((2, 2 * n))
+        r[:, n + K + 1:2 * n - K] = kernels[:, K:n - K - 1][:, ::-1]
+        spectra = np.fft.rfft(r)
+        self.spectra = (spectra, spectra.conj())
+
+    def __call__(self, rows: np.ndarray, factors: tuple, n_s: int,
+                 transpose: bool = False) -> np.ndarray:
+        """``S`` (``S^T`` when ``transpose``) on the first ``n_s`` rows of
+        the stack of ``rows * f`` over ``factors`` (``None`` for 1),
+        ``C`` (``C^T``) on the others; ``rows`` is ``(r, n)``."""
+        n, r = self.n, len(rows)
+        X = np.zeros((len(factors), r, 2 * n))
+        for x, f in zip(X, factors):
+            np.multiply(rows, 1.0 if f is None else f, out=x[:, :n])
+        spec = np.fft.rfft(X.reshape(-1, 2 * n))
+        # the padded input goes before the inverse transform's output
+        # comes, so that no more than two such arrays are held
+        del X, x
+        spectra = self.spectra[transpose]
+        spec[:n_s] *= spectra[0]
+        spec[n_s:] *= spectra[1]
+        return np.fft.irfft(spec, 2 * n)[:, :n]
+
+
+@lru_cache(maxsize=8)
+def gap_operator(grid: Grid, near: int) -> GapOperator:
+    """The ``GapOperator`` of a grid and a number of near gaps, cached
+    like the gap vectors."""
+    return GapOperator(grid, near)
+
+
+class WeightedTable:
+    """The coefficient table of ``f`` times the column weights ``c`` of
+    the triangle rule, ``PW = p_grid(f) * c``, as an operator on rows of
+    n-vectors, with no n x n array: O(n) vectors, a band of ``n x K``
+    entries and a ``K x K`` corner for ``K = near`` near gaps.
+
+    Where ``sin a`` is small, within ``K`` gaps of either end of the gap
+    range (``a`` near 0 on the diagonal band, near pi in the top right
+    corner), the entries are formed one by one with the arithmetic of
+    ``p_grid``, ``e`` clamped at zero.  Elsewhere ``e`` expands over the
+    far-gap tables ``S`` and ``C`` of ``GapOperator``: for a row ``b``
+    and ``u = c b / sin^2 y``,
+
+        (PW b)_j = (U_j - cx_j^2 (S u)_j - (S cy^2 u)_j
+                    + 2 cx_j (C cy u)_j) / sin^2 x_j
+
+    over the far gaps, with ``U_j`` the sum of their ``u_k``, a reverse
+    cumulative sum; ``b PW`` is the same with ``S^T`` and ``C^T``.  The
+    expansion cannot clamp ``e``, and its rounding falls as ``K`` grows
+    (``gradient_near_gaps``).
+    """
+
+    def __init__(self, f: HullFn, near: int):
+        if dist_to_boundary(f) <= 0.0:
+            raise ValueError("f touches the boundary circle; p is undefined")
+        grid = f.grid
+        n = grid.n
+        K = min(near, n - 1)
+        self.op = gap_operator(grid, K)
+        x, y = f.at_midnodes(), f.values
+        cx, sx2 = np.cos(x), np.sin(x) ** 2
+        cy, sy2 = np.cos(y), np.sin(y) ** 2
+        c = grid.triangle_weights
+        rsx2 = 1.0 / sx2
+        self.cy, self.cy2, self.wy = cy, cy * cy, c / sy2
+        self.cx2, self.cx2x, self.rsx2 = cx * cx, 2.0 * cx, rsx2
+        # the far-gap products of the expansion, each with its row factor
+        self.mix = np.stack([-cx * cx * rsx2, -rsx2, 2.0 * cx * rsx2])
+        ca, sa2 = gap_vectors(grid)
+
+        # blocks[i, r, c] = PW[iK + r, iK + 1 + c]: K rows and the 2K
+        # columns their near gaps reach, so that a product with the band
+        # is one batched matrix product.  The band itself is the strided
+        # view band[i, r, m - 1] = PW[iK + r, iK + r + m].  It is built
+        # in chunks of about 4096 entries, so that the kernel's
+        # temporaries stay small; the rows past n and the weights past
+        # the last column are 0, which drops those entries.
+        nb = -(-n // K)
+        self.blocks = np.zeros((nb, K, 2 * K))
+        s0, s1, s2 = self.blocks.strides
+        band = as_strided(self.blocks, shape=(nb, K, K),
+                          strides=(s0, s1 + s2, s2))
+        cxp, sx2p = (np.concatenate([v, [fill] * (nb * K - n)])
+                     for v, fill in ((cx, 0.0), (sx2, 1.0)))
+        # row j, column m - 1 of each window view is entry j + m
+        pad = nb * K + K - n
+        cyw, sy2w, cw = (
+            sliding_window_view(np.concatenate([v[1:], [fill] * pad]), K)
+            for v, fill in ((cy, 0.0), (sy2, 1.0), (c, 0.0)))
+        self.p_first = 0.0
+        per = max(1, 4096 // (K * K))
+        for i in range(0, nb, per):
+            j, stop = i * K, min(i + per, nb) * K
+            e = _e_kernel(ca[n:n + K], sa2[n:n + K], cxp[j:stop, None],
+                          cyw[j:stop], sx2p[j:stop, None] * sy2w[j:stop])
+            # the largest entry on the first gap, where the table is
+            # largest (within 4e-5 of its maximum on the benchmark's
+            # inputs)
+            self.p_first = max(self.p_first,
+                               float(e[:n - 1 - j, 0].max(initial=0.0)))
+            e *= cw[j:stop]
+            band[i:i + per] = e.reshape(-1, K, K)
+        # corner[j, i] = PW[j, n - K + i] on the gaps from n - K up, less
+        # the term 1 / sin^2 x_j * c_k / sin^2 y_k that the far-gap sums
+        # U and W count there
+        j, k = np.arange(K)[:, None], n - K + np.arange(K)
+        mask = k - j >= max(K + 1, n - K)
+        ca_k, sa2_k = (toeplitz(v, n)[:K, n - K:] for v in (ca, sa2))
+        self.corner = _e_kernel(ca_k, sa2_k, cx[:K, None], cy[n - K:])
+        self.corner -= 1.0
+        self.corner *= mask * rsx2[:K, None] * self.wy[n - K:]
+
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """``PW`` applied to each row of ``B`` (rows, n)."""
+        r, n = B.shape
+        K = self.blocks.shape[1]
+        u = B * self.wy
+        Y = self.op(u, (None, self.cy2, self.cy), 2 * r)
+        # U_j = sum of u_k over k - j > K (the corner's share is taken
+        # out with the corner below)
+        U = np.zeros_like(u)
+        np.cumsum(u[:, :K:-1], axis=1, out=U[:, -K - 2::-1])
+        U *= self.rsx2
+        U += np.einsum("krj,kj->rj", Y.reshape(3, r, n), self.mix)
+        # the band: window i of B holds the 2K columns block i reaches
+        nb = len(self.blocks)
+        padded = np.zeros((r, (nb + 1) * K + 1))
+        padded[:, :n] = B
+        t0, t1 = padded.strides
+        windows = as_strided(padded[:, 1:], shape=(nb, 2 * K, r),
+                             strides=(K * t1, t1, t0), writeable=False)
+        U += np.matmul(self.blocks, windows).reshape(nb * K, r)[:n].T
+        U[:, :K] += B[:, n - K:] @ self.corner.T
+        return U
+
+    def transposed(self, A: np.ndarray) -> np.ndarray:
+        """Each row of ``A`` (rows, n) applied to ``PW`` from the left."""
+        r, n = A.shape
+        K = self.blocks.shape[1]
+        w = A * self.rsx2
+        Y = self.op(w, (self.cx2, None, self.cx2x), 2 * r, transpose=True)
+        # W_k = sum of w_j over k - j > K (the corner's share is taken
+        # out with the corner below)
+        W = np.zeros_like(w)
+        np.cumsum(w[:, :-K - 1], axis=1, out=W[:, K + 1:])
+        W -= Y[:r]
+        W -= self.cy2 * Y[r:2 * r]
+        W += self.cy * Y[2 * r:]
+        W *= self.wy
+        # the band: block i sends K rows of A to 2K columns from iK + 1,
+        # the second K of which block i + 1 also reaches
+        nb = len(self.blocks)
+        a = np.zeros((nb * K, r))
+        a[:n] = A.T
+        out = np.matmul(self.blocks.transpose(0, 2, 1), a.reshape(nb, K, r))
+        cols = np.zeros((nb + 1, K, r))
+        cols[:nb] += out[:, :K]
+        cols[1:] += out[:, K:]
+        W[:, 1:] += cols.reshape(-1, r)[:n - 1].T
+        W[:, n - K:] += A[:, :K] @ self.corner
+        return W
+
+
 def _e_values(a, x, y):
     """Squared height of the triple; clamped at zero."""
     return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y))
@@ -134,18 +349,19 @@ def p_derivatives(a: float, x: float, y: float):
     return p_x, p_y, p_xx, p_xy, p_yy
 
 
-def _table_blocks(f: HullFn):
-    """Yield ``(rows, cols, block)`` with ``block`` a fresh array equal
-    to ``p[rows, cols]`` of the coefficient table of ``f``; together
-    the blocks cover the strict upper triangle, row by row.
+def p_grid(f: HullFn) -> np.ndarray:
+    """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
+    f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
+    in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
+    ``k > j``, and zero on and below the diagonal.  Used by the l1
+    probe, ``check``, the path action and the tests; Psi applies
+    ``gap_operator`` instead and holds no n x n array.
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
-    Each block holds at most 32768 entries, so its temporaries stay in
-    cache and are reused by the allocator instead of being faulted in
-    afresh for every table.  The gap trig comes from ``gap_vectors``;
-    ``e`` is ``_e_kernel``'s, clamped at zero, and the entries of a
-    block on or below the diagonal are zero.
+    The table is written in blocks of rows of at most 32768 entries,
+    so the kernel's temporaries stay in cache and are reused by the
+    allocator instead of being faulted in afresh for every table.
     """
     if dist_to_boundary(f) <= 0.0:
         raise ValueError("f touches the boundary circle; p is undefined")
@@ -155,6 +371,7 @@ def _table_blocks(f: HullFn):
     y = f.values
     cy, sy2 = np.cos(y), np.sin(y) ** 2
     ca, sa2 = (toeplitz(v, n) for v in gap_vectors(f.grid))
+    p = np.zeros((n, n))
     rows = max(1, min(n, 32768 // n))
     # block entry [r, c] is table entry [j + r, j + 1 + c]: above the
     # diagonal when c >= r, so only the first columns need the mask
@@ -165,21 +382,7 @@ def _table_blocks(f: HullFn):
                       cy[None, cols], sx2[block, None] * sy2[None, cols])
         corner = e[:, :rows]
         corner *= upper[:corner.shape[0], :corner.shape[1]]
-        yield block, cols, e
-
-
-def p_grid(f: HullFn) -> np.ndarray:
-    """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
-    f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
-    in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
-    ``k > j``, and zero on and below the diagonal: the blocks of
-    ``_table_blocks`` stored in one dense n x n array.  Used by the l1
-    probe, ``check``, the path action and the tests; Psi reads the
-    same blocks without this array."""
-    n = f.grid.n
-    p = np.zeros((n, n))
-    for rows, cols, block in _table_blocks(f):
-        p[rows, cols] = block
+        p[block, cols] = e
     return p
 
 
@@ -190,9 +393,13 @@ def p_l1_norm(f: HullFn) -> float:
 
 def hemisphere_speed(p: SpherePoint, alpha) -> np.ndarray | float:
     """Speed ``sin d / (1 - cos^2 d cos^2(alpha - tau))`` of the
-    tangent circle at a hemisphere point; integrates to 2*pi."""
+    tangent circle at a hemisphere point; integrates to 2*pi.  The
+    denominator is taken as ``sin^2 d + cos^2 d sin^2(alpha - tau)``,
+    whose terms are non-negative: ``1 - cos^2`` of a small ``d`` rounds
+    to 0 at ``alpha = tau``."""
     if p.d <= 0.0:
         raise ValueError("speed is undefined on the boundary circle (d = 0)")
-    c = math.cos(p.d) * np.cos(np.asarray(alpha, dtype=float) - p.tau)
-    out = math.sin(p.d) / (1.0 - c * c)
+    s = math.cos(p.d) * np.sin(np.asarray(alpha, dtype=float) - p.tau)
+    sd = math.sin(p.d)
+    out = sd / (sd * sd + s * s)
     return out if isinstance(out, np.ndarray) else float(out)

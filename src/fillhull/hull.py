@@ -127,15 +127,33 @@ def is_member(f: HullFn) -> bool:
     return True
 
 
+def sphere_point_values(d, tau, alpha) -> np.ndarray:
+    """``arccos(cos d cos(alpha - tau))``, the hemisphere point at ``(tau,
+    d)`` sampled at ``alpha`` (broadcast), in the half-chord form ``2
+    arcsin sqrt(sin^2(d/2) + cos d sin^2((alpha - tau)/2))``: its terms
+    are non-negative, so a small distance keeps its digits where the
+    arccos of a cosine near 1 loses them."""
+    s = np.sin(0.5 * (alpha - tau))
+    s *= s
+    v = np.cos(d) * s
+    v += np.sin(0.5 * d) ** 2
+    np.sqrt(v, out=v)
+    np.minimum(v, 1.0, out=v)
+    np.arcsin(v, out=v)
+    v *= 2.0
+    return v
+
+
 def boundary_point(tau: float, grid: Grid) -> HullFn:
-    """The circle distance function ``alpha -> arccos(cos(alpha - tau))``."""
-    return HullFn(grid, np.arccos(np.cos(grid.beta_nodes - tau)))
+    """The circle distance function ``alpha -> arccos(cos(alpha - tau))``,
+    the hemisphere point at ``d = 0``."""
+    return HullFn(grid, sphere_point_values(0.0, tau, grid.beta_nodes))
 
 
 def sphere_point(p: SpherePoint, grid: Grid) -> HullFn:
-    """The hemisphere point ``alpha -> arccos(cos d * cos(alpha - tau))``."""
-    return HullFn(
-        grid, np.arccos(np.cos(p.d) * np.cos(grid.beta_nodes - p.tau)))
+    """The hemisphere point ``alpha -> arccos(cos d * cos(alpha - tau))``
+    (``sphere_point_values``)."""
+    return HullFn(grid, sphere_point_values(p.d, p.tau, grid.beta_nodes))
 
 
 def sup_dist(f: HullFn, g: HullFn) -> float:
@@ -205,10 +223,7 @@ def dist_to_hemisphere(f: HullFn) -> tuple[float, SpherePoint]:
     while True:
         d = math.atan2(math.sqrt(max(z2, 0.0)), math.hypot(x, y))
         tau = 0.0 if d == PI / 2 else (math.atan2(y, x) + TWO_PI) % TWO_PI
-        # half chords: their non-negative terms keep small distances accurate
-        s = np.sin(0.5 * (nodes - tau))
-        s = np.sqrt(math.sin(0.5 * d) ** 2 + math.cos(d) * s * s)
-        v = 2.0 * np.arcsin(np.minimum(s, 1.0)) - f.values
+        v = sphere_point_values(d, tau, nodes) - f.values
         v = np.concatenate([v, -v])
         m = int(np.argmax(v))
         if v[m] - max(T, 0.0) <= HEMISPHERE_GAP:

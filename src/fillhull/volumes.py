@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import Grid
-from .hull import random_hull_point
+from .hull import random_hull_point, sphere_point_values
 from .coeffs import gap_vectors, toeplitz
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
@@ -304,10 +304,8 @@ def cap_chart(r: float = 0.3, n_d: int = 33, n_tau: int = 64,
                          "0.3 <= r < pi/2")
     ds = np.linspace(r, PI / 2, n_d)
     taus = np.arange(n_tau) * (TWO_PI / n_tau)
-    # the hemisphere point arccos(cos d cos(alpha - tau)) at every node
-    values = np.cos(ds)[:, None, None] \
-        * np.cos(grid.beta_nodes[None, :] - taus[:, None])
-    np.arccos(values, out=values)
+    values = sphere_point_values(ds[:, None, None], taus[:, None],
+                                 grid.beta_nodes)
     return SurfaceChart("cap", grid, ds, taus, values)
 
 

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fillhull import cli, hull, volumes
+from fillhull import cli, comass, hull, volumes
 from fillhull.quadrature import Grid
 
 PI = math.pi
@@ -315,3 +315,28 @@ def test_reports_do_not_depend_on_the_blas_thread_count(blas_thread_envs):
                                text=True).stdout
                 for env in blas_thread_envs]
         assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grid-n", "512", "--eval-n", "1024", "comass", "random:3,0.4,0.3"],
+    ["sweep", "--g", "random:32,0.25,0.3"],
+    ["sweep", "--g", "random:37,0.25,0.3"]])
+def test_maximizers_at_the_cap_converge_inside_it(capsys, argv):
+    # a maximizer at the cap is a KKT point of the capped problem: it
+    # exits 0, and no field leaves the cap
+    code, out = run(capsys, *argv)
+    assert code == 0
+    results = validate(out)["results"]
+    rows = results.get("rows", [results])
+    assert all(r["converged"] for r in rows)
+    assert max(r["eta_inf"] for r in rows) == comass.OptimizerConfig.eta_cap
+
+
+def test_a_small_distance_is_not_the_boundary(capsys):
+    # sphere:0,1e-9 sampled 0.0 at its nearest node, the same input as
+    # sphere:0,0, before the hemisphere points took the half-chord form
+    on_circle = run(capsys, "comass", "sphere:0,0")
+    near_it = run(capsys, "comass", "sphere:0,1e-9")
+    assert on_circle[0] == 2 and on_circle != near_it
+    assert validate(near_it[1])["results"]["hemisphere_d"] == pytest.approx(
+        1e-9, rel=1e-6)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,15 +139,13 @@ def test_workspace_rejects_boundary_functions():
         comass._Workspace(H, f)
 
 
-def test_workspace_weights_match_the_dense_triangle_rule():
-    f = hull.random_hull_point(2, 0.3, 0.3, GRID)
-    ws = comass._Workspace(H, f)
-    n, h2 = GRID.n, GRID.step ** 2
+def _weighted_table(f):
+    """The coefficient table times the column weights of the triangle
+    rule, zero off the strict upper triangle."""
+    n, h2 = f.grid.n, f.grid.step ** 2
     W = np.triu(np.full((n, n), h2), k=1)
     W[: n - 1, n - 1] *= 1.5
-    P = p_grid(f)
-    assert np.array_equal(ws.PW, P * W)
-    assert ws.p_max == P.max()
+    return p_grid(f) * W
 
 
 def _dense_reference(ws, f, eta, v):
@@ -156,12 +155,13 @@ def _dense_reference(ws, f, eta, v):
     ta = ws.nu_alpha + eta.at_midnodes()
     delta = tb[None, :] - ta[:, None]
     value = integrate_triangle(p_grid(f) * np.sin(delta), ws.grid)
-    G = ws.PW * np.cos(delta)
+    PW = _weighted_table(f)
+    G = PW * np.cos(delta)
     g = G.sum(axis=0)
     rows = G.sum(axis=1)
     g -= 0.5 * (rows + np.roll(rows, 1))
     dv = v.values[None, :] - v.at_midnodes()[:, None]
-    q = float(-(ws.PW * np.sin(delta) * dv * dv).sum())
+    q = float(-(PW * np.sin(delta) * dv * dv).sum())
     return value, g - g.mean(), q
 
 
@@ -196,7 +196,7 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
         # the maximizer: the gradient is only the quadrature bias, a
         # cancellation of terms 100 to 1000 times larger, and both forms
         # round at the scale of those terms
-        scale = np.abs(ws.PW).sum(axis=0).max()
+        scale = np.abs(_weighted_table(f)).sum(axis=0).max()
     else:
         scale = np.abs(ref_g).max()
     assert np.abs(g - ref_g).max() <= 1e-13 * scale
@@ -275,3 +275,131 @@ def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
     for (kind, x), (kind2, x2) in zip(calls, calls2):
         assert kind == kind2
         assert np.array_equal(x, x2)
+
+
+CAP = OptimizerConfig.eta_cap
+
+
+def _clipping_inputs(rng, count=40, n=64):
+    """Vectors whose projection clips no entry, a few, or most."""
+    for k in range(count):
+        scale = (0.03, 0.2, 1.0, 5.0)[k % 4]
+        yield rng.normal(scale=scale, size=n) + rng.normal()
+
+
+def test_projection_satisfies_the_kkt_conditions():
+    # x = P(v) minimizes |x - v|^2 on {sum x = 0, |x| <= cap} iff v - x
+    # is one tau on the free entries, >= tau where x = cap and <= tau
+    # where x = -cap
+    rng = np.random.default_rng(11)
+    for v in _clipping_inputs(rng):
+        x = comass._project(v, CAP)
+        tol = 1e-14 * max(1.0, np.abs(v).max())
+        assert abs(x.sum()) <= 64 * tol
+        assert np.abs(x).max() <= CAP
+        r = v - x
+        upper, lower = x == CAP, x == -CAP
+        free = ~(upper | lower)
+        if free.any():
+            tau = r[free].mean()
+            assert np.abs(r[free] - tau).max() <= tol
+        else:
+            tau = 0.5 * (r[lower].max() + r[upper].min())
+        assert (r[upper] >= tau - tol).all()
+        assert (r[lower] <= tau + tol).all()
+
+
+def test_projection_is_nearest_among_random_feasible_points():
+    rng = np.random.default_rng(12)
+    for v in _clipping_inputs(rng, count=8):
+        x = comass._project(v, CAP)
+        best = np.linalg.norm(x - v)
+        # feasible points around x and spread over the box: mean zero,
+        # then scaled into the cap
+        for spread in (1e-3, 0.05, CAP):
+            y = x + rng.normal(scale=spread, size=(1000, len(v)))
+            y -= y.mean(axis=1, keepdims=True)
+            y *= np.minimum(1.0, CAP / np.abs(y).max(axis=1, keepdims=True))
+            assert (np.linalg.norm(y - v, axis=1) >= best - 1e-12).all()
+
+
+def test_projection_without_clipping_subtracts_the_mean():
+    rng = np.random.default_rng(13)
+    v = 0.02 * rng.normal(size=256) + 3.0
+    assert np.array_equal(comass._project(v, CAP), v - v.mean())
+
+
+def _capped_problem():
+    f = hull.random_hull_point(3, 0.25, 0.3, GRID)
+    _, h = hull.dist_to_hemisphere(f)
+    return h, f
+
+
+def test_a_maximizer_at_the_cap_is_converged_inside_it():
+    h, f = _capped_problem()
+    eta, val, diag = comass.maximize_eta(h, f)
+    assert diag["cap_active"] and diag["converged"]
+    assert diag["termination"] in ("grad_tol", "value_resolution")
+    assert np.abs(eta.values).max() <= CAP
+    assert val >= comass.psi(h, f, AngleField.zero(GRID))
+
+
+def test_ascent_stops_at_the_iteration_limit(monkeypatch):
+    monkeypatch.setattr(comass, "MAX_ITERS", 1)
+    _, _, diag = comass.maximize_eta(*_capped_problem())
+    assert diag["termination"] == "max_iters"
+    assert diag["iterations"] == 1 and not diag["converged"]
+
+
+def test_ascent_on_a_falling_value_stalls(monkeypatch):
+    # every candidate falls by more than rounding: no step is accepted
+    value_rows = comass._Workspace.value_rows
+    drops = iter(range(10 ** 6))
+
+    def falling(self, eta):
+        val, rows = value_rows(self, eta)
+        return val - next(drops), rows
+
+    monkeypatch.setattr(comass._Workspace, "value_rows", falling)
+    _, _, diag = comass.maximize_eta(*_capped_problem())
+    assert diag["termination"] == "line_search_stall"
+    assert diag["iterations"] == 0 and not diag["converged"]
+
+
+def test_ascent_ends_on_the_gradient_mapping(monkeypatch):
+    monkeypatch.setattr(comass, "GRAD_TOL", 1e-4)
+    _, _, diag = comass.maximize_eta(*_capped_problem())
+    assert diag["termination"] == "grad_tol" and diag["converged"]
+    assert 0 < diag["iterations"] and diag["grad_norm"] <= 1e-4
+
+
+def test_an_unresolvable_rise_ends_as_converged(monkeypatch):
+    # with a coarse resolution the run ends early, and the value it
+    # reaches is within a few times that resolution of the full run's
+    h, f = _capped_problem()
+    _, full, _ = comass.maximize_eta(h, f)
+    monkeypatch.setattr(comass, "VALUE_RTOL", 1e-7)
+    _, val, diag = comass.maximize_eta(h, f)
+    assert diag["termination"] == "value_resolution" and diag["converged"]
+    assert abs(val - full) <= 1e-5
+
+
+def test_psi_and_the_workspace_hold_no_n_by_n_table():
+    # one 2048 x 2048 table of doubles is 34 MB.  psi keeps NEAR_GAPS
+    # near gaps; the gradient workspace keeps n // 10 of them in blocks
+    # twice as wide, 7.3 MB at n = 2048
+    grid = Grid(2048)
+    f = hull.random_hull_point(3, 0.4, 0.3, grid)
+    _, h = hull.dist_to_hemisphere(f)
+    eta = AngleField.zero(grid)
+    comass._Workspace(h, f).gradient(eta)     # the per-grid caches
+    comass.psi(h, f, eta)
+    for run, limit in ((lambda: comass.psi(h, f, eta), 1e6),
+                       (lambda: comass._Workspace(h, f).gradient(eta), 1.2e7)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit

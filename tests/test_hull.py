@@ -74,6 +74,17 @@ def test_sphere_point_is_member():
         assert hull.is_member(hull.sphere_point(SpherePoint(tau, d), GRID))
 
 
+def test_small_distances_keep_their_digits():
+    # the half-chord form; arccos(cos d cos 0) read 0.0 at d = 1e-9
+    grid = Grid(512)
+    f = hull.sphere_point(SpherePoint(0.0, 1e-9), grid)
+    assert f.values[0] == pytest.approx(1e-9, rel=1e-15)
+    f = hull.sphere_point(SpherePoint(0.0, 1e-7), grid)
+    assert f.values[0] == pytest.approx(1e-7, rel=1e-15)
+    assert hull.boundary_point(1e-8, grid).values[0] == pytest.approx(
+        1e-8, rel=1e-15)
+
+
 def test_sphere_point_pole_is_constant():
     f = hull.sphere_point(SpherePoint(0.7, PI / 2), GRID)
     assert np.allclose(f.values, PI / 2)
