@@ -1,4 +1,5 @@
-"""Coefficient functions of the two-form on the hull.
+"""Coefficient functions of the two-form on the hull, and the only
+home of their table on a grid.
 
 For a triple ``(a, x, y)`` with ``a`` the angular gap and ``x, y`` the
 two function values, put
@@ -13,23 +14,27 @@ triangles; roundoff can make ``e`` slightly negative there, which we
 clamp away before dividing.
 
 On a grid the gap of the table entry ``(alpha_j, beta_k)`` is ``a =
-(k - j - 1/2) * step``, which depends only on ``k - j``.  The only
-per-grid gap tables are therefore two cached vectors of ``cos a`` and
-``sin^2 a`` over the 2n - 1 values of ``k - j``, read as n x n
-Toeplitz views (no copy, no trig per hull function).  The gap is one
-rounding of ``(k - j - 1/2) * step``, never the difference ``beta_k -
-alpha_j`` of two rounded nodes.
+(k - j - 1/2) * step``, rounded once, never ``beta_k - alpha_j``.  It
+depends only on ``k - j``, so the per-grid tables are cached vectors
+over its 2n - 1 values, read as n x n Toeplitz views: ``cos a`` and
+``sin^2 a`` (``gap_vectors``), and ``S = 1 / sin^2 a`` and ``C = cos a
+/ sin^2 a`` (``gap_kernels``).  ``p_grid`` forms the dense table,
+clamped at zero on the strict upper triangle.
 
-``p_grid`` forms the dense table, clamped at zero on the strict upper
-triangle; the l1 probe, ``check``, the path action and the tests read
-it.  Psi never does: ``WeightedTable`` applies the same table, times
-the triangle rule's column weights, to a few n-vectors.  It forms the
-entries within a few gaps of either end of the gap range one by one,
-with ``p_grid``'s arithmetic and clamp, and expands the rest over the
-two Toeplitz tables ``1 / sin^2 a`` and ``cos a / sin^2 a``
-(``GapOperator``), each a correlation done by one batched FFT of length
-2n.  The expansion cannot clamp ``e`` at zero; where ``e`` is negative
-it is rounding (about -1e-11 at most), and it moves Psi by rounding.
+The weighted table is ``PW = p c``, ``c`` the column weights of the
+triangle rule.  With ``x`` the function at the midpoint nodes, ``y`` at
+the integer nodes and ``u = c b / sin^2 y`` for a row ``b``, the terms
+of ``e`` give, on the strict upper triangle,
+
+    (PW b)_j = (U_j - cos^2 x_j (S u)_j - (S cos^2 y u)_j
+                + 2 cos x_j (C cos y u)_j) / sin^2 x_j,
+
+``U_j`` the sum of ``u_k`` over ``k > j``, a reverse cumulative sum;
+``b PW`` is the same with ``S^T`` and ``C^T``.  This expansion cannot
+clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
+``WeightedTable`` applies it to one function for Psi, the far gaps by
+FFT (``GapOperator``), and ``DenseTables`` to many functions for the
+surface integral, every gap by dense products.
 """
 
 from __future__ import annotations
@@ -40,13 +45,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .quadrature import Grid, integrate_triangle
+from .quadrature import Grid, band_rule, integrate_triangle, midnodes
 from .hull import HullFn, SpherePoint, dist_to_boundary
 
 __all__ = [
     "p_scalar",
     "p_derivatives",
     "p_grid",
+    "q_band",
     "p_l1_norm",
     "hemisphere_speed",
 ]
@@ -60,13 +66,16 @@ def _check_domain(*args: float) -> None:
             raise ValueError(f"argument {v} is within 1e-12 of a multiple of pi")
 
 
+def _check_interior(f: HullFn) -> None:
+    if dist_to_boundary(f) <= 0.0:
+        raise ValueError("f touches the boundary circle; p is undefined")
+
+
 def _e_kernel(ca, sa2, cx, cy, den=None):
     """e(a, x, y) from ``cos a``, ``sin^2 a``, ``cos x`` and ``cos y``,
     clamped at zero; divided by ``den`` when it is given (``sin^2 x
-    sin^2 y`` for p, ``sin^2 y`` for q).  Callers that reuse the gaps
-    ``a`` pass their trig tables instead of recomputing them.  The
-    arithmetic is that of the closed form, in the same order, carried
-    out in place: two arrays of the broadcast shape per call."""
+    sin^2 y`` for p, ``sin^2 y`` for q).  The closed form, in the same
+    order, in place: two arrays of the broadcast shape per call."""
     e = np.empty(np.broadcast_shapes(np.shape(ca), np.shape(cx),
                                      np.shape(cy)))
     np.add(cx * cx, cy * cy, out=e)
@@ -101,6 +110,19 @@ def gap_vectors(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return vectors
 
 
+@lru_cache(maxsize=8)
+def gap_kernels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only kernels ``(S, C) = (1 / sin^2 a, cos a / sin^2 a)`` of
+    the expansion at the gaps of ``gap_vectors``, cached per grid;
+    ``GapOperator`` and ``DenseTables`` read them."""
+    ca, sa2 = gap_vectors(grid)
+    s = 1.0 / sa2
+    kernels = (s, ca * s)
+    for v in kernels:
+        v.flags.writeable = False
+    return kernels
+
+
 def toeplitz(v: np.ndarray, n: int) -> np.ndarray:
     """The n x n view ``T[j, k] = v[k - j + n - 1]`` of a vector of
     length 2n - 1: no copy, and read-only."""
@@ -130,30 +152,22 @@ def gradient_near_gaps(n: int) -> int:
 
 
 class GapOperator:
-    """The strict upper triangular Toeplitz tables ``S[j, k] = 1 / sin^2
-    a`` and ``C[j, k] = cos a / sin^2 a`` at the gap ``a = (k - j - 1/2)
-    * step``, restricted to the far gaps ``K < k - j < n - K`` for ``K``
-    near gaps, applied to rows of n-vectors.
-
-    ``(S x)_j = sum_m s_m x_{j+m}`` is a correlation with the kernel
-    ``s_m``, and ``S^T x`` the matching convolution, so each is one
-    batched real FFT of length 2n (no wrap-around: the kernel and the
-    rows span fewer than 2n entries) against a kernel spectrum cached
-    per grid and ``K``.  The kernels are those of ``gap_vectors``, one
-    rounding per gap.
-    """
+    """``S`` and ``C`` (``gap_kernels``) on the far gaps ``K < k - j < n
+    - K`` for ``K`` near gaps, applied to rows of n-vectors: ``(S x)_j =
+    sum_m s_m x_{j+m}`` is a correlation with the kernel ``s_m`` and
+    ``S^T x`` the matching convolution, each one batched real FFT of
+    length 2n (no wrap-around: the kernel and the rows span fewer than
+    2n entries) against a kernel spectrum cached per grid and ``K``."""
 
     def __init__(self, grid: Grid, near: int):
         n = grid.n
         K = min(near, n - 1)
-        ca, sa2 = gap_vectors(grid)
-        # gap m = 1 .. n - 1 sits at index m + n - 1 of the gap vectors
-        s = 1.0 / sa2[n:]
-        kernels = np.stack([s, ca[n:] * s])
         self.n = n
-        # (S x)_j takes x_{j+m} at circular lag -m: kernel entry 2n - m
+        # (S x)_j takes x_{j+m} at circular lag -m: kernel entry 2n - m;
+        # gap m sits at index m + n - 1 of the kernels
         r = np.zeros((2, 2 * n))
-        r[:, n + K + 1:2 * n - K] = kernels[:, K:n - K - 1][:, ::-1]
+        r[:, n + K + 1:2 * n - K] = np.stack(
+            gap_kernels(grid))[:, n + K:2 * n - K - 1][:, ::-1]
         spectra = np.fft.rfft(r)
         self.spectra = (spectra, spectra.conj())
 
@@ -178,36 +192,24 @@ class GapOperator:
 
 @lru_cache(maxsize=8)
 def gap_operator(grid: Grid, near: int) -> GapOperator:
-    """The ``GapOperator`` of a grid and a number of near gaps, cached
-    like the gap vectors."""
+    """``GapOperator(grid, near)``, cached like the gap vectors."""
     return GapOperator(grid, near)
 
 
 class WeightedTable:
-    """The coefficient table of ``f`` times the column weights ``c`` of
-    the triangle rule, ``PW = p_grid(f) * c``, as an operator on rows of
-    n-vectors, with no n x n array: O(n) vectors, a band of ``n x K``
-    entries and a ``K x K`` corner for ``K = near`` near gaps.
+    """The weighted table ``PW = p_grid(f) * c`` of one function as an
+    operator on rows of n-vectors, with no n x n array: O(n) vectors, a
+    band of ``n x K`` entries and a ``K x K`` corner for ``K = near``.
 
     Where ``sin a`` is small, within ``K`` gaps of either end of the gap
     range (``a`` near 0 on the diagonal band, near pi in the top right
     corner), the entries are formed one by one with the arithmetic of
-    ``p_grid``, ``e`` clamped at zero.  Elsewhere ``e`` expands over the
-    far-gap tables ``S`` and ``C`` of ``GapOperator``: for a row ``b``
-    and ``u = c b / sin^2 y``,
-
-        (PW b)_j = (U_j - cx_j^2 (S u)_j - (S cy^2 u)_j
-                    + 2 cx_j (C cy u)_j) / sin^2 x_j
-
-    over the far gaps, with ``U_j`` the sum of their ``u_k``, a reverse
-    cumulative sum; ``b PW`` is the same with ``S^T`` and ``C^T``.  The
-    expansion cannot clamp ``e``, and its rounding falls as ``K`` grows
-    (``gradient_near_gaps``).
-    """
+    ``p_grid``, ``e`` clamped at zero.  The far gaps take the expansion
+    of the module docstring through ``GapOperator``; its rounding falls
+    as ``K`` grows (``gradient_near_gaps``)."""
 
     def __init__(self, f: HullFn, near: int):
-        if dist_to_boundary(f) <= 0.0:
-            raise ValueError("f touches the boundary circle; p is undefined")
+        _check_interior(f)
         grid = f.grid
         n = grid.n
         K = min(near, n - 1)
@@ -316,6 +318,42 @@ class WeightedTable:
         return W
 
 
+class DenseTables:
+    """The dense counterpart of ``WeightedTable`` for many functions:
+    every gap through the expansion of the module docstring, on the
+    dense strictly triangular ``S^T`` and ``C^T`` of a grid."""
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        s, c = gap_kernels(grid)
+        # S^T[k, j] and C^T[k, j], zero for k <= j
+        self.st = np.tril(toeplitz(s, n).T, -1)
+        self.ct = np.tril(toeplitz(c, n).T, -1)
+        self.c = grid.triangle_weights
+
+    def pairs(self, y: np.ndarray, *ab: tuple) -> list[np.ndarray]:
+        """``a_i . PW_i b_i`` for each pair ``(a, b)`` of ``(rows, n)``
+        arrays and each row ``i``, ``PW_i`` the weighted table of the
+        function with values ``y[i]``; the row factor ``1 / sin^2 x``
+        divides ``a``."""
+        x = midnodes(y, PI - y[:, 0])
+        cx, cy = np.cos(x), np.cos(y)
+        sx2, w = np.sin(x), np.sin(y)
+        sx2 *= sx2
+        w *= w
+        np.divide(self.c, w, out=w)
+        out = []
+        for a, b in ab:
+            v = b * w
+            ev = np.zeros_like(v)
+            np.cumsum(v[:, :0:-1], axis=1, out=ev[:, -2::-1])
+            ev -= cx * cx * (v @ self.st)
+            ev -= (cy * cy * v) @ self.st
+            ev += 2.0 * cx * ((cy * v) @ self.ct)
+            out.append(np.einsum("ij,ij->i", a / sx2, ev))
+        return out
+
+
 def _e_values(a, x, y):
     """Squared height of the triple; clamped at zero."""
     return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y))
@@ -353,18 +391,15 @@ def p_grid(f: HullFn) -> np.ndarray:
     """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
     f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
     in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
-    ``k > j``, and zero on and below the diagonal.  Used by the l1
-    probe, ``check``, the path action and the tests; Psi applies
-    ``gap_operator`` instead and holds no n x n array.
+    ``k > j``, and zero on and below the diagonal: the l1 probe,
+    ``check``, the path action and the tests read it.
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
-    The table is written in blocks of rows of at most 32768 entries,
-    so the kernel's temporaries stay in cache and are reused by the
-    allocator instead of being faulted in afresh for every table.
+    The table is written in blocks of rows of at most 32768 entries, so
+    the kernel's temporaries stay in cache and are reused.
     """
-    if dist_to_boundary(f) <= 0.0:
-        raise ValueError("f touches the boundary circle; p is undefined")
+    _check_interior(f)
     n = f.grid.n
     x = f.at_midnodes()
     cx, sx2 = np.cos(x), np.sin(x) ** 2
@@ -384,6 +419,18 @@ def p_grid(f: HullFn) -> np.ndarray:
         corner *= upper[:corner.shape[0], :corner.shape[1]]
         p[block, cols] = e
     return p
+
+
+def q_band(f: HullFn) -> np.ndarray:
+    """``q = e / sin^2 y`` on the band of ``quadrature.band_rule``: entry
+    ``[k, m - 1]`` at the gap ``m * step`` between the integer nodes
+    ``beta_k`` and ``beta_{k+m}``, with ``x = f(beta_k)`` and ``y =
+    f(beta_{k+m})`` on the full circle, ``e`` clamped at zero."""
+    _check_interior(f)
+    idx, _ = band_rule(f.grid)
+    y = f.extended()[idx]
+    return _e_kernel(*_gap_trig(np.arange(1, f.grid.n) * f.grid.step),
+                     np.cos(f.values[:, None]), np.cos(y), np.sin(y) ** 2)
 
 
 def p_l1_norm(f: HullFn) -> float:

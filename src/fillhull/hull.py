@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Grid
+from .quadrature import Grid, midnodes
 
 __all__ = [
     "HullFn",
@@ -72,9 +72,7 @@ class HullFn:
     def at_midnodes(self) -> np.ndarray:
         """f at the midpoint nodes ``(k + 1/2) * pi / n``, by linear
         interpolation with the antipodal wrap ``f(pi) = pi - f(0)``."""
-        v = self.values
-        right = np.concatenate([v[1:], [PI - v[0]]])
-        return 0.5 * (v + right)
+        return midnodes(self.values, PI - self.values[0])
 
     def value_at(self, alpha) -> np.ndarray:
         """Interpolated value(s) of f at arbitrary angles."""

@@ -106,14 +106,8 @@ class Norm2D:
         return poly.normals[0, :poly.counts[0]]
 
     def norm_of(self, vx, vy) -> np.ndarray:
-        """Gauge of the hull polygon: ``|c . v|`` for the facet ``c`` of
-        the angular sector that holds ``v``."""
-        p = self.hull_vertices
-        sector = np.searchsorted(np.arctan2(p[:, 1], p[:, 0]),
-                                 np.mod(np.arctan2(vy, vx), PI),
-                                 side="right") - 1
-        c = self.facet_normals
-        return np.abs(c[sector, 0] * vx + c[sector, 1] * vy)
+        """Gauge of the hull polygon at ``v``; see ``_gauge``."""
+        return _gauge(self._polygon, vx, vy)[0]
 
     def ball_area(self) -> float:
         """Lebesgue area of the hull polygon; see ``_ball_areas``."""
@@ -231,24 +225,33 @@ def _polar_areas(norms: np.ndarray) -> np.ndarray:
     return (r * r).sum(axis=-1) * (PI / norms.shape[-1])
 
 
+def _gauge(poly: _Polygons, vx, vy) -> np.ndarray:
+    """Gauge ``|c . v|`` of each hull polygon at the vectors ``v``
+    (broadcast), shape ``(nodes,) + v.shape``: ``c`` is the facet of the
+    sector that opens at the last vertex whose angle is at most that of
+    ``v``, and before the first vertex the last facet."""
+    angle = np.mod(np.arctan2(vy, vx), PI)
+    nodes, K = poly.vertices.shape[:2]
+    ones = (1,) * angle.ndim
+    # row k of a node's K + 1 is the facet that opens at vertex k - 1,
+    # row 0 the last facet; a padded vertex is never at most an angle
+    c = np.concatenate([poly.normals[np.arange(nodes), poly.counts - 1,
+                                     None], poly.normals], axis=1)
+    vertex = np.where(np.arange(K)[:, None] < poly.counts,
+                      np.arctan2(*poly.vertices.T[::-1]), np.inf)
+    k = (np.arange(nodes) * (K + 1)).reshape(-1, *ones) \
+        + np.zeros(angle.shape, int)
+    for a in vertex:
+        k += a.reshape(-1, *ones) <= angle
+    c = c.reshape(-1, 2)
+    return np.abs(c[:, 0][k] * vx + c[:, 1][k] * vy)
+
+
 def _ball_areas(poly: _Polygons) -> np.ndarray:
-    """Lebesgue area of each hull polygon by the polar formula at the
-    sampled directions, with the hull radii ``1 / N(u_j)`` of its gauge
-    ``N(u_j) = |c . u_j|``, ``c`` the facet of the angular sector that
-    holds ``u_j``: the sector opens at the last vertex whose angle is
-    at most that of ``u_j`` (the choice of ``Norm2D.norm_of``), and
-    before the first vertex it is the last facet's."""
+    """Lebesgue area of each hull polygon by the polar formula, with the
+    hull radii ``1 / N(u_j)`` of its gauge at the sampled directions."""
     th = np.arange(poly.m) * (PI / poly.m)
-    ux, uy = np.cos(th), np.sin(th)
-    u_angle = np.mod(np.arctan2(uy, ux), PI)
-    v = poly.vertices
-    sector = np.zeros((len(v), poly.m), int)
-    for k, angle in enumerate(np.arctan2(v[..., 1], v[..., 0]).T):
-        sector += (angle[:, None] <= u_angle) & (k < poly.counts)[:, None]
-    sector = (sector - 1) % poly.counts[:, None]
-    cx, cy = (np.take_along_axis(poly.normals[..., s], sector, axis=1)
-              for s in (0, 1))
-    return _polar_areas(np.abs(cx * ux + cy * uy))
+    return _polar_areas(_gauge(poly, np.cos(th), np.sin(th)))
 
 
 def _dual_norms(poly: _Polygons) -> np.ndarray:

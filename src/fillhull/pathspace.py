@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Grid, integrate_triangle, integrate_period
-from .hull import HullFn, SpherePoint, dist_to_boundary
-from .coeffs import _e_kernel, _gap_trig, p_grid, hemisphere_speed
+from .quadrature import (Grid, band_rule, integrate_triangle,
+                         integrate_period, midnodes)
+from .hull import HullFn, SpherePoint
+from .coeffs import p_grid, q_band, hemisphere_speed
 
 __all__ = [
     "PlanePath",
@@ -79,9 +80,7 @@ class PlanePath:
     def at_midnodes(self) -> np.ndarray:
         if self.mid_points is not None:
             return self.mid_points
-        pts = self.points
-        right = np.concatenate([pts[1:], -pts[:1]])
-        return 0.5 * (pts + right)
+        return midnodes(self.points.T, -self.points[0]).T
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,7 @@ class AngleField:
         return AngleField(grid, v - v.mean())
 
     def at_midnodes(self) -> np.ndarray:
-        v = self.values
-        right = np.concatenate([v[1:], v[:1]])
-        return 0.5 * (v + right)
+        return midnodes(self.values, self.values[0])
 
 
 def nu_tables(p: SpherePoint, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -160,38 +157,15 @@ def omega_action(f: HullFn, gamma: PlanePath) -> float:
     return integrate_triangle(P * cross, f.grid)
 
 
-def _band_weights(n: int, step: float) -> np.ndarray:
-    """Quadrature weights for the open band (alpha, alpha + pi) on the
-    offsets m = 1..n-1: interior midpoint cells plus extended end
-    cells covering the two bounded half-gaps."""
-    w = np.full(n - 1, step)
-    w[0] = 1.5 * step
-    w[-1] = 1.5 * step
-    return w
-
-
 def mu_path(f: HullFn, gamma: PlanePath) -> PlanePath:
     """The loop ``mu(alpha) = integral over (alpha, alpha + pi) of
-    q(alpha, beta) gamma(beta) d beta`` with ``q = e / sin^2 f(beta)``,
-    sampled at the integer nodes."""
+    q(alpha, beta) gamma(beta) d beta`` with ``q = e / sin^2 f(beta)``
+    (``coeffs.q_band``), sampled at the integer nodes."""
     if f.grid.n != gamma.grid.n:
         raise ValueError("grid mismatch")
-    if dist_to_boundary(f) <= 0.0:
-        raise ValueError("f touches the boundary circle")
-    n = f.grid.n
-    step = f.grid.step
-    fv = f.values
-    f_ext = f.extended()
-    g_ext = gamma.extended()
-
-    k = np.arange(n)[:, None]
-    m = np.arange(1, n)[None, :]
-    idx = (k + m) % (2 * n)
-    y = f_ext[idx]
-    q = _e_kernel(*_gap_trig(m * step), np.cos(fv[:, None]), np.cos(y),
-                  np.sin(y) ** 2)
-    w = _band_weights(n, step)
-    pts = np.einsum("km,m,kmc->kc", q, w, g_ext[idx])
+    q = q_band(f)  # rejects boundary functions
+    idx, w = band_rule(f.grid)
+    pts = np.einsum("km,m,kmc->kc", q, w, gamma.extended()[idx])
     return PlanePath(f.grid, pts)
 
 
@@ -205,18 +179,11 @@ def sigma_path(p: SpherePoint,
     shoelace area ``A = (1/2) contour integral of sigma x sigma'``.
     """
     grid = eta.grid
-    n = grid.n
-    step = grid.step
     gamma = gamma_from_eta(p, eta)
-    g_ext = gamma.extended()
     speed = np.asarray(hemisphere_speed(p, grid.beta_nodes))
-    speed_ext = np.tile(speed, 2)
-
-    k = np.arange(n)[:, None]
-    m = np.arange(1, n)[None, :]
-    idx = (k + m) % (2 * n)
-    w = _band_weights(n, step)
-    pts = 0.5 * np.einsum("km,m,kmc->kc", speed_ext[idx], w, g_ext[idx])
+    idx, w = band_rule(grid)
+    pts = 0.5 * np.einsum("km,m,kmc->kc", np.tile(speed, 2)[idx], w,
+                          gamma.extended()[idx])
     sigma = PlanePath(grid, pts)
 
     dsigma = -speed[:, None] * gamma.points

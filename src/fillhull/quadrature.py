@@ -1,9 +1,10 @@
 """Uniform angular grids and deterministic quadrature rules.
 
-Everything downstream integrates either over the triangle
-``{0 < alpha < beta < pi}`` or over one full period of a periodic
-function.  Both rules here are plain midpoint-type rules with a fixed
-summation order, so repeated runs produce bit-identical results.
+Everything downstream integrates over the triangle ``{0 < alpha <
+beta < pi}``, over the band ``(beta, beta + pi)`` of a node, or over one
+full period of a periodic function.  The rules here are plain
+midpoint-type rules with a fixed summation order, so repeated runs
+produce bit-identical results.
 
 The triangle rule is one set of column weights, ``Grid.triangle_weights``,
 on the strict upper triangle of an ``(alpha_j, beta_k)`` table.
@@ -11,6 +12,10 @@ on the strict upper triangle of an ``(alpha_j, beta_k)`` table.
 each row against the weights and adds the row values with
 ``math.fsum``; callers that pair the table with vectors (the Psi
 workspace, the surface integral) use the same weights directly.
+
+Values on the midpoint nodes come from one rule, ``midnodes``: the
+average of the two neighbouring integer nodes, continued past the half
+period by each caller's own symmetry.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "integrate_triangle", "integrate_period"]
+__all__ = ["Grid", "midnodes", "band_rule", "integrate_triangle",
+           "integrate_period"]
 
 PI = math.pi
 
@@ -65,6 +71,35 @@ class Grid:
         c = np.full(self.n, self.step ** 2)
         c[-1] *= 1.5
         return c
+
+
+def midnodes(v: np.ndarray, last) -> np.ndarray:
+    """Values at the midpoint nodes ``(k + 1/2) * step`` by linear
+    interpolation along the last axis of ``v``: each entry averaged with
+    its right neighbour, where the last entry's neighbour is ``last``,
+    the continuation of the first entry past the half period (``pi -
+    v[..., 0]`` for a hull function, ``v[..., 0]`` for a pi-periodic
+    field, ``-v[..., 0]`` for an antiperiodic one)."""
+    out = np.empty_like(v)
+    out[..., :-1] = v[..., 1:]
+    out[..., -1] = last
+    out += v
+    out *= 0.5
+    return out
+
+
+def band_rule(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature over the open band ``(beta_k, beta_k + pi)`` of every
+    node on the nodes ``beta_{k+m}``, ``m = 1..n-1``: their indices ``(k
+    + m) mod 2n`` into samples of the full circle, shape ``(n, n - 1)``,
+    and the weights, interior midpoint cells plus extended end cells
+    covering the two bounded half-gaps."""
+    n, step = grid.n, grid.step
+    idx = (np.arange(n)[:, None] + np.arange(1, n)[None, :]) % (2 * n)
+    w = np.full(n - 1, step)
+    w[0] = 1.5 * step
+    w[-1] = 1.5 * step
+    return idx, w
 
 
 def integrate_triangle(values: np.ndarray, grid: Grid) -> float:

@@ -5,7 +5,9 @@ derivative norm on the parameter plane; integrating the chosen
 Jacobian of that norm (``norms``) gives the Finsler mass of the chart.
 The cone chart over the boundary circle and the polar caps of the
 hemisphere are the worked examples, together with the surface integral
-of the two-form and the shoelace lower-bound loop.
+of the two-form and the shoelace lower-bound loop.  The integral keeps
+the tangents, their pairing and the chart quadrature here; its
+coefficient tables and their algebra are ``coeffs.DenseTables``.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Grid
+from .quadrature import Grid, midnodes
 from .hull import random_hull_point, sphere_point_values
-from .coeffs import gap_vectors, toeplitz
+from .coeffs import DenseTables
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
 from .norms import (DEGENERATE_NORM, DegenerateNormError,
@@ -327,82 +329,18 @@ def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
                         values)
 
 
-def _to_midnodes(v: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """Each row of ``v`` averaged with its right neighbour; the last
-    entry's neighbour is ``last``, the extension of the row's first
-    entry past the half period."""
-    out = np.empty_like(v)
-    out[:, :-1] = v[:, 1:]
-    out[:, -1] = last
-    out += v
-    out *= 0.5
-    return out
-
-
-def _gap_tables(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """``(S^T, C^T)`` with ``S^T[k, j] = 1 / sin^2 a`` and ``C^T[k, j]
-    = cos a / sin^2 a`` at the gap ``a = (k - j - 1/2) * step`` of
-    ``beta_k - alpha_j``, zero for ``k <= j``: both from the per-gap
-    vectors of ``coeffs.gap_vectors``."""
-    ca, sa2 = gap_vectors(grid)
-    s = 1.0 / sa2
-    return (np.tril(toeplitz(s, grid.n).T, -1),
-            np.tril(toeplitz(ca * s, grid.n).T, -1))
-
-
-def _row_integrands(y: np.ndarray, t0: np.ndarray, t1: np.ndarray,
-                    c: np.ndarray, st: np.ndarray,
-                    ct: np.ndarray) -> np.ndarray:
-    """Node values of the two-form on the tangents ``t0``, ``t1`` for
-    the nodes of one parameter row with hull values ``y``; every array
-    is ``(nodes, n)``.  See ``omega_surface_integral``."""
-    x = _to_midnodes(y, PI - y[:, 0])
-    cx, cy = np.cos(x), np.cos(y)
-    sx2, w = np.sin(x), np.sin(y)
-    sx2 *= sx2
-    w *= w
-    np.divide(c, w, out=w)
-    total = np.zeros(len(y))
-    # tangent functions extend antiperiodically; midpoint values by the
-    # wrapped average
-    for sign, t, tm in ((1.0, t0, _to_midnodes(t1, -t1[:, 0])),
-                        (-1.0, t1, _to_midnodes(t0, -t0[:, 0]))):
-        v = t * w
-        # e v summed over k > j: the constant term of e is a reverse
-        # cumulative sum, the other three are products with the tables
-        ev = np.zeros_like(v)
-        np.cumsum(v[:, :0:-1], axis=1, out=ev[:, -2::-1])
-        ev -= cx * cx * (v @ st)
-        ev -= (cy * cy * v) @ st
-        ev += 2.0 * cx * ((cy * v) @ ct)
-        tm /= sx2
-        total += sign * np.einsum("ij,ij->i", tm, ev)
-    return total
-
-
 def omega_surface_integral(chart: SurfaceChart) -> float:
     """Surface integral of the two-form over the chart.
 
-    At each parameter node the two tangent functions are paired
-    through the coefficient table of the node's hull function; the
-    node values are then integrated over the parameter rectangle.
-    Charts are oriented (axis0, axis1); the cap comes out positive.
-
-    With the column weights ``c`` of the triangle rule, the midnode
-    values ``x``, the node values ``y`` and ``v = c t / sin^2 y``, the
-    node value is ``t1m . P (c t0) - t0m . P (c t1)`` for ``P = e /
-    (sin^2 x sin^2 y)`` on ``k > j``, midpoint tangents ``t0m``,
-    ``t1m`` and ``e = 1 - (cos^2 x + cos^2 y - 2 cos a cos x cos y) /
-    sin^2 a``.  On the strict upper triangle put ``S = 1 / sin^2 a``
-    and ``C = cos a / sin^2 a``, which depend only on the grid:
-
-        e v = sum_{k > j} v_k - cos^2 x_j (S v)_j - (S cos^2 y v)_j
-              + 2 cos x_j (C cos y v)_j,
-
-    a reverse cumulative sum and three products with the two tables
-    for each tangent.  The tables are built once per chart, and every
-    node of a parameter row goes through one matrix product per term,
-    with temporaries the size of one row.
+    The node value is the form's action on the tangent path ``(t0,
+    t1)``: with ``PW`` the weighted coefficient table of the node's hull
+    function and ``t0m``, ``t1m`` the tangents at the midpoint nodes, it
+    is ``t1m . PW t0 - t0m . PW t1``.  ``coeffs.DenseTables`` applies
+    the tables to every node of a parameter row at once (the expansion
+    over ``1 / sin^2 a`` and ``cos a / sin^2 a`` is derived in
+    ``coeffs``), with temporaries the size of one row; the node values
+    are then integrated over the parameter rectangle.  Charts are
+    oriented (axis0, axis1); the cap comes out positive.
 
     Unlike ``p_grid``, ``e`` is not clamped at zero: the integral is
     defined for charts whose nodes are hull functions.  Then ``|x - y|
@@ -422,8 +360,7 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
                                                       near.shape))
         raise ValueError(f"chart node {node} touches the "
                          "boundary circle; p is undefined")
-    st, ct = _gap_tables(chart.grid)
-    c = chart.grid.triangle_weights
+    tables = DenseTables(chart.grid)
     w0, w1 = _axis_weights(chart)
     n0 = len(chart.axis0)
     h0 = chart.axis0[1] - chart.axis0[0]
@@ -432,11 +369,14 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     for i in range(n0):
         y = V[i]
         # the tangents: central differences, one-sided at the two
-        # radial ends, and wrapped on the angular axis
+        # radial ends, and wrapped on the angular axis; they extend
+        # antiperiodically, which gives their midpoint values
         lo, hi = max(i - 1, 0), min(i + 1, n0 - 1)
         t0 = (V[hi] - V[lo]) / ((hi - lo) * h0)
         t1 = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) / (2.0 * h1)
-        total += w0[i] * (w1 @ _row_integrands(y, t0, t1, c, st, ct))
+        t0m, t1m = (midnodes(t, -t[:, 0]) for t in (t0, t1))
+        a, b = tables.pairs(y, (t1m, t0), (t0m, t1))
+        total += w0[i] * (w1 @ (a - b))
     return float(total)
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fillhull import coeffs, hull
+from fillhull import coeffs, comass, hull, pathspace
 from fillhull.hull import SpherePoint
+from fillhull.pathspace import AngleField
 from fillhull.quadrature import Grid, integrate_period
 
 PI = math.pi
@@ -201,3 +202,17 @@ def test_hemisphere_speed_integrates_to_two_pi():
 def test_hemisphere_speed_rejects_boundary():
     with pytest.raises(ValueError):
         coeffs.hemisphere_speed(SpherePoint(0.0, 0.0), 0.3)
+
+
+def test_every_coefficient_table_has_the_same_interior_check():
+    # f(0) = 0: the function touches the boundary circle
+    f = hull.boundary_point(0.0, GRID)
+    h = SpherePoint(1.3, 0.6)
+    gamma = pathspace.gamma_from_eta(h, AngleField.zero(GRID))
+    message = "f touches the boundary circle; p is undefined"
+    for table in (lambda: coeffs.p_grid(f),
+                  lambda: pathspace.mu_path(f, gamma),
+                  lambda: comass.psi(h, f, AngleField.zero(GRID))):
+        with pytest.raises(ValueError) as info:
+            table()
+        assert str(info.value) == message

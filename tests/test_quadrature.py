@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fillhull.quadrature import Grid, integrate_triangle, integrate_period
+from fillhull.quadrature import (Grid, integrate_period, integrate_triangle,
+                                 midnodes)
 
 PI = math.pi
 
@@ -90,3 +91,18 @@ def test_period_rule_is_repeatable_and_exactly_summed():
     b = integrate_period(vals, 2 * PI)
     assert a == b
     assert a == math.fsum(vals) * (2 * PI / vals.size)
+
+
+@pytest.mark.parametrize("wrap", [lambda v0: PI - v0, lambda v0: v0,
+                                  lambda v0: -v0],
+                         ids=["hull", "periodic", "antiperiodic"])
+def test_midnodes_is_the_wrapped_neighbour_average(wrap):
+    rng = np.random.default_rng(3)
+    for v in (rng.uniform(0.1, 3.0, size=64),
+              rng.uniform(-2.0, 3.0, size=(5, 64))):
+        last = wrap(v[..., 0])
+        right = np.concatenate([v[..., 1:], last[..., None]], axis=-1)
+        want = 0.5 * (v + right)
+        got = midnodes(v, last)
+        assert got.shape == v.shape
+        assert np.array_equal(got, want)
