@@ -32,9 +32,9 @@ of ``e`` give, on the strict upper triangle,
 ``U_j`` the sum of ``u_k`` over ``k > j``, a reverse cumulative sum;
 ``b PW`` is the same with ``S^T`` and ``C^T``.  This expansion cannot
 clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
-``WeightedTable`` applies it to one function for Psi, the far gaps by
-FFT (``GapOperator``), and ``DenseTables`` to many functions for the
-surface integral, every gap by dense products.
+``WeightedTable`` applies it to a stack of functions for Psi, the far
+gaps by FFT (``GapOperator``), and ``DenseTables`` to many functions
+for the surface integral, every gap by dense products.
 """
 
 from __future__ import annotations
@@ -174,12 +174,14 @@ class GapOperator:
     def __call__(self, rows: np.ndarray, factors: tuple, n_s: int,
                  transpose: bool = False) -> np.ndarray:
         """``S`` (``S^T`` when ``transpose``) on the first ``n_s`` rows of
-        the stack of ``rows * f`` over ``factors`` (``None`` for 1),
-        ``C`` (``C^T``) on the others; ``rows`` is ``(r, n)``."""
-        n, r = self.n, len(rows)
-        X = np.zeros((len(factors), r, 2 * n))
+        the stack of ``rows * f`` over ``factors`` (``None`` for 1, else
+        broadcast against ``rows``), ``C`` (``C^T``) on the others, as a
+        ``(rows, n)`` array; ``rows`` is ``(..., n)``.  The transforms go
+        row by row, so a row's result does not depend on the others."""
+        n = self.n
+        X = np.zeros((len(factors),) + rows.shape[:-1] + (2 * n,))
         for x, f in zip(X, factors):
-            np.multiply(rows, 1.0 if f is None else f, out=x[:, :n])
+            np.multiply(rows, 1.0 if f is None else f, out=x[..., :n])
         spec = np.fft.rfft(X.reshape(-1, 2 * n))
         # the padded input goes before the inverse transform's output
         # comes, so that no more than two such arrays are held
@@ -197,24 +199,41 @@ def gap_operator(grid: Grid, near: int) -> GapOperator:
 
 
 class WeightedTable:
-    """The weighted table ``PW = p_grid(f) * c`` of one function as an
-    operator on rows of n-vectors, with no n x n array: O(n) vectors, a
-    band of ``n x K`` entries and a ``K x K`` corner for ``K = near``.
+    """The weighted tables ``PW = p_grid(f) * c`` of a stack of functions
+    on one grid, as operators on rows of n-vectors, with no n x n array:
+    per function O(n) vectors, a band of ``n x K`` entries and a ``K x
+    K`` corner for ``K = near``, each stacked along a leading axis.
 
     Where ``sin a`` is small, within ``K`` gaps of either end of the gap
     range (``a`` near 0 on the diagonal band, near pi in the top right
     corner), the entries are formed one by one with the arithmetic of
     ``p_grid``, ``e`` clamped at zero.  The far gaps take the expansion
     of the module docstring through ``GapOperator``; its rounding falls
-    as ``K`` grows (``gradient_near_gaps``)."""
+    as ``K`` grows (``gradient_near_gaps``).
 
-    def __init__(self, f: HullFn, near: int):
-        _check_interior(f)
-        grid = f.grid
-        n = grid.n
+    A product takes the functions ``live`` (a sorted index array into
+    the stack, every function when ``None``) and rows for each.  The far
+    gaps of all of them are one ``GapOperator`` call, and the band and
+    the corner the same matrix products, function by function, that a
+    stack of one takes; each function's blocks are read in place, not
+    copied.  So each function's result is the one a stack of that
+    function alone gives, bit for bit."""
+
+    @staticmethod
+    def block_shape(n: int, near: int) -> tuple[int, int, int]:
+        """Shape ``(nb, K, 2K)`` of one function's near-gap blocks."""
         K = min(near, n - 1)
+        return -(-n // K), K, 2 * K
+
+    def __init__(self, fs: list[HullFn], near: int):
+        for f in fs:
+            _check_interior(f)
+        grid = fs[0].grid
+        n = grid.n
+        nb, K, _ = self.block_shape(n, near)
         self.op = gap_operator(grid, K)
-        x, y = f.at_midnodes(), f.values
+        y = np.array([f.values for f in fs])
+        x = midnodes(y, PI - y[:, 0])      # each f.at_midnodes()
         cx, sx2 = np.cos(x), np.sin(x) ** 2
         cy, sy2 = np.cos(y), np.sin(y) ** 2
         c = grid.triangle_weights
@@ -225,96 +244,117 @@ class WeightedTable:
         self.mix = np.stack([-cx * cx * rsx2, -rsx2, 2.0 * cx * rsx2])
         ca, sa2 = gap_vectors(grid)
 
-        # blocks[i, r, c] = PW[iK + r, iK + 1 + c]: K rows and the 2K
-        # columns their near gaps reach, so that a product with the band
-        # is one batched matrix product.  The band itself is the strided
-        # view band[i, r, m - 1] = PW[iK + r, iK + r + m].  It is built
-        # in chunks of about 4096 entries, so that the kernel's
-        # temporaries stay small; the rows past n and the weights past
-        # the last column are 0, which drops those entries.
-        nb = -(-n // K)
-        self.blocks = np.zeros((nb, K, 2 * K))
-        s0, s1, s2 = self.blocks.strides
-        band = as_strided(self.blocks, shape=(nb, K, K),
-                          strides=(s0, s1 + s2, s2))
-        cxp, sx2p = (np.concatenate([v, [fill] * (nb * K - n)])
+        # blocks[f, i, r, c] = PW_f[iK + r, iK + 1 + c]: K rows and the
+        # 2K columns their near gaps reach, so that a product with the
+        # band is one batched matrix product.  The band itself is the
+        # strided view band[f, i, r, m - 1] = PW_f[iK + r, iK + r + m].
+        # It is built in chunks of about 4096 entries, every function at
+        # once, so that the kernel's temporaries stay small; the rows
+        # past n and the weights past the last column are 0, which drops
+        # those entries.
+        F = len(fs)
+        self.blocks = np.zeros((F, nb, K, 2 * K))
+        s0, s1, s2, s3 = self.blocks.strides
+        band = as_strided(self.blocks, shape=(F, nb, K, K),
+                          strides=(s0, s1, s2 + s3, s3))
+        cxp, sx2p = (np.concatenate([v, np.full((F, nb * K - n), fill)],
+                                    axis=1)
                      for v, fill in ((cx, 0.0), (sx2, 1.0)))
         # row j, column m - 1 of each window view is entry j + m
         pad = nb * K + K - n
-        cyw, sy2w, cw = (
-            sliding_window_view(np.concatenate([v[1:], [fill] * pad]), K)
-            for v, fill in ((cy, 0.0), (sy2, 1.0), (c, 0.0)))
-        self.p_first = 0.0
-        per = max(1, 4096 // (K * K))
+        cyw, sy2w = (sliding_window_view(np.concatenate(
+            [v[:, 1:], np.full((F, pad), fill)], axis=1), K, axis=1)
+            for v, fill in ((cy, 0.0), (sy2, 1.0)))
+        cw = sliding_window_view(np.concatenate([c[1:], [0.0] * pad]), K)
+        p_first = np.zeros(F)
+        per = max(1, 4096 // (F * K * K))
         for i in range(0, nb, per):
             j, stop = i * K, min(i + per, nb) * K
-            e = _e_kernel(ca[n:n + K], sa2[n:n + K], cxp[j:stop, None],
-                          cyw[j:stop], sx2p[j:stop, None] * sy2w[j:stop])
+            e = _e_kernel(ca[n:n + K], sa2[n:n + K], cxp[:, j:stop, None],
+                          cyw[:, j:stop],
+                          sx2p[:, j:stop, None] * sy2w[:, j:stop])
             # the largest entry on the first gap, where the table is
             # largest (within 4e-5 of its maximum on the benchmark's
             # inputs)
-            self.p_first = max(self.p_first,
-                               float(e[:n - 1 - j, 0].max(initial=0.0)))
+            np.maximum(p_first, e[:, :n - 1 - j, 0].max(axis=1, initial=0.0),
+                       out=p_first)
             e *= cw[j:stop]
-            band[i:i + per] = e.reshape(-1, K, K)
-        # corner[j, i] = PW[j, n - K + i] on the gaps from n - K up, less
-        # the term 1 / sin^2 x_j * c_k / sin^2 y_k that the far-gap sums
-        # U and W count there
+            band[:, i:i + per] = e.reshape(F, -1, K, K)
+        self.p_first = p_first.tolist()
+        # corner[f, j, i] = PW_f[j, n - K + i] on the gaps from n - K up,
+        # less the term 1 / sin^2 x_j * c_k / sin^2 y_k that the far-gap
+        # sums U and W count there
         j, k = np.arange(K)[:, None], n - K + np.arange(K)
         mask = k - j >= max(K + 1, n - K)
         ca_k, sa2_k = (toeplitz(v, n)[:K, n - K:] for v in (ca, sa2))
-        self.corner = _e_kernel(ca_k, sa2_k, cx[:K, None], cy[n - K:])
+        self.corner = _e_kernel(ca_k, sa2_k, cx[:, :K, None],
+                                cy[:, None, n - K:])
         self.corner -= 1.0
-        self.corner *= mask * rsx2[:K, None] * self.wy[n - K:]
+        self.corner *= mask * rsx2[:, :K, None] * self.wy[:, None, n - K:]
 
-    def __call__(self, B: np.ndarray) -> np.ndarray:
-        """``PW`` applied to each row of ``B`` (rows, n)."""
-        r, n = B.shape
-        K = self.blocks.shape[1]
-        u = B * self.wy
-        Y = self.op(u, (None, self.cy2, self.cy), 2 * r)
+    def _live(self, live):
+        """``live`` as an index into the stack, and as function numbers."""
+        if live is None:
+            return slice(None), range(len(self.blocks))
+        return live, live
+
+    def __call__(self, B: np.ndarray, live=None) -> np.ndarray:
+        """``PW`` of function ``live[i]`` applied to each row of ``B[i]``;
+        ``B`` is ``(len(live), rows, n)``."""
+        live, ids = self._live(live)
+        m, r, n = B.shape
+        nb, K = self.blocks.shape[1:3]
+        u = B * self.wy[live, None]
+        Y = self.op(u, (None, self.cy2[live, None], self.cy[live, None]),
+                    2 * m * r).reshape(3, m, r, n)
         # U_j = sum of u_k over k - j > K (the corner's share is taken
         # out with the corner below)
         U = np.zeros_like(u)
-        np.cumsum(u[:, :K:-1], axis=1, out=U[:, -K - 2::-1])
-        U *= self.rsx2
-        U += np.einsum("krj,kj->rj", Y.reshape(3, r, n), self.mix)
-        # the band: window i of B holds the 2K columns block i reaches
-        nb = len(self.blocks)
-        padded = np.zeros((r, (nb + 1) * K + 1))
-        padded[:, :n] = B
-        t0, t1 = padded.strides
-        windows = as_strided(padded[:, 1:], shape=(nb, 2 * K, r),
-                             strides=(K * t1, t1, t0), writeable=False)
-        U += np.matmul(self.blocks, windows).reshape(nb * K, r)[:n].T
-        U[:, :K] += B[:, n - K:] @ self.corner.T
+        np.cumsum(u[..., :K:-1], axis=-1, out=U[..., -K - 2::-1])
+        U *= self.rsx2[live, None]
+        U += np.einsum("kfrj,kfj->frj", Y, self.mix[:, live])
+        # the band: window i of B[f] holds the 2K columns block i reaches
+        padded = np.zeros((m, r, (nb + 1) * K + 1))
+        padded[..., :n] = B
+        t0, t1, t2 = padded.strides
+        windows = np.ndarray((m, nb, 2 * K, r), buffer=padded, offset=t2,
+                             strides=(t0, K * t2, t2, t1))
+        band = np.empty((m, nb, K, r))
+        for out, window, f in zip(band, windows, ids):
+            np.matmul(self.blocks[f], window, out=out)
+        U += band.reshape(m, nb * K, r)[:, :n].transpose(0, 2, 1)
+        U[..., :K] += B[..., n - K:] @ self.corner[live].transpose(0, 2, 1)
         return U
 
-    def transposed(self, A: np.ndarray) -> np.ndarray:
-        """Each row of ``A`` (rows, n) applied to ``PW`` from the left."""
-        r, n = A.shape
-        K = self.blocks.shape[1]
-        w = A * self.rsx2
-        Y = self.op(w, (self.cx2, None, self.cx2x), 2 * r, transpose=True)
+    def transposed(self, A: np.ndarray, live=None) -> np.ndarray:
+        """Each row of ``A[i]`` applied to ``PW`` of function ``live[i]``
+        from the left; ``A`` is ``(len(live), rows, n)``."""
+        live, ids = self._live(live)
+        m, r, n = A.shape
+        nb, K = self.blocks.shape[1:3]
+        w = A * self.rsx2[live, None]
+        Y = self.op(w, (self.cx2[live, None], None, self.cx2x[live, None]),
+                    2 * m * r, transpose=True).reshape(3, m, r, n)
         # W_k = sum of w_j over k - j > K (the corner's share is taken
         # out with the corner below)
         W = np.zeros_like(w)
-        np.cumsum(w[:, :-K - 1], axis=1, out=W[:, K + 1:])
-        W -= Y[:r]
-        W -= self.cy2 * Y[r:2 * r]
-        W += self.cy * Y[2 * r:]
-        W *= self.wy
+        np.cumsum(w[..., :-K - 1], axis=-1, out=W[..., K + 1:])
+        W -= Y[0]
+        W -= self.cy2[live, None] * Y[1]
+        W += self.cy[live, None] * Y[2]
+        W *= self.wy[live, None]
         # the band: block i sends K rows of A to 2K columns from iK + 1,
         # the second K of which block i + 1 also reaches
-        nb = len(self.blocks)
-        a = np.zeros((nb * K, r))
-        a[:n] = A.T
-        out = np.matmul(self.blocks.transpose(0, 2, 1), a.reshape(nb, K, r))
-        cols = np.zeros((nb + 1, K, r))
-        cols[:nb] += out[:, :K]
-        cols[1:] += out[:, K:]
-        W[:, 1:] += cols.reshape(-1, r)[:n - 1].T
-        W[:, n - K:] += A[:, :K] @ self.corner
+        a = np.zeros((m, nb * K, r))
+        a[:, :n] = A.transpose(0, 2, 1)
+        band = np.empty((m, nb, 2 * K, r))
+        for out, a_f, f in zip(band, a.reshape(m, nb, K, r), ids):
+            np.matmul(self.blocks[f].transpose(0, 2, 1), a_f, out=out)
+        cols = np.zeros((m, nb + 1, K, r))
+        cols[:, :nb] += band[:, :, :K]
+        cols[:, 1:] += band[:, :, K:]
+        W[..., 1:] += cols.reshape(m, -1, r)[:, :n - 1].transpose(0, 2, 1)
+        W[..., n - K:] += A[..., :K] @ self.corner[live]
         return W
 
 

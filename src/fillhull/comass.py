@@ -47,6 +47,25 @@ A run ends (``diag["termination"]``) on
 * ``max_iters``.
 
 The first two count as converged.
+
+Independent problems on one grid ascend as a stack (``_maximize``): one
+``_Workspace`` holds the tables of all of them, and ``_ascend`` runs
+them in lockstep.  Each problem keeps its own step, nonmonotone
+memory, line-search trial, iteration count and termination, and leaves
+the live set when it ends; the array work of a step (trig rows,
+band-pass, projection, table products) is one pass over the live
+problems.  A reduction over a row is the 1-D reduction of that row:
+``_dots`` takes one dot product per row, and a sum along the last axis
+is each row's pairwise sum.  So a problem's result is the one it gets
+alone, bit for bit, and ``maximize_eta`` is a stack of one.
+
+``calibration_sweep`` ascends consecutive rows as stacks whose near-gap
+blocks fit ``_STACK_BYTES``.  The blocks (``WeightedTable.block_shape``)
+are nearly all of a workspace's memory, and their size per row grows
+with n: 0.44 MB at n = 512, 1.8 MB at 1024, 7.3 MB at 2048.  A byte
+budget bounds the peak where a fixed row count would not: 4 rows at n =
+512, 1 from 1024 up; all ten tables of an n = 512 sweep at once raised
+the peak RSS by 4.4 MB.
 """
 
 from __future__ import annotations
@@ -61,6 +80,7 @@ from .quadrature import Grid
 from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
 from .coeffs import NEAR_GAPS, WeightedTable, gradient_near_gaps
 from .pathspace import AngleField, nu_tables
+from .quadrature import midnodes
 
 __all__ = [
     "OptimizerConfig",
@@ -85,6 +105,8 @@ VALUE_RTOL = 1e-14
 NONMONOTONE = 10
 # the terminations that count as converged
 CONVERGED = ("grad_tol", "value_resolution")
+# ``calibration_sweep``: bytes of near-gap blocks one stack may hold
+_STACK_BYTES = 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -101,28 +123,16 @@ class OptimizerConfig:
             raise ValueError("multistart must be positive")
 
 
-def _angle_rows(nu_beta: np.ndarray, nu_alpha: np.ndarray,
-                eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (cos tb, sin tb) and (cos ta, sin ta), each 2 x n, with
-    ``tb = nu_beta + eta`` and ``ta = nu_alpha + eta_mid``."""
-    tb = nu_beta + eta.values
-    ta = nu_alpha + eta.at_midnodes()
-    B, A = np.empty((2, len(tb))), np.empty((2, len(ta)))
-    np.cos(tb, out=B[0])
-    np.sin(tb, out=B[1])
-    np.cos(ta, out=A[0])
-    np.sin(ta, out=A[1])
-    return B, A
-
-
-def _cross_sum(A: np.ndarray, R: np.ndarray) -> float:
-    """Psi from ``R = PW @ B``: row j of the triangle rule is sum_k PW_jk
-    sin(tb_k - ta_j)."""
-    return float(A[0] @ R[1] - A[1] @ R[0])
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row ``i`` of ``a`` and ``b`` (``(...,
+    n)``), in one call: a batch of vector products, each rounded as that
+    1-D dot product is."""
+    return np.matmul(a[..., None, :], b[..., None])[..., 0, 0]
 
 
 class _Workspace:
-    """O(n) data for repeated Psi evaluations at fixed (h, f).
+    """O(n) data for repeated Psi evaluations at fixed (h, f), for a
+    stack of problems ``(points[i], fns[i])`` on one grid.
 
     With ``tb = nu_beta + eta`` and ``ta = nu_alpha + eta_mid``, the
     integrand's ``sin(tb_k - ta_j)`` and ``cos(tb_k - ta_j)`` split by
@@ -130,57 +140,78 @@ class _Workspace:
     sum over the weighted table ``PW`` is a product of ``PW`` or its
     transpose with a few n-vectors: ``coeffs.WeightedTable``, which
     holds no n x n array.
+
+    Every method takes fields ``eta`` as an ``(m, n)`` array, row ``i``
+    for problem ``live[i]``: ``live`` is a sorted index array, or
+    ``None`` for every problem.
     """
 
-    def __init__(self, p: SpherePoint, f: HullFn, near: int | None = None):
+    def __init__(self, points: list[SpherePoint], fns: list[HullFn],
+                 near: int | None = None):
+        self.grid = fns[0].grid
         if near is None:
-            near = gradient_near_gaps(f.grid.n)
-        self.table = WeightedTable(f, near)  # rejects boundary functions
-        self.grid = f.grid
-        nu_beta, self.nu_alpha = nu_tables(p, self.grid)
-        self.nu_beta = nu_beta[:-1]
+            near = gradient_near_gaps(self.grid.n)
+        self.table = WeightedTable(fns, near)  # rejects boundary functions
+        nu = [nu_tables(p, self.grid) for p in points]
+        self.nu_beta = np.array([beta[:-1] for beta, _ in nu])
+        self.nu_alpha = np.array([alpha for _, alpha in nu])
 
-    def _trig(self, eta: AngleField) -> tuple[np.ndarray, np.ndarray]:
-        return _angle_rows(self.nu_beta, self.nu_alpha, eta)
+    def _trig(self, eta: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
+        """Rows (cos tb, sin tb) and (cos ta, sin ta), each ``(m, 2,
+        n)``."""
+        rows = slice(None) if live is None else live
+        tb = self.nu_beta[rows] + eta
+        ta = self.nu_alpha[rows] + midnodes(eta, eta[:, 0])
+        B, A = np.empty((2, len(tb), 2, tb.shape[1]))
+        np.cos(tb, out=B[:, 0])
+        np.sin(tb, out=B[:, 1])
+        np.cos(ta, out=A[:, 0])
+        np.sin(ta, out=A[:, 1])
+        return B, A
 
-    def value_rows(self, eta: AngleField) -> tuple[float, tuple]:
-        """Psi and the rows ``(B, A, R)`` it is summed from: the trig
-        rows and the product ``R = PW @ B``.  The gradient at the same
-        ``eta`` can take them instead of forming them again."""
-        B, A = self._trig(eta)
-        R = self.table(B)                  # (PW cos tb, PW sin tb)
-        return _cross_sum(A, R), (B, A, R)
+    def value_rows(self, eta: np.ndarray, live=None
+                   ) -> tuple[np.ndarray, tuple]:
+        """Psi of each problem and the rows ``(B, A, R)`` it is summed
+        from: the trig rows and the product ``R = PW @ B``.  The gradient
+        at the same ``eta`` can take them instead of forming them
+        again."""
+        B, A = self._trig(eta, live)
+        R = self.table(B, live)            # (PW cos tb, PW sin tb)
+        # row j of the triangle rule is sum_k PW_jk sin(tb_k - ta_j):
+        # cos ta . PW sin tb - sin ta . PW cos tb
+        cross = _dots(A, R[:, ::-1])
+        return cross[:, 0] - cross[:, 1], (B, A, R)
 
-    def value(self, eta: AngleField) -> float:
-        return self.value_rows(eta)[0]
-
-    def gradient(self, eta: AngleField, rows: tuple | None = None
+    def gradient(self, eta: np.ndarray, live=None, rows: tuple | None = None
                  ) -> np.ndarray:
-        """Gradient in the mean-zero gauge; ``rows`` are ``value_rows``'s
-        at the same ``eta``, if the caller has them."""
-        B, A, R = rows if rows is not None else self.value_rows(eta)[1]
+        """Gradients in the mean-zero gauge; ``rows`` are
+        ``value_rows``'s at the same ``eta``, if the caller has them."""
+        B, A, R = rows if rows is not None else self.value_rows(eta, live)[1]
         # column and row sums of PW_jk cos(tb_k - ta_j)
-        T = self.table.transposed(A)
-        g = B[0] * T[0] + B[1] * T[1]              # d / d eta_k
-        mid = A[0] * R[0] + A[1] * R[1]            # midpoint contributions
+        T = self.table.transposed(A, live)
+        g = B[:, 0] * T[:, 0] + B[:, 1] * T[:, 1]   # d / d eta_k
+        mid = A[:, 0] * R[:, 0] + A[:, 1] * R[:, 1]  # midpoint contributions
         g -= 0.5 * mid
-        g[1:] -= 0.5 * mid[:-1]
-        g[0] -= 0.5 * mid[-1]
-        return g - g.sum() / len(g)
+        g[:, 1:] -= 0.5 * mid[:, :-1]
+        g[:, 0] -= 0.5 * mid[:, -1]
+        # a sum along rows is the 1-D pairwise sum of each row
+        g -= g.sum(axis=1, keepdims=True) / g.shape[1]
+        return g
 
-    def quadform(self, eta: AngleField, v: AngleField) -> float:
-        """Second derivative of Psi along ``v`` (negative in the
-        concavity regime): -sum of PW_jk sin(tb_k - ta_j) (v_k - vm_j)^2,
-        with the square expanded as v_k^2 - 2 v_k vm_j + vm_j^2: one
-        product of PW with six rows."""
-        B, A = self._trig(eta)
-        vk = v.values
-        vm = v.at_midnodes()
-        Y = self.table(np.concatenate([B * vk * vk, B * vk, B]))
+    def quadform(self, eta: np.ndarray, v: np.ndarray, live=None) -> list:
+        """Second derivative of Psi along each row of ``v`` (negative in
+        the concavity regime): -sum of PW_jk sin(tb_k - ta_j) (v_k -
+        vm_j)^2, with the square expanded as v_k^2 - 2 v_k vm_j + vm_j^2:
+        one product of PW with six rows."""
+        B, A = self._trig(eta, live)
+        vk = v[:, None]
+        vm = midnodes(v, v[:, 0])
+        Y = self.table(np.concatenate([B * vk * vk, B * vk, B], axis=1),
+                       live)
         # sum_k PW_jk sin(tb_k - ta_j) x_k for the three row pairs x
-        S = A[0] * Y[1::2] - A[1] * Y[0::2]
-        rows = S[0] - 2.0 * vm * S[1] + vm * vm * S[2]
-        return -math.fsum(rows)
+        S = A[:, :1] * Y[:, 1::2] - A[:, 1:] * Y[:, 0::2]
+        rows = S[:, 0] - 2.0 * vm * S[:, 1] + vm * vm * S[:, 2]
+        return [-math.fsum(r) for r in rows]
 
 
 def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:
@@ -195,19 +226,21 @@ def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:
     endpoints they come from (n = 512) the clamp moves Psi by at most
     4.4e-15.
     """
-    return _Workspace(p, f, NEAR_GAPS).value(eta)
+    ws = _Workspace([p], [f], NEAR_GAPS)
+    return float(ws.value_rows(eta.values[None])[0][0])
 
 
 def psi_gradient(p: SpherePoint, f: HullFn, eta: AngleField) -> AngleField:
     """Exact gradient of the discrete functional in the mean-zero gauge."""
-    ws = _Workspace(p, f)
-    return AngleField(eta.grid, ws.gradient(eta))
+    ws = _Workspace([p], [f])
+    return AngleField(eta.grid, ws.gradient(eta.values[None])[0])
 
 
 def _project(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection of ``v`` onto {mean 0, ``|eta|_inf <= cap``}:
-    ``clip(v - tau, -cap, cap)`` with the ``tau`` that makes the mean
-    zero, which is ``v - mean(v)`` when nothing clips.
+    """Euclidean projection of each row of ``v`` (m, n) onto {mean 0,
+    ``|eta|_inf <= cap``}: ``clip(v - tau, -cap, cap)`` with the ``tau``
+    that makes the mean zero, which is ``v - mean(v)`` when nothing
+    clips.
 
     The sum of ``clip(v - tau)`` falls with ``tau``, linearly between
     the knots ``v_i -+ cap``.  It is evaluated at every knot from the
@@ -215,9 +248,15 @@ def _project(v: np.ndarray, cap: float) -> np.ndarray:
     zero the clipped sets are fixed, and ``tau`` solves a linear
     equation (Condat 2016 solves the simplex case the same way).
     """
-    w = v - v.sum() / len(v)
-    if np.abs(w).max() <= cap:
-        return w
+    w = v - v.sum(axis=1, keepdims=True) / v.shape[1]
+    if np.abs(w).max() > cap:
+        for i in np.flatnonzero(np.abs(w).max(axis=1) > cap):
+            w[i] = _clip_project(v[i], cap)
+    return w
+
+
+def _clip_project(v: np.ndarray, cap: float) -> np.ndarray:
+    """``_project`` of one vector that clips."""
     n = len(v)
     sv = np.sort(v)
     cum = np.concatenate([[0.0], np.cumsum(sv)])
@@ -238,89 +277,210 @@ def _project(v: np.ndarray, cap: float) -> np.ndarray:
     return np.clip(v - tau, -cap, cap)
 
 
+def _bandpass(v: np.ndarray, band: int) -> np.ndarray:
+    """The Fourier modes 1 to ``band`` of each row of ``v``."""
+    spec = np.fft.rfft(v)
+    spec[:, 0] = 0.0
+    spec[:, band + 1:] = 0.0
+    return np.fft.irfft(spec, v.shape[1])
+
+
+class _Run:
+    """The scalars of one problem's ascent in ``_ascend``."""
+
+    __slots__ = ("problem", "step0", "step", "val", "recent", "iters",
+                 "grad_norm", "trial", "resolution", "fell", "has_prev",
+                 "fresh", "termination")
+
+    def __init__(self, problem: int, p_first: float, val: float):
+        self.problem = problem
+        self.step0 = self.step = 1.0 / max(p_first, 1e-12)
+        self.val = val
+        self.recent = [val]
+        self.iters = 0
+        self.grad_norm = 0.0
+        self.has_prev = False
+        # its gradient at the current field is taken next
+        self.fresh = True
+        self.termination = None
+
+
+def _rows(rows: list, m: int):
+    """``rows`` of ``m`` as an index: a slice, whose rows are views, when
+    it is all of them."""
+    return slice(None) if len(rows) == m else np.array(rows, dtype=int)
+
+
+def _put(a: np.ndarray, rows, x: np.ndarray) -> np.ndarray:
+    """``a`` with ``x`` at ``rows`` (a ``_rows`` index); ``x`` itself,
+    uncopied, when the rows are all of ``a``.  ``x`` must be an array of
+    its own, not a view of another."""
+    if isinstance(rows, slice):
+        return x
+    a[rows] = x
+    return a
+
+
 def _ascend(ws: _Workspace,
-            eta0: np.ndarray) -> tuple[np.ndarray, float, dict]:
-    grid = ws.grid
-    n = grid.n
+            eta0: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Ascents of every problem of ``ws`` from the rows of ``eta0``, in
+    lockstep.  A round takes the gradient of every problem that has just
+    accepted a field, then one line-search trial of every problem; the
+    arrays hold a row per live problem, and a problem that has ended
+    leaves them at the start of the next round."""
+    count, n = eta0.shape
     cap = OptimizerConfig.eta_cap
-    step0 = 1.0 / max(ws.table.p_first, 1e-12)
     band = max(8, n // 8)
 
-    def bandpass(v: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(v)
-        spec[0] = 0.0
-        spec[band + 1:] = 0.0
-        return np.fft.irfft(spec, n)
-
-    eta = _project(bandpass(eta0), cap)
-    # rows are the trig rows and PW @ B at the current eta, from the
-    # value that accepted it; the next gradient is taken at the same
+    eta = _project(_bandpass(eta0, band), cap)
+    # B, A and R are the trig rows and PW @ B at each current eta, from
+    # the value that accepted it; the next gradient is taken at the same
     # field and reuses them
-    val, rows = ws.value_rows(AngleField(grid, eta))
-    recent = [val]
-    step = step0
-    iters = 0
-    eta_prev = None
-    d_prev = None
-    termination = None
-    while True:
-        g = ws.gradient(AngleField(grid, eta), rows)
-        # band limited inside the cap; on it, where clipping brings the
-        # grid-scale modes back, the full gradient keeps every step an
-        # ascent
-        d = bandpass(g) if np.abs(eta).max() < cap else g
-        # the gradient mapping: zero exactly at the constrained
-        # maximizers, the norm of d when nothing clips
-        grad_norm = float(np.linalg.norm(
-            eta - _project(eta + step0 * d, cap))) / step0
-        if grad_norm <= GRAD_TOL:
-            termination = "grad_tol"
-            break
-        if iters == MAX_ITERS:
-            termination = "max_iters"
-            break
-        if d_prev is not None:
-            # Barzilai-Borwein step for the (negated) ascent problem
-            de = eta - eta_prev
-            dd = d - d_prev
-            denom = -float(de @ dd)
-            step = float(de @ de) / denom if denom > 1e-30 else step0
-            if not step0 * 1e-6 < step < step0 * 1e6:
-                step = step0
-        eta_prev, d_prev = eta, d
-        # a change of Psi below this is rounding, not a rise or a fall
-        resolution = VALUE_RTOL * abs(val)
-        trial = step
-        fell = False
-        while True:
-            cand = _project(eta + trial * d, cap)
-            rise = float(g @ (cand - eta))       # first-order increase
-            if rise <= resolution:
+    val, (B, A, R) = ws.value_rows(eta)
+    runs = [_Run(p, p_first, v) for p, (p_first, v)
+            in enumerate(zip(ws.table.p_first, val.tolist()))]
+    step0 = np.array([run.step0 for run in runs])
+    g, d, eta_prev, d_prev = np.zeros((4, count, n))
+    results = [None] * count
+
+    def problems(rows):
+        # the workspace's index of the problems at ``rows``
+        if len(rows) == count:
+            return None
+        return np.array([runs[i].problem for i in rows], dtype=int)
+
+    while runs:
+        if any(run.termination for run in runs):
+            keep = []
+            for i, run in enumerate(runs):
+                if run.termination is None:
+                    keep.append(i)
+                    continue
+                diag = {"iterations": run.iters, "grad_norm": run.grad_norm,
+                        "cap_active": bool(np.abs(eta[i]).max()
+                                           >= cap - 1e-12),
+                        "converged": run.termination in CONVERGED,
+                        "termination": run.termination}
+                results[run.problem] = (eta[i].copy(), run.val, diag)
+            runs = [runs[i] for i in keep]
+            eta, B, A, R, g, d, eta_prev, d_prev, step0 = (
+                x[keep] for x in (eta, B, A, R, g, d, eta_prev, d_prev,
+                                  step0))
+        m = len(runs)
+        fresh = [i for i, run in enumerate(runs) if run.fresh]
+        if fresh:
+            k = _rows(fresh, m)
+            g = _put(g, k, ws.gradient(eta[k], problems(fresh),
+                                       (B[k], A[k], R[k])))
+            # band limited inside the cap; on it, where clipping brings
+            # the grid-scale modes back, the full gradient keeps every
+            # step an ascent
+            inside = [i for i, x in zip(
+                fresh, (np.abs(eta[k]).max(axis=1) < cap).tolist()) if x]
+            if len(inside) < len(fresh):
+                d[k] = g[k]
+            if inside:
+                ki = _rows(inside, m)
+                d = _put(d, ki, _bandpass(g[ki], band))
+            # the gradient mapping: zero exactly at the constrained
+            # maximizers, the norm of d when nothing clips
+            gap = eta[k] - _project(eta[k] + step0[k, None] * d[k], cap)
+            norms = (np.sqrt(_dots(gap, gap)) / step0[k]).tolist()
+            # Barzilai-Borwein steps for the (negated) ascent problem
+            de, dd = eta[k] - eta_prev[k], d[k] - d_prev[k]
+            denoms, lengths = (-_dots(de, dd)).tolist(), _dots(de, de).tolist()
+            eta_prev[k], d_prev[k] = eta[k], d[k]
+            for j, i in enumerate(fresh):
+                run = runs[i]
+                run.fresh = False
+                run.grad_norm = norms[j]
+                if norms[j] <= GRAD_TOL:
+                    run.termination = "grad_tol"
+                    continue
+                if run.iters == MAX_ITERS:
+                    run.termination = "max_iters"
+                    continue
+                if run.has_prev:
+                    run.step = (lengths[j] / denoms[j] if denoms[j] > 1e-30
+                                else run.step0)
+                    if not run.step0 * 1e-6 < run.step < run.step0 * 1e6:
+                        run.step = run.step0
+                run.has_prev = True
+                # a change of Psi below this is rounding, not a rise or
+                # a fall
+                run.resolution = VALUE_RTOL * abs(run.val)
+                run.trial = run.step
+                run.fell = False
+        search = [i for i, run in enumerate(runs) if run.termination is None]
+        if not search:
+            continue
+        k = _rows(search, m)
+        trial = np.array([runs[i].trial for i in search])
+        cand = _project(eta[k] + trial[:, None] * d[k], cap)
+        rise = _dots(g[k], cand - eta[k]).tolist()     # first-order rise
+        tried = []
+        for j, i in enumerate(search):
+            run = runs[i]
+            if rise[j] <= run.resolution:
                 # no trial can show a rise: converged, unless a longer
                 # one fell by more than rounding
-                termination = ("line_search_stall" if fell
-                               else "value_resolution")
-                break
-            cand_val, cand_rows = ws.value_rows(AngleField(grid, cand))
+                run.termination = ("line_search_stall" if run.fell
+                                   else "value_resolution")
+            else:
+                tried.append(j)
+        if len(tried) < len(search):
+            search = [search[j] for j in tried]
+            rise = [rise[j] for j in tried]
+            cand = cand[tried]
+            k = _rows(search, m)
+            if not search:
+                continue
+        cand_val, (Bc, Ac, Rc) = ws.value_rows(cand, problems(search))
+        accepted = []
+        for j, (i, value) in enumerate(zip(search, cand_val.tolist())):
+            run = runs[i]
             # nonmonotone: against the least of the last NONMONOTONE
             # accepted values (Birgin, Martinez and Raydan 2000)
-            if cand_val >= min(recent) + ARMIJO * rise:
-                eta, val, rows = cand, cand_val, cand_rows
-                recent = (recent + [val])[-NONMONOTONE:]
-                break
-            fell = fell or cand_val < val - resolution
-            trial *= BACKTRACK
-            if trial <= step0 * 1e-12:
-                termination = "line_search_stall"
-                break
-        if termination is not None:
-            break
-        iters += 1
-    diag = {"iterations": iters, "grad_norm": grad_norm,
-            "cap_active": bool(np.abs(eta).max() >= cap - 1e-12),
-            "converged": termination in CONVERGED,
-            "termination": termination}
-    return eta, val, diag
+            if value >= min(run.recent) + ARMIJO * rise[j]:
+                run.val = value
+                run.recent = (run.recent + [value])[-NONMONOTONE:]
+                run.iters += 1
+                run.fresh = True
+                accepted.append(j)
+                continue
+            run.fell = run.fell or value < run.val - run.resolution
+            run.trial *= BACKTRACK
+            if run.trial <= run.step0 * 1e-12:
+                run.termination = "line_search_stall"
+        if len(accepted) < len(search):
+            k = _rows([search[j] for j in accepted], m)
+            cand, Bc, Ac, Rc = (x[accepted] for x in (cand, Bc, Ac, Rc))
+        eta, B = _put(eta, k, cand), _put(B, k, Bc)
+        A, R = _put(A, k, Ac), _put(R, k, Rc)
+    eta = np.array([r[0] for r in results])
+    return eta, [r[1] for r in results], [r[2] for r in results]
+
+
+def _maximize(points: list[SpherePoint], fns: list[HullFn],
+              cfg: OptimizerConfig) -> list[tuple]:
+    """``maximize_eta`` of each problem ``(points[i], fns[i])`` on one
+    grid, ascended as one stack: ``(eta, value, diagnostics)`` per
+    problem, each the one the problem alone gives."""
+    ws = _Workspace(points, fns)
+    n = ws.grid.n
+    rng = np.random.default_rng(cfg.seed)
+    best = None
+    for trial in range(cfg.multistart):
+        if trial == 0:
+            eta0 = np.zeros(n)
+        else:
+            eta0 = rng.normal(scale=0.2 * cfg.eta_cap, size=n)
+        eta, val, diags = _ascend(ws, np.tile(eta0, (len(fns), 1)))
+        runs = list(zip(eta, val, diags))
+        best = runs if best is None else [
+            run if run[1] > kept[1] else kept
+            for run, kept in zip(runs, best)]
+    return best
 
 
 def maximize_eta(p: SpherePoint, f: HullFn,
@@ -332,19 +492,8 @@ def maximize_eta(p: SpherePoint, f: HullFn,
     diagnostics hold ``iterations``, ``grad_norm`` (the gradient
     mapping), ``cap_active``, ``termination`` and ``converged``; a run
     that does not converge is reported there, not raised."""
-    ws = _Workspace(p, f)
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    for trial in range(cfg.multistart):
-        if trial == 0:
-            eta0 = np.zeros(ws.grid.n)
-        else:
-            eta0 = rng.normal(scale=0.2 * cfg.eta_cap, size=ws.grid.n)
-        eta, val, diag = _ascend(ws, eta0)
-        if best is None or val > best[1]:
-            best = (eta, val, diag)
-    eta, val, diag = best
-    return AngleField(ws.grid, eta), val, diag
+    (eta, val, diag), = _maximize([p], [f], cfg)
+    return AngleField(f.grid, eta), val, diag
 
 
 def _resample_hull(f: HullFn, grid: Grid) -> HullFn:
@@ -385,24 +534,39 @@ def comass_ir(f: HullFn, cfg: OptimizerConfig = OptimizerConfig(),
 def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
                       cfg: OptimizerConfig = OptimizerConfig(),
                       defect_floor: float = 0.0) -> dict:
-    """Comass defect along the segment ``f_t = (1 - t) h + t g``.
+    """Comass defect along the segment ``f_t = (1 - t) h + t g``, ``t``
+    in [0, 1] (a ``ValueError`` otherwise: off the segment ``f_t`` need
+    not be a hull member).
 
     Returns a row per ``t`` with the distance to the hemisphere and
     the defect ``|comass - pi|``, plus a log-log least-squares slope
     over the converged rows whose defect exceeds ``defect_floor``
     (rows at the optimizer noise floor carry no rate information).
+    Consecutive rows ascend as one stack (``_maximize``) within
+    ``_STACK_BYTES``; each row is the one ``maximize_eta`` gives alone.
     """
-    h_fn = sphere_point(h, g.grid)
-    rows = []
     for t in t_list:
-        f_t = HullFn(g.grid, (1.0 - t) * h_fn.values + t * g.values)
-        dist, h_t = dist_to_hemisphere(f_t)
-        eta, val, diag = maximize_eta(h_t, f_t, cfg)
+        if not 0.0 <= t <= 1.0:
+            raise ValueError(f"t = {t} is off the segment [0, 1]")
+    h_fn = sphere_point(h, g.grid)
+    f_ts = [HullFn(g.grid, (1.0 - t) * h_fn.values + t * g.values)
+            for t in t_list]
+    nearest = [dist_to_hemisphere(f_t) for f_t in f_ts]
+    # bytes of one row's near-gap blocks
+    block = 8 * math.prod(WeightedTable.block_shape(
+        g.grid.n, gradient_near_gaps(g.grid.n)))
+    size = max(1, _STACK_BYTES // block)
+    runs = []
+    for i in range(0, len(f_ts), size):
+        runs += _maximize([h_t for _, h_t in nearest[i:i + size]],
+                          f_ts[i:i + size], cfg)
+    rows = []
+    for t, (dist, _), (eta, val, diag) in zip(t_list, nearest, runs):
         rows.append({
             "t": float(t),
             "dist": float(dist),
             "defect": float(abs(val - PI)),
-            "eta_inf": float(np.abs(eta.values).max()),
+            "eta_inf": float(np.abs(eta).max()),
             "iters": int(diag["iterations"]),
             "converged": bool(diag["converged"]),
             "floored": bool(abs(val - PI) <= defect_floor),

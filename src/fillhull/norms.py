@@ -372,9 +372,15 @@ def john_ellipse(norm: Norm2D) -> tuple[float, float, float, float]:
 
 
 def _max_wedges(p: np.ndarray) -> np.ndarray:
-    """Largest ``|p_i ^ p_j|`` over pairs of rows of each ``p[n]``."""
-    return np.abs(p[:, :, None, 0] * p[:, None, :, 1]
-                  - p[:, :, None, 1] * p[:, None, :, 0]).max(axis=(1, 2))
+    """Largest ``|p_i ^ p_j|`` over pairs of rows of each ``p[n]``: a
+    running maximum over the rows ``i``, so that no ``(nodes, K, K)``
+    array is held."""
+    px, py = p[..., 0], p[..., 1]
+    out = np.zeros(len(p))
+    for xi, yi in zip(px.T, py.T):
+        wedges = np.abs(xi[:, None] * py - yi[:, None] * px)
+        np.maximum(out, wedges.max(axis=1), out=out)
+    return out
 
 
 def _jacobians(poly: _Polygons, definition: str) -> np.ndarray:

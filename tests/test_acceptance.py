@@ -110,7 +110,8 @@ def test_gradient_and_hessian_oracles():
         fd = (comass.psi(h, f, up) - comass.psi(h, f, dn)) / (2 * t)
         worst_g = max(worst_g, abs(fd - dot) / max(1.0, abs(fd)))
 
-        q = comass._Workspace(h, f).quadform(eta, v)
+        q = comass._Workspace([h], [f]).quadform(eta.values[None],
+                                                 v.values[None])[0]
         t = 1e-4
         up = AngleField.from_values(grid, eta.values + t * v.values)
         dn = AngleField.from_values(grid, eta.values - t * v.values)

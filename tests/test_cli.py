@@ -194,6 +194,18 @@ def test_sweep_empty_t_list_exits_2(capsys):
     assert code == 2
 
 
+def test_sweep_t_off_the_segment_exits_2(capsys):
+    # f_t = (1 - t) h + t g is a hull member only for t in [0, 1]
+    for t in ("1.5", "-0.2"):
+        code = cli.main(["--grid-n", "128", "sweep", "--t-list", t])
+        assert code == 2
+        assert f"t = {t} is off the segment" in capsys.readouterr().err
+    code, out = run(capsys, "--grid-n", "128", "--format", "csv", "sweep",
+                    "--t-list", "0,1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.split()[1:]] == ["0", "1"]
+
+
 def test_sweep_single_t_reports_table_without_fit(capsys):
     code, out = run(capsys, "--grid-n", "128", "sweep", "--t-list", "0.2",
                     "--g", "random:1,0.25,0.3")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fillhull import comass, hull
-from fillhull.coeffs import p_grid
+from fillhull.coeffs import WeightedTable, gradient_near_gaps, p_grid
 from fillhull.comass import OptimizerConfig
 from fillhull.hull import SpherePoint
 from fillhull.pathspace import AngleField
@@ -23,6 +23,23 @@ def random_field(grid, rng, amp=0.05, modes=(1, 2, 3)):
               + rng.normal() * np.sin(2 * k * grid.beta_nodes))
     v *= amp / max(np.abs(v).max(), 1e-12)
     return AngleField.from_values(grid, v)
+
+
+def workspace(h, f):
+    """The workspace of the one problem ``(h, f)``: a stack of one."""
+    return comass._Workspace([h], [f])
+
+
+def value(ws, eta):
+    return ws.value_rows(eta.values[None])[0][0]
+
+
+def gradient(ws, eta, rows=None):
+    return ws.gradient(eta.values[None], None, rows)[0]
+
+
+def quadform(ws, eta, v):
+    return ws.quadform(eta.values[None], v.values[None])[0]
 
 
 def test_psi_at_hemisphere_maximizer_is_pi():
@@ -50,7 +67,7 @@ def test_hessian_quadform_matches_finite_differences():
     f = hull.sphere_point(H, GRID)
     eta = random_field(GRID, rng)
     v = random_field(GRID, rng, amp=0.3)
-    q = comass._Workspace(H, f).quadform(eta, v)
+    q = quadform(workspace(H, f), eta, v)
     t = 1e-4
     up = AngleField.from_values(GRID, eta.values + t * v.values)
     dn = AngleField.from_values(GRID, eta.values - t * v.values)
@@ -64,7 +81,7 @@ def test_hessian_is_negative_near_the_maximizer():
     f = hull.sphere_point(H, GRID)
     for _ in range(10):
         v = random_field(GRID, rng, amp=0.1)
-        q = comass._Workspace(H, f).quadform(AngleField.zero(GRID), v)
+        q = quadform(workspace(H, f), AngleField.zero(GRID), v)
         assert q < 0
 
 
@@ -117,6 +134,88 @@ def test_calibration_sweep_reports_rows_and_slope():
         assert "slope" in out
 
 
+def test_row_reductions_round_as_one_dimensional_ones():
+    # a stacked ascent's results are bit for bit those of one-problem
+    # runs only if each row's dot products and sums are
+    rng = np.random.default_rng(14)
+    for n in (64, 512, 2048):
+        a, b = rng.normal(size=(2, 5, 2, n)) * rng.uniform(1, 1e3, (5, 1, 1))
+        dots = comass._dots(a, b)
+        sums = a[:, 0].sum(axis=1, keepdims=True)
+        for i in range(5):
+            assert sums[i, 0] == a[i, 0].sum()
+            for r in range(2):
+                assert dots[i, r] == a[i, r] @ b[i, r]
+
+
+# the CLI's default t list
+T_LIST = [0.02 * k for k in range(1, 11)]
+
+
+def record_stacks(monkeypatch):
+    """The problems and results of every stack ``calibration_sweep``
+    ascends, in order."""
+    stacks = []
+    maximize = comass._maximize
+
+    def recorded(points, fns, cfg):
+        runs = maximize(points, fns, cfg)
+        stacks.append(list(zip(points, fns, runs)))
+        return runs
+
+    monkeypatch.setattr(comass, "_maximize", recorded)
+    return stacks
+
+
+@pytest.mark.parametrize("n, sizes", [(256, [10]), (512, [4, 4, 2])])
+def test_a_sweep_row_does_not_depend_on_the_rest_of_its_stack(
+        monkeypatch, n, sizes):
+    # at n = 256 a sweep is one stack, at n = 512 stacks of 4 rows
+    grid = Grid(n)
+    stacks = record_stacks(monkeypatch)
+    for seed in range(8):
+        g = hull.random_hull_point(seed, 0.25, 0.3, grid)
+        out = comass.calibration_sweep(H, g, T_LIST)
+        swept = stacks[:]
+        assert [len(stack) for stack in swept] == sizes
+        for stack in swept:
+            for h_t, f_t, (eta, val, diag) in stack:
+                alone = comass.maximize_eta(h_t, f_t)
+                assert np.array_equal(eta, alone[0].values)
+                assert (val, diag) == alone[1:]
+        back = comass.calibration_sweep(H, g, T_LIST[::-1])
+        assert back["rows"] == out["rows"][::-1]
+        stacks.clear()
+
+
+def test_a_sweep_at_the_largest_grid_holds_one_table_at_a_time(
+        monkeypatch):
+    # a row's near-gap blocks are 7.3 MB at n = 2048, so each stack
+    # holds one row, and the sweep's peak stays below two such tables
+    grid = Grid(2048)
+    g = hull.random_hull_point(1, 0.25, 0.3, grid)
+    comass.calibration_sweep(H, g, [0.05])     # the per-grid caches
+    stacks = record_stacks(monkeypatch)
+    block = 8 * math.prod(WeightedTable.block_shape(
+        grid.n, gradient_near_gaps(grid.n)))
+    tracemalloc.start()
+    try:
+        out = comass.calibration_sweep(H, g, [0.05, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(stack) for stack in stacks] == [1, 1]
+    assert all(row["converged"] for row in out["rows"])
+    assert block > 7e6 and peak < 2 * block, peak
+
+
+@pytest.mark.parametrize("t", [1.5, -0.2, float("nan")])
+def test_a_sweep_rejects_t_off_the_segment(t):
+    g = hull.random_hull_point(1, 0.25, 0.3, Grid(128))
+    with pytest.raises(ValueError, match="off the segment"):
+        comass.calibration_sweep(H, g, [0.1, t])
+
+
 def test_calibration_sweep_floor_excludes_rows():
     grid = Grid(128)
     g = hull.random_hull_point(3, 0.25, 0.3, grid)
@@ -136,7 +235,7 @@ def test_workspace_rejects_boundary_functions():
     with pytest.raises(ValueError):
         comass.psi(H, f, AngleField.zero(GRID))
     with pytest.raises(ValueError):
-        comass._Workspace(H, f)
+        workspace(H, f)
 
 
 def _weighted_table(f):
@@ -151,8 +250,8 @@ def _weighted_table(f):
 def _dense_reference(ws, f, eta, v):
     """Value, gradient and Hessian quadratic form of Psi from the full
     n x n tables of sin and cos of tb_k - ta_j, term by term."""
-    tb = ws.nu_beta + eta.values
-    ta = ws.nu_alpha + eta.at_midnodes()
+    tb = ws.nu_beta[0] + eta.values
+    ta = ws.nu_alpha[0] + eta.at_midnodes()
     delta = tb[None, :] - ta[:, None]
     value = integrate_triangle(p_grid(f) * np.sin(delta), ws.grid)
     PW = _weighted_table(f)
@@ -181,16 +280,16 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
     else:
         f = hull.random_hull_point(3, 0.4, 0.3, grid)
         _, h = hull.dist_to_hemisphere(f)
-    ws = comass._Workspace(h, f)
+    ws = workspace(h, f)
     rng = np.random.default_rng(n)
     cap = OptimizerConfig().eta_cap
     eta = {"zero": AngleField.zero(grid),
            "interior": _capped_field(grid, rng, 0.3 * cap),
            "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
     v = _capped_field(grid, rng, 0.3)
-    value, g, q = ws.value(eta), ws.gradient(eta), ws.quadform(eta, v)
+    psi, g, q = value(ws, eta), gradient(ws, eta), quadform(ws, eta, v)
     ref_value, ref_g, ref_q = _dense_reference(ws, f, eta, v)
-    assert value == pytest.approx(ref_value, rel=1e-13)
+    assert psi == pytest.approx(ref_value, rel=1e-13)
     assert q == pytest.approx(ref_q, rel=1e-12)
     if point == "hemisphere" and eta_kind == "zero":
         # the maximizer: the gradient is only the quadrature bias, a
@@ -200,9 +299,9 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
     else:
         scale = np.abs(ref_g).max()
     assert np.abs(g - ref_g).max() <= 1e-13 * scale
-    assert ws.value(eta) == value
-    assert np.array_equal(ws.gradient(eta), g)
-    assert ws.quadform(eta, v) == q
+    assert value(ws, eta) == psi
+    assert np.array_equal(gradient(ws, eta), g)
+    assert quadform(ws, eta, v) == q
 
 
 @pytest.mark.parametrize("n", [64, 512, 1024])
@@ -214,28 +313,28 @@ def test_streamed_psi_matches_the_workspace_value(n, point):
     else:
         f = hull.random_hull_point(3, 0.4, 0.3, grid)
         _, h = hull.dist_to_hemisphere(f)
-    ws = comass._Workspace(h, f)
+    ws = workspace(h, f)
     rng = np.random.default_rng(n + 1)
     for eta in (AngleField.zero(grid),
                 _capped_field(grid, rng, OptimizerConfig().eta_cap)):
         # the same weighted entries, summed block by block: measured
         # within 1.5e-16
-        assert comass.psi(h, f, eta) == pytest.approx(ws.value(eta),
+        assert comass.psi(h, f, eta) == pytest.approx(value(ws, eta),
                                                       rel=1e-14)
 
 
 def test_gradient_from_the_value_product_is_bit_identical():
     f = hull.random_hull_point(3, 0.4, 0.3, GRID)
     _, h = hull.dist_to_hemisphere(f)
-    ws = comass._Workspace(h, f)
+    ws = workspace(h, f)
     rng = np.random.default_rng(5)
     fields = [AngleField.zero(GRID)] + [
         _capped_field(GRID, rng, amp)
         for amp in (0.05, OptimizerConfig().eta_cap)]
     for eta in fields:
-        value, rows = ws.value_rows(eta)
-        assert value == ws.value(eta)
-        assert np.array_equal(ws.gradient(eta, rows), ws.gradient(eta))
+        psi, rows = ws.value_rows(eta.values[None])
+        assert psi[0] == value(ws, eta)
+        assert np.array_equal(gradient(ws, eta, rows), gradient(ws, eta))
 
 
 def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
@@ -249,15 +348,15 @@ def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
     def run(reuse):
         calls = []
 
-        def traced_value_rows(self, eta):
-            out = value_rows(self, eta)
+        def traced_value_rows(self, eta, live=None):
+            out = value_rows(self, eta, live)
             calls.append(("value", out[0]))
             return out
 
-        def traced_gradient(self, eta, rows=None):
+        def traced_gradient(self, eta, live=None, rows=None):
             if not reuse:   # the rows at eta, formed afresh and untraced
-                rows = value_rows(self, eta)[1]
-            g = gradient(self, eta, rows)
+                rows = value_rows(self, eta, live)[1]
+            g = gradient(self, eta, live, rows)
             calls.append(("gradient", g))
             return g
 
@@ -293,7 +392,7 @@ def test_projection_satisfies_the_kkt_conditions():
     # where x = -cap
     rng = np.random.default_rng(11)
     for v in _clipping_inputs(rng):
-        x = comass._project(v, CAP)
+        x = comass._project(v[None], CAP)[0]
         tol = 1e-14 * max(1.0, np.abs(v).max())
         assert abs(x.sum()) <= 64 * tol
         assert np.abs(x).max() <= CAP
@@ -312,7 +411,7 @@ def test_projection_satisfies_the_kkt_conditions():
 def test_projection_is_nearest_among_random_feasible_points():
     rng = np.random.default_rng(12)
     for v in _clipping_inputs(rng, count=8):
-        x = comass._project(v, CAP)
+        x = comass._project(v[None], CAP)[0]
         best = np.linalg.norm(x - v)
         # feasible points around x and spread over the box: mean zero,
         # then scaled into the cap
@@ -326,7 +425,7 @@ def test_projection_is_nearest_among_random_feasible_points():
 def test_projection_without_clipping_subtracts_the_mean():
     rng = np.random.default_rng(13)
     v = 0.02 * rng.normal(size=256) + 3.0
-    assert np.array_equal(comass._project(v, CAP), v - v.mean())
+    assert np.array_equal(comass._project(v[None], CAP)[0], v - v.mean())
 
 
 def _capped_problem():
@@ -356,8 +455,8 @@ def test_ascent_on_a_falling_value_stalls(monkeypatch):
     value_rows = comass._Workspace.value_rows
     drops = iter(range(10 ** 6))
 
-    def falling(self, eta):
-        val, rows = value_rows(self, eta)
+    def falling(self, eta, live=None):
+        val, rows = value_rows(self, eta, live)
         return val - next(drops), rows
 
     monkeypatch.setattr(comass._Workspace, "value_rows", falling)
@@ -392,10 +491,10 @@ def test_psi_and_the_workspace_hold_no_n_by_n_table():
     f = hull.random_hull_point(3, 0.4, 0.3, grid)
     _, h = hull.dist_to_hemisphere(f)
     eta = AngleField.zero(grid)
-    comass._Workspace(h, f).gradient(eta)     # the per-grid caches
+    gradient(workspace(h, f), eta)     # the per-grid caches
     comass.psi(h, f, eta)
     for run, limit in ((lambda: comass.psi(h, f, eta), 1e6),
-                       (lambda: comass._Workspace(h, f).gradient(eta), 1.2e7)):
+                       (lambda: gradient(workspace(h, f), eta), 1.2e7)):
         tracemalloc.start()
         try:
             run()

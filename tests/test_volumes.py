@@ -753,18 +753,23 @@ def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
 
 
 def test_jacobians_of_a_block_stay_below_one_megabyte():
-    # 96 nodes, rows 8-11 of the benchmark's cone at Grid(256): about
-    # 7 KB of temporaries per node
-    rows, _ = volumes._metric_derivatives(
-        volumes.cone_chart(24, 24, Grid(256)), range(8, 12))
-    assert rows.shape == (96, volumes.N_DIRECTIONS)
-    tracemalloc.start()
-    try:
-        jacobians(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.0e6, peak
+    # 96 nodes, rows 8-11 of the benchmark's cone at Grid(256), and the
+    # 64 nodes of row 10 of the smooth 33 x 64 cap, whose balls have up
+    # to 26 vertices: about 7.2 KB of temporaries per node on both, with
+    # no (nodes, K, K) table of pairwise wedges (12.4 KB per node on the
+    # cap with one)
+    for chart, block, nodes in (
+            (volumes.cone_chart(24, 24, Grid(256)), range(8, 12), 96),
+            (volumes.cap_chart(0.3, 33, 64, Grid(256)), range(10, 11), 64)):
+        rows, _ = volumes._metric_derivatives(chart, block)
+        assert rows.shape == (nodes, volumes.N_DIRECTIONS)
+        tracemalloc.start()
+        try:
+            jacobians(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6 and peak < 8000 * nodes, (nodes, peak)
 
 
 def test_norm2d_rejects_non_finite_norms():
