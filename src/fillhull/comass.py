@@ -370,26 +370,28 @@ def _ascend(ws: _Workspace,
         fresh = [i for i, run in enumerate(runs) if run.fresh]
         if fresh:
             k = _rows(fresh, m)
-            g = _put(g, k, ws.gradient(eta[k], problems(fresh),
+            e = eta[k]
+            g = _put(g, k, ws.gradient(e, problems(fresh),
                                        (B[k], A[k], R[k])))
             # band limited inside the cap; on it, where clipping brings
             # the grid-scale modes back, the full gradient keeps every
             # step an ascent
             inside = [i for i, x in zip(
-                fresh, (np.abs(eta[k]).max(axis=1) < cap).tolist()) if x]
+                fresh, (np.abs(e).max(axis=1) < cap).tolist()) if x]
             if len(inside) < len(fresh):
                 d[k] = g[k]
             if inside:
                 ki = _rows(inside, m)
                 d = _put(d, ki, _bandpass(g[ki], band))
+            dk, s0 = d[k], step0[k]
             # the gradient mapping: zero exactly at the constrained
             # maximizers, the norm of d when nothing clips
-            gap = eta[k] - _project(eta[k] + step0[k, None] * d[k], cap)
-            norms = (np.sqrt(_dots(gap, gap)) / step0[k]).tolist()
+            gap = e - _project(e + s0[:, None] * dk, cap)
+            norms = (np.sqrt(_dots(gap, gap)) / s0).tolist()
             # Barzilai-Borwein steps for the (negated) ascent problem
-            de, dd = eta[k] - eta_prev[k], d[k] - d_prev[k]
+            de, dd = e - eta_prev[k], dk - d_prev[k]
             denoms, lengths = (-_dots(de, dd)).tolist(), _dots(de, de).tolist()
-            eta_prev[k], d_prev[k] = eta[k], d[k]
+            eta_prev[k], d_prev[k] = e, dk
             for j, i in enumerate(fresh):
                 run = runs[i]
                 run.fresh = False
@@ -415,9 +417,10 @@ def _ascend(ws: _Workspace,
         if not search:
             continue
         k = _rows(search, m)
+        e = eta[k]
         trial = np.array([runs[i].trial for i in search])
-        cand = _project(eta[k] + trial[:, None] * d[k], cap)
-        rise = _dots(g[k], cand - eta[k]).tolist()     # first-order rise
+        cand = _project(e + trial[:, None] * d[k], cap)
+        rise = _dots(g[k], cand - e).tolist()     # first-order rise
         tried = []
         for j, i in enumerate(search):
             run = runs[i]
