@@ -123,6 +123,15 @@ def gap_kernels(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return kernels
 
 
+def compact(a: np.ndarray, rows: list[int]) -> np.ndarray:
+    """``a[rows]`` for sorted ``rows``, as a view of the front of ``a``:
+    row ``rows[i]`` moves to ``i``, at or before it, in place."""
+    for i, r in enumerate(rows):
+        if r != i:
+            a[i] = a[r]
+    return a[:len(rows)]
+
+
 def toeplitz(v: np.ndarray, n: int) -> np.ndarray:
     """The n x n view ``T[j, k] = v[k - j + n - 1]`` of a vector of
     length 2n - 1: no copy, and read-only."""
@@ -211,13 +220,12 @@ class WeightedTable:
     of the module docstring through ``GapOperator``; its rounding falls
     as ``K`` grows (``gradient_near_gaps``).
 
-    A product takes the functions ``live`` (a sorted index array into
-    the stack, every function when ``None``) and rows for each.  The far
-    gaps of all of them are one ``GapOperator`` call, and the band and
-    the corner the same matrix products, function by function, that a
-    stack of one takes; each function's blocks are read in place, not
-    copied.  So each function's result is the one a stack of that
-    function alone gives, bit for bit."""
+    A product takes rows for every function of the stack.  The far gaps
+    of all of them are one ``GapOperator`` call, and the band and the
+    corner the same matrix products, function by function, that a stack
+    of one takes; each function's blocks are read in place, not copied.
+    So each function's result is the one a stack of that function alone
+    gives, bit for bit.  A function leaves the stack by ``keep``."""
 
     @staticmethod
     def block_shape(n: int, near: int) -> tuple[int, int, int]:
@@ -292,27 +300,29 @@ class WeightedTable:
         self.corner -= 1.0
         self.corner *= mask * rsx2[:, :K, None] * self.wy[:, None, n - K:]
 
-    def _live(self, live):
-        """``live`` as an index into the stack, and as function numbers."""
-        if live is None:
-            return slice(None), range(len(self.blocks))
-        return live, live
+    def keep(self, rows: list[int]) -> None:
+        """Keep the functions ``rows`` (sorted) of the stack, in that
+        order; every stacked array is compacted in place."""
+        for name in ("cy", "cy2", "wy", "cx2", "cx2x", "rsx2", "blocks",
+                     "corner"):
+            setattr(self, name, compact(getattr(self, name), rows))
+        self.mix = compact(self.mix.swapaxes(0, 1), rows).swapaxes(0, 1)
+        self.p_first = [self.p_first[r] for r in rows]
 
-    def __call__(self, B: np.ndarray, live=None) -> np.ndarray:
-        """``PW`` of function ``live[i]`` applied to each row of ``B[i]``;
-        ``B`` is ``(len(live), rows, n)``."""
-        live, ids = self._live(live)
+    def __call__(self, B: np.ndarray) -> np.ndarray:
+        """``PW`` of function ``i`` applied to each row of ``B[i]``; ``B``
+        is ``(functions, rows, n)``."""
         m, r, n = B.shape
         nb, K = self.blocks.shape[1:3]
-        u = B * self.wy[live, None]
-        Y = self.op(u, (None, self.cy2[live, None], self.cy[live, None]),
+        u = B * self.wy[:, None]
+        Y = self.op(u, (None, self.cy2[:, None], self.cy[:, None]),
                     2 * m * r).reshape(3, m, r, n)
         # U_j = sum of u_k over k - j > K (the corner's share is taken
         # out with the corner below)
         U = np.zeros_like(u)
         np.cumsum(u[..., :K:-1], axis=-1, out=U[..., -K - 2::-1])
-        U *= self.rsx2[live, None]
-        U += np.einsum("kfrj,kfj->frj", Y, self.mix[:, live])
+        U *= self.rsx2[:, None]
+        U += np.einsum("kfrj,kfj->frj", Y, self.mix)
         # the band: window i of B[f] holds the 2K columns block i reaches
         padded = np.zeros((m, r, (nb + 1) * K + 1))
         padded[..., :n] = B
@@ -320,41 +330,41 @@ class WeightedTable:
         windows = np.ndarray((m, nb, 2 * K, r), buffer=padded, offset=t2,
                              strides=(t0, K * t2, t2, t1))
         band = np.empty((m, nb, K, r))
-        for out, window, f in zip(band, windows, ids):
-            np.matmul(self.blocks[f], window, out=out)
+        for out, window, blocks in zip(band, windows, self.blocks):
+            np.matmul(blocks, window, out=out)
         U += band.reshape(m, nb * K, r)[:, :n].transpose(0, 2, 1)
-        U[..., :K] += B[..., n - K:] @ self.corner[live].transpose(0, 2, 1)
+        U[..., :K] += B[..., n - K:] @ self.corner.transpose(0, 2, 1)
         return U
 
-    def transposed(self, A: np.ndarray, live=None) -> np.ndarray:
-        """Each row of ``A[i]`` applied to ``PW`` of function ``live[i]``
-        from the left; ``A`` is ``(len(live), rows, n)``."""
-        live, ids = self._live(live)
+    def transposed(self, A: np.ndarray) -> np.ndarray:
+        """Each row of ``A[i]`` applied to ``PW`` of function ``i`` from
+        the left; ``A`` is ``(functions, rows, n)``."""
         m, r, n = A.shape
         nb, K = self.blocks.shape[1:3]
-        w = A * self.rsx2[live, None]
-        Y = self.op(w, (self.cx2[live, None], None, self.cx2x[live, None]),
+        w = A * self.rsx2[:, None]
+        Y = self.op(w, (self.cx2[:, None], None, self.cx2x[:, None]),
                     2 * m * r, transpose=True).reshape(3, m, r, n)
         # W_k = sum of w_j over k - j > K (the corner's share is taken
         # out with the corner below)
         W = np.zeros_like(w)
         np.cumsum(w[..., :-K - 1], axis=-1, out=W[..., K + 1:])
         W -= Y[0]
-        W -= self.cy2[live, None] * Y[1]
-        W += self.cy[live, None] * Y[2]
-        W *= self.wy[live, None]
+        W -= self.cy2[:, None] * Y[1]
+        W += self.cy[:, None] * Y[2]
+        W *= self.wy[:, None]
         # the band: block i sends K rows of A to 2K columns from iK + 1,
         # the second K of which block i + 1 also reaches
         a = np.zeros((m, nb * K, r))
         a[:, :n] = A.transpose(0, 2, 1)
         band = np.empty((m, nb, 2 * K, r))
-        for out, a_f, f in zip(band, a.reshape(m, nb, K, r), ids):
-            np.matmul(self.blocks[f].transpose(0, 2, 1), a_f, out=out)
+        for out, a_f, blocks in zip(band, a.reshape(m, nb, K, r),
+                                    self.blocks):
+            np.matmul(blocks.transpose(0, 2, 1), a_f, out=out)
         cols = np.zeros((m, nb + 1, K, r))
         cols[:, :nb] += band[:, :, :K]
         cols[:, 1:] += band[:, :, K:]
         W[..., 1:] += cols.reshape(m, -1, r)[:, :n - 1].transpose(0, 2, 1)
-        W[..., n - K:] += A[..., :K] @ self.corner[live]
+        W[..., n - K:] += A[..., :K] @ self.corner
         return W
 
 

@@ -51,10 +51,12 @@ The first two count as converged.
 Independent problems on one grid ascend as a stack (``_maximize``): one
 ``_Workspace`` holds the tables of all of them, and ``_ascend`` runs
 them in lockstep.  Each problem keeps its own step, nonmonotone
-memory, line-search trial, iteration count and termination, and leaves
-the live set when it ends; the array work of a step (trig rows,
-band-pass, projection, table products) is one pass over the live
-problems.  A reduction over a row is the 1-D reduction of that row:
+memory, line-search trial, iteration count and termination.  The array
+work of a step (trig rows, band-pass, projection, table products) is
+one pass over the whole stack, and a problem that ends leaves it: its
+rows leave the ascent's arrays and the workspace (``_Workspace.keep``)
+before the next table product.  A reduction over a row is the 1-D
+reduction of that row:
 ``_dots`` takes one dot product per row, and a sum along the last axis
 is each row's pairwise sum.  So a problem's result is the one it gets
 alone, bit for bit, and ``maximize_eta`` is a stack of one.
@@ -78,7 +80,7 @@ import numpy as np
 
 from .quadrature import Grid
 from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
-from .coeffs import NEAR_GAPS, WeightedTable, gradient_near_gaps
+from .coeffs import NEAR_GAPS, WeightedTable, compact, gradient_near_gaps
 from .pathspace import AngleField, nu_tables
 from .quadrature import midnodes
 
@@ -142,8 +144,7 @@ class _Workspace:
     holds no n x n array.
 
     Every method takes fields ``eta`` as an ``(m, n)`` array, row ``i``
-    for problem ``live[i]``: ``live`` is a sorted index array, or
-    ``None`` for every problem.
+    for problem ``i``.
     """
 
     def __init__(self, points: list[SpherePoint], fns: list[HullFn],
@@ -156,12 +157,17 @@ class _Workspace:
         self.nu_beta = np.array([beta[:-1] for beta, _ in nu])
         self.nu_alpha = np.array([alpha for _, alpha in nu])
 
-    def _trig(self, eta: np.ndarray, live) -> tuple[np.ndarray, np.ndarray]:
+    def keep(self, rows: list[int]) -> None:
+        """Keep the problems ``rows`` (sorted), in place."""
+        self.table.keep(rows)
+        self.nu_beta = compact(self.nu_beta, rows)
+        self.nu_alpha = compact(self.nu_alpha, rows)
+
+    def _trig(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows (cos tb, sin tb) and (cos ta, sin ta), each ``(m, 2,
         n)``."""
-        rows = slice(None) if live is None else live
-        tb = self.nu_beta[rows] + eta
-        ta = self.nu_alpha[rows] + midnodes(eta, eta[:, 0])
+        tb = self.nu_beta + eta
+        ta = self.nu_alpha + midnodes(eta, eta[:, 0])
         B, A = np.empty((2, len(tb), 2, tb.shape[1]))
         np.cos(tb, out=B[:, 0])
         np.sin(tb, out=B[:, 1])
@@ -169,26 +175,25 @@ class _Workspace:
         np.sin(ta, out=A[:, 1])
         return B, A
 
-    def value_rows(self, eta: np.ndarray, live=None
-                   ) -> tuple[np.ndarray, tuple]:
+    def value_rows(self, eta: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Psi of each problem and the rows ``(B, A, R)`` it is summed
         from: the trig rows and the product ``R = PW @ B``.  The gradient
         at the same ``eta`` can take them instead of forming them
         again."""
-        B, A = self._trig(eta, live)
-        R = self.table(B, live)            # (PW cos tb, PW sin tb)
+        B, A = self._trig(eta)
+        R = self.table(B)                  # (PW cos tb, PW sin tb)
         # row j of the triangle rule is sum_k PW_jk sin(tb_k - ta_j):
         # cos ta . PW sin tb - sin ta . PW cos tb
         cross = _dots(A, R[:, ::-1])
         return cross[:, 0] - cross[:, 1], (B, A, R)
 
-    def gradient(self, eta: np.ndarray, live=None, rows: tuple | None = None
+    def gradient(self, eta: np.ndarray, rows: tuple | None = None
                  ) -> np.ndarray:
         """Gradients in the mean-zero gauge; ``rows`` are
         ``value_rows``'s at the same ``eta``, if the caller has them."""
-        B, A, R = rows if rows is not None else self.value_rows(eta, live)[1]
+        B, A, R = rows if rows is not None else self.value_rows(eta)[1]
         # column and row sums of PW_jk cos(tb_k - ta_j)
-        T = self.table.transposed(A, live)
+        T = self.table.transposed(A)
         g = B[:, 0] * T[:, 0] + B[:, 1] * T[:, 1]   # d / d eta_k
         mid = A[:, 0] * R[:, 0] + A[:, 1] * R[:, 1]  # midpoint contributions
         g -= 0.5 * mid
@@ -198,16 +203,15 @@ class _Workspace:
         g -= g.sum(axis=1, keepdims=True) / g.shape[1]
         return g
 
-    def quadform(self, eta: np.ndarray, v: np.ndarray, live=None) -> list:
+    def quadform(self, eta: np.ndarray, v: np.ndarray) -> list:
         """Second derivative of Psi along each row of ``v`` (negative in
         the concavity regime): -sum of PW_jk sin(tb_k - ta_j) (v_k -
         vm_j)^2, with the square expanded as v_k^2 - 2 v_k vm_j + vm_j^2:
         one product of PW with six rows."""
-        B, A = self._trig(eta, live)
+        B, A = self._trig(eta)
         vk = v[:, None]
         vm = midnodes(v, v[:, 0])
-        Y = self.table(np.concatenate([B * vk * vk, B * vk, B], axis=1),
-                       live)
+        Y = self.table(np.concatenate([B * vk * vk, B * vk, B], axis=1))
         # sum_k PW_jk sin(tb_k - ta_j) x_k for the three row pairs x
         S = A[:, :1] * Y[:, 1::2] - A[:, 1:] * Y[:, 0::2]
         rows = S[:, 0] - 2.0 * vm * S[:, 1] + vm * vm * S[:, 2]
@@ -289,45 +293,76 @@ class _Run:
     """The scalars of one problem's ascent in ``_ascend``."""
 
     __slots__ = ("problem", "step0", "step", "val", "recent", "iters",
-                 "grad_norm", "trial", "resolution", "fell", "has_prev",
-                 "fresh", "termination")
+                 "grad_norm", "trial", "resolution", "fell", "fresh",
+                 "termination")
 
     def __init__(self, problem: int, p_first: float, val: float):
         self.problem = problem
-        self.step0 = self.step = 1.0 / max(p_first, 1e-12)
+        self.step0 = self.step = self.trial = 1.0 / max(p_first, 1e-12)
         self.val = val
         self.recent = [val]
         self.iters = 0
-        self.grad_norm = 0.0
-        self.has_prev = False
+        self.grad_norm = self.resolution = 0.0
+        self.fell = False
         # its gradient at the current field is taken next
         self.fresh = True
         self.termination = None
 
+    def direct(self, grad_norm: float, denom: float, length: float) -> None:
+        """End on the gradient mapping ``grad_norm`` of a new direction or
+        on the iteration limit, or start its line search; ``length /
+        denom`` is the Barzilai-Borwein step for the (negated) ascent
+        problem."""
+        self.fresh = False
+        self.grad_norm = grad_norm
+        if grad_norm <= GRAD_TOL:
+            self.termination = "grad_tol"
+            return
+        if self.iters == MAX_ITERS:
+            self.termination = "max_iters"
+            return
+        if self.iters:
+            self.step = length / denom if denom > 1e-30 else self.step0
+            if not self.step0 * 1e-6 < self.step < self.step0 * 1e6:
+                self.step = self.step0
+        # a change of Psi below this is rounding, not a rise or a fall
+        self.resolution = VALUE_RTOL * abs(self.val)
+        self.trial = self.step
+        self.fell = False
 
-def _rows(rows: list, m: int):
-    """``rows`` of ``m`` as an index: a slice, whose rows are views, when
-    it is all of them."""
-    return slice(None) if len(rows) == m else np.array(rows, dtype=int)
+    def accepts(self, rise: float, value: float) -> bool:
+        """Whether the trial with first-order rise ``rise`` and value
+        ``value`` is accepted; a rejected one halves the trial."""
+        # nonmonotone: against the least of the last NONMONOTONE
+        # accepted values (Birgin, Martinez and Raydan 2000)
+        if value >= min(self.recent) + ARMIJO * rise:
+            self.val = value
+            self.recent = (self.recent + [value])[-NONMONOTONE:]
+            self.iters += 1
+            self.fresh = True
+            return True
+        self.fell = self.fell or value < self.val - self.resolution
+        self.trial *= BACKTRACK
+        if self.trial <= self.step0 * 1e-12:
+            self.termination = "line_search_stall"
+        return False
 
-
-def _put(a: np.ndarray, rows, x: np.ndarray) -> np.ndarray:
-    """``a`` with ``x`` at ``rows`` (a ``_rows`` index); ``x`` itself,
-    uncopied, when the rows are all of ``a``.  ``x`` must be an array of
-    its own, not a view of another."""
-    if isinstance(rows, slice):
-        return x
-    a[rows] = x
-    return a
+    def result(self, eta: np.ndarray, cap: float) -> tuple:
+        """``(eta, value, diagnostics)`` of the ended run at ``eta``."""
+        return eta.copy(), self.val, {
+            "iterations": self.iters, "grad_norm": self.grad_norm,
+            "cap_active": bool(np.abs(eta).max() >= cap - 1e-12),
+            "converged": self.termination in CONVERGED,
+            "termination": self.termination}
 
 
 def _ascend(ws: _Workspace,
             eta0: np.ndarray) -> tuple[np.ndarray, list, list]:
     """Ascents of every problem of ``ws`` from the rows of ``eta0``, in
-    lockstep.  A round takes the gradient of every problem that has just
-    accepted a field, then one line-search trial of every problem; the
-    arrays hold a row per live problem, and a problem that has ended
-    leaves them at the start of the next round."""
+    lockstep.  A round takes the gradient of the stack when a problem
+    has just accepted a field, then one line-search trial of every
+    problem.  A problem that has ended leaves the arrays and ``ws``
+    before the trials are valued, so ``ws`` is left with none."""
     count, n = eta0.shape
     cap = OptimizerConfig.eta_cap
     band = max(8, n // 8)
@@ -339,127 +374,60 @@ def _ascend(ws: _Workspace,
     val, (B, A, R) = ws.value_rows(eta)
     runs = [_Run(p, p_first, v) for p, (p_first, v)
             in enumerate(zip(ws.table.p_first, val.tolist()))]
-    step0 = np.array([run.step0 for run in runs])
-    g, d, eta_prev, d_prev = np.zeros((4, count, n))
+    # the search direction, and the change of eta of the last trial
+    d, de = np.zeros((2, count, n))
     results = [None] * count
-
-    def problems(rows):
-        # the workspace's index of the problems at ``rows``
-        if len(rows) == count:
-            return None
-        return np.array([runs[i].problem for i in rows], dtype=int)
-
-    while runs:
-        if any(run.termination for run in runs):
-            keep = []
-            for i, run in enumerate(runs):
-                if run.termination is None:
-                    keep.append(i)
-                    continue
-                diag = {"iterations": run.iters, "grad_norm": run.grad_norm,
-                        "cap_active": bool(np.abs(eta[i]).max()
-                                           >= cap - 1e-12),
-                        "converged": run.termination in CONVERGED,
-                        "termination": run.termination}
-                results[run.problem] = (eta[i].copy(), run.val, diag)
-            runs = [runs[i] for i in keep]
-            eta, B, A, R, g, d, eta_prev, d_prev, step0 = (
-                x[keep] for x in (eta, B, A, R, g, d, eta_prev, d_prev,
-                                  step0))
-        m = len(runs)
-        fresh = [i for i, run in enumerate(runs) if run.fresh]
-        if fresh:
-            k = _rows(fresh, m)
-            e = eta[k]
-            g = _put(g, k, ws.gradient(e, problems(fresh),
-                                       (B[k], A[k], R[k])))
+    while True:
+        if any(run.fresh for run in runs):
+            # a problem that has not moved gets the same gradient and
+            # direction again, bit for bit
+            g = ws.gradient(eta, (B, A, R))
             # band limited inside the cap; on it, where clipping brings
             # the grid-scale modes back, the full gradient keeps every
             # step an ascent
-            inside = [i for i, x in zip(
-                fresh, (np.abs(e).max(axis=1) < cap).tolist()) if x]
-            if len(inside) < len(fresh):
-                d[k] = g[k]
-            if inside:
-                ki = _rows(inside, m)
-                d = _put(d, ki, _bandpass(g[ki], band))
-            dk, s0 = d[k], step0[k]
+            d_prev, d = d, _bandpass(g, band)
+            on_cap = np.abs(eta).max(axis=1) >= cap
+            d[on_cap] = g[on_cap]
             # the gradient mapping: zero exactly at the constrained
             # maximizers, the norm of d when nothing clips
-            gap = e - _project(e + s0[:, None] * dk, cap)
-            norms = (np.sqrt(_dots(gap, gap)) / s0).tolist()
-            # Barzilai-Borwein steps for the (negated) ascent problem
-            de, dd = e - eta_prev[k], dk - d_prev[k]
-            denoms, lengths = (-_dots(de, dd)).tolist(), _dots(de, de).tolist()
-            eta_prev[k], d_prev[k] = e, dk
-            for j, i in enumerate(fresh):
-                run = runs[i]
-                run.fresh = False
-                run.grad_norm = norms[j]
-                if norms[j] <= GRAD_TOL:
-                    run.termination = "grad_tol"
-                    continue
-                if run.iters == MAX_ITERS:
-                    run.termination = "max_iters"
-                    continue
-                if run.has_prev:
-                    run.step = (lengths[j] / denoms[j] if denoms[j] > 1e-30
-                                else run.step0)
-                    if not run.step0 * 1e-6 < run.step < run.step0 * 1e6:
-                        run.step = run.step0
-                run.has_prev = True
-                # a change of Psi below this is rounding, not a rise or
-                # a fall
-                run.resolution = VALUE_RTOL * abs(run.val)
-                run.trial = run.step
-                run.fell = False
-        search = [i for i, run in enumerate(runs) if run.termination is None]
-        if not search:
-            continue
-        k = _rows(search, m)
-        e = eta[k]
-        trial = np.array([runs[i].trial for i in search])
-        cand = _project(e + trial[:, None] * d[k], cap)
-        rise = _dots(g[k], cand - e).tolist()     # first-order rise
-        tried = []
-        for j, i in enumerate(search):
-            run = runs[i]
-            if rise[j] <= run.resolution:
+            step0 = np.array([run.step0 for run in runs])
+            gap = eta - _project(eta + step0[:, None] * d, cap)
+            norms = np.sqrt(_dots(gap, gap)) / step0
+            denoms, lengths = -_dots(de, d - d_prev), _dots(de, de)
+            for run, *terms in zip(runs, norms.tolist(), denoms.tolist(),
+                                   lengths.tolist()):
+                if run.fresh:
+                    run.direct(*terms)
+        trial = np.array([run.trial for run in runs])
+        cand = _project(eta + trial[:, None] * d, cap)
+        de = cand - eta
+        rise = _dots(g, de)                # first-order rise
+        for run, r in zip(runs, rise.tolist()):
+            if run.termination is None and r <= run.resolution:
                 # no trial can show a rise: converged, unless a longer
                 # one fell by more than rounding
                 run.termination = ("line_search_stall" if run.fell
                                    else "value_resolution")
-            else:
-                tried.append(j)
-        if len(tried) < len(search):
-            search = [search[j] for j in tried]
-            rise = [rise[j] for j in tried]
-            cand = cand[tried]
-            k = _rows(search, m)
-            if not search:
-                continue
-        cand_val, (Bc, Ac, Rc) = ws.value_rows(cand, problems(search))
-        accepted = []
-        for j, (i, value) in enumerate(zip(search, cand_val.tolist())):
-            run = runs[i]
-            # nonmonotone: against the least of the last NONMONOTONE
-            # accepted values (Birgin, Martinez and Raydan 2000)
-            if value >= min(run.recent) + ARMIJO * rise[j]:
-                run.val = value
-                run.recent = (run.recent + [value])[-NONMONOTONE:]
-                run.iters += 1
-                run.fresh = True
-                accepted.append(j)
-                continue
-            run.fell = run.fell or value < run.val - run.resolution
-            run.trial *= BACKTRACK
-            if run.trial <= run.step0 * 1e-12:
-                run.termination = "line_search_stall"
-        if len(accepted) < len(search):
-            k = _rows([search[j] for j in accepted], m)
-            cand, Bc, Ac, Rc = (x[accepted] for x in (cand, Bc, Ac, Rc))
-        eta, B = _put(eta, k, cand), _put(B, k, Bc)
-        A, R = _put(A, k, Ac), _put(R, k, Rc)
+        running = [i for i, run in enumerate(runs) if run.termination is None]
+        if len(running) < len(runs):
+            for i, run in enumerate(runs):
+                if run.termination:
+                    results[run.problem] = run.result(eta[i], cap)
+            runs = [runs[i] for i in running]
+            if not runs:
+                break
+            ws.keep(running)
+            eta, B, A, R, g, d, cand, de, rise = (
+                x[running] for x in (eta, B, A, R, g, d, cand, de, rise))
+        cand_val, (Bc, Ac, Rc) = ws.value_rows(cand)
+        moved = [run.accepts(r, v) for run, r, v in zip(
+            runs, rise.tolist(), cand_val.tolist())]
+        if not all(moved):
+            # a problem that did not move keeps its field and rows
+            back = np.logical_not(moved)
+            cand[back], Bc[back], Ac[back], Rc[back] = (
+                eta[back], B[back], A[back], R[back])
+        eta, B, A, R = cand, Bc, Ac, Rc
     eta = np.array([r[0] for r in results])
     return eta, [r[1] for r in results], [r[2] for r in results]
 
@@ -469,8 +437,7 @@ def _maximize(points: list[SpherePoint], fns: list[HullFn],
     """``maximize_eta`` of each problem ``(points[i], fns[i])`` on one
     grid, ascended as one stack: ``(eta, value, diagnostics)`` per
     problem, each the one the problem alone gives."""
-    ws = _Workspace(points, fns)
-    n = ws.grid.n
+    n = fns[0].grid.n
     rng = np.random.default_rng(cfg.seed)
     best = None
     for trial in range(cfg.multistart):
@@ -478,7 +445,9 @@ def _maximize(points: list[SpherePoint], fns: list[HullFn],
             eta0 = np.zeros(n)
         else:
             eta0 = rng.normal(scale=0.2 * cfg.eta_cap, size=n)
-        eta, val, diags = _ascend(ws, np.tile(eta0, (len(fns), 1)))
+        # a workspace per ascent, which its problems leave as they end
+        eta, val, diags = _ascend(_Workspace(points, fns),
+                                  np.tile(eta0, (len(fns), 1)))
         runs = list(zip(eta, val, diags))
         best = runs if best is None else [
             run if run[1] > kept[1] else kept

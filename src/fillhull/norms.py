@@ -88,23 +88,6 @@ class Norm2D:
         self.check_nondegenerate()
         return _hull_polygons(self.unit_norms[None])
 
-    @property
-    def hull_vertices(self) -> np.ndarray:
-        """The ``k`` vertices of one half-turn, counterclockwise from
-        angle 0, of the convex hull of the sampled boundary points
-        ``+-u_j / N(u_j)``; the other half-turn is their negatives."""
-        poly = self._polygon
-        return poly.vertices[0, :poly.counts[0]]
-
-    @property
-    def facet_normals(self) -> np.ndarray:
-        """Normals ``c``, one per antipodal facet pair, of the hull, scaled
-        so that the hull is ``{x : |c . x| <= 1}``: row ``i`` is the facet
-        from vertex ``i`` to the next one counterclockwise.  They are the
-        vertices of the dual unit ball."""
-        poly = self._polygon
-        return poly.normals[0, :poly.counts[0]]
-
     def norm_of(self, vx, vy) -> np.ndarray:
         """Gauge of the hull polygon at ``v``; see ``_gauge``."""
         return _gauge(self._polygon, vx, vy)[0]
@@ -157,9 +140,14 @@ class Norm2D:
 
 
 class _Polygons(NamedTuple):
-    """Hull polygons of several norms sampled on ``m`` directions: the
-    ``counts[n]`` vertices of one half-turn of node ``n`` and its facet
-    normals (see ``Norm2D``), padded with zero rows to ``(nodes, K, 2)``.
+    """Hull polygons of several norms sampled on ``m`` directions, each
+    the convex hull of its points ``+-u_j / N(u_j)``: the ``counts[n]``
+    vertices of one half-turn of node ``n``, counterclockwise from angle
+    0 (the other half-turn is their negatives), and its facet normals,
+    padded with zero rows to ``(nodes, K, 2)``.  The normals ``c``, one
+    per antipodal facet pair, are scaled so that the hull is ``{x : |c .
+    x| <= 1}``: row ``i`` is the facet from vertex ``i`` to the next one
+    counterclockwise, and they are the vertices of the dual unit ball.
     A zero row adds nothing to a wedge, a support value or a load."""
 
     m: int

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,3 +217,27 @@ def test_every_coefficient_table_has_the_same_interior_check():
         with pytest.raises(ValueError) as info:
             table()
         assert str(info.value) == message
+
+
+def test_a_table_keeps_functions_in_place():
+    # two of four functions at n = 512 leave the stack: the products of
+    # the rest are those of their own table, and no block is copied out
+    # of place on the way
+    grid = Grid(512)
+    near = coeffs.gradient_near_gaps(grid.n)
+    fs = [hull.random_hull_point(seed, 0.25, 0.3, grid) for seed in range(4)]
+    rows = [1, 3]
+    table = coeffs.WeightedTable(fs, near)
+    alone = coeffs.WeightedTable([fs[r] for r in rows], near)
+    block = 8 * math.prod(coeffs.WeightedTable.block_shape(grid.n, near))
+    tracemalloc.start()
+    try:
+        table.keep(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block > 4e5 and peak < block, peak
+    B, A = np.random.default_rng(4).normal(size=(2, len(rows), 2, grid.n))
+    assert np.array_equal(table(B), alone(B))
+    assert np.array_equal(table.transposed(A), alone.transposed(A))
+    assert table.p_first == alone.p_first

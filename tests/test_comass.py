@@ -35,7 +35,7 @@ def value(ws, eta):
 
 
 def gradient(ws, eta, rows=None):
-    return ws.gradient(eta.values[None], None, rows)[0]
+    return ws.gradient(eta.values[None], rows)[0]
 
 
 def quadform(ws, eta, v):
@@ -348,15 +348,15 @@ def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
     def run(reuse):
         calls = []
 
-        def traced_value_rows(self, eta, live=None):
-            out = value_rows(self, eta, live)
+        def traced_value_rows(self, eta):
+            out = value_rows(self, eta)
             calls.append(("value", out[0]))
             return out
 
-        def traced_gradient(self, eta, live=None, rows=None):
+        def traced_gradient(self, eta, rows=None):
             if not reuse:   # the rows at eta, formed afresh and untraced
-                rows = value_rows(self, eta, live)[1]
-            g = gradient(self, eta, live, rows)
+                rows = value_rows(self, eta)[1]
+            g = gradient(self, eta, rows)
             calls.append(("gradient", g))
             return g
 
@@ -434,6 +434,66 @@ def _capped_problem():
     return h, f
 
 
+def toward(h, grid, seeds, t):
+    """The problems ``(nearest hemisphere point, f_t)`` of ``f_t = (1 -
+    t) h + t g`` toward ``random:SEED,0.25,0.3``."""
+    h_fn = hull.sphere_point(h, grid)
+    problems = []
+    for seed in seeds:
+        g = hull.random_hull_point(seed, 0.25, 0.3, grid)
+        f = hull.HullFn(grid, (1 - t) * h_fn.values + t * g.values)
+        problems.append((hull.dist_to_hemisphere(f)[1], f))
+    return problems
+
+
+def stacked_as_alone(problems, cfg=OptimizerConfig()):
+    """Each problem's termination alone, once one stack of all of them
+    has given each problem exactly its result alone."""
+    points, fns = (list(x) for x in zip(*problems))
+    stacked = comass._maximize(points, fns, cfg)
+    alone = [comass.maximize_eta(h, f, cfg) for h, f in problems]
+    for (eta, val, diag), (eta1, val1, diag1) in zip(stacked, alone):
+        assert np.array_equal(eta, eta1.values)
+        assert (val, diag) == (val1, diag1)
+    return [diag["termination"] for *_, diag in alone]
+
+
+@pytest.mark.parametrize("max_iters, multistart, terminations", [
+    (comass.MAX_ITERS, 1, ["value_resolution", "grad_tol", "grad_tol",
+                           "value_resolution"]),
+    (20, 1, ["max_iters", "grad_tol", "grad_tol", "value_resolution"]),
+    (comass.MAX_ITERS, 2, None)])
+def test_problems_that_end_apart_get_their_results_alone(
+        monkeypatch, max_iters, multistart, terminations):
+    # the capped problem, the hemisphere point and two points near it
+    # end after 33, 7, 10 and 11 iterations; with a limit of 20 the
+    # capped one ends on it after the others have converged.  Each ended
+    # problem leaves the stack, and a second start begins on all four
+    monkeypatch.setattr(comass, "MAX_ITERS", max_iters)
+    problems = ([_capped_problem(), (H, hull.sphere_point(H, GRID))]
+                + toward(H, GRID, (2, 0), 0.02))
+    ends = stacked_as_alone(problems, OptimizerConfig(multistart=multistart))
+    if terminations is not None:
+        assert ends == terminations
+
+
+def test_problems_that_backtrack_apart_get_their_results_alone(
+        monkeypatch):
+    # a third of all values, keyed on their bits, fall by 1e-3, so the
+    # problems of a stack reject trials in different rounds, and the
+    # ones that did not move take gradients with the ones that did
+    value_rows = comass._Workspace.value_rows
+
+    def falling(self, eta):
+        val, rows = value_rows(self, eta)
+        return val - (val.view(np.int64) % 3 == 0) * 1e-3, rows
+
+    monkeypatch.setattr(comass._Workspace, "value_rows", falling)
+    problems = toward(SpherePoint(0.0, 0.7), Grid(128), (0, 1, 2, 3, 5, 7),
+                      0.2)
+    assert "line_search_stall" in stacked_as_alone(problems)
+
+
 def test_a_maximizer_at_the_cap_is_converged_inside_it():
     h, f = _capped_problem()
     eta, val, diag = comass.maximize_eta(h, f)
@@ -455,8 +515,8 @@ def test_ascent_on_a_falling_value_stalls(monkeypatch):
     value_rows = comass._Workspace.value_rows
     drops = iter(range(10 ** 6))
 
-    def falling(self, eta, live=None):
-        val, rows = value_rows(self, eta, live)
+    def falling(self, eta):
+        val, rows = value_rows(self, eta)
         return val - next(drops), rows
 
     monkeypatch.setattr(comass._Workspace, "value_rows", falling)
