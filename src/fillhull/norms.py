@@ -11,13 +11,13 @@ Jacobians against Lebesgue measure:
 
 Every definition measures one body per sampled norm: the convex hull
 polygon ``{x : |c_i . x| <= 1}`` of the sampled boundary points.  Its
-vertices give mass, its facet normals ``c_i`` (the vertices of the dual
-polygon) give mass*, its gauge gives the ball area and the dual norm,
-and the John ellipse is the exact solution of a 3-variable max-det
-problem over the ``c_i``.  The polygons of many norms are built and
-measured together (``jacobians``): the hull's first pass runs on the
-regular layout of ``2m`` points per node, and the polygons are padded
-with zero rows to ``K`` vertices, which the kernels take a column at a
+vertices give mass and the ball area, its facet normals ``c_i`` (the
+vertices of the dual polygon) give mass* and the dual ball area, and
+the John ellipse is the exact solution of a 3-variable max-det problem
+over the ``c_i``.  The polygons of many norms are built and measured
+together (``jacobians``): the hull's first pass runs on the regular
+layout of ``2m`` points per node, and the polygons are padded with
+zero rows to ``K`` vertices, which the kernels take a column at a
 time.  ``Norm2D``, ``jacobian`` and ``john_ellipse`` are the one-node
 case of that code.
 """
@@ -61,8 +61,7 @@ class Norm2D:
 
     The unit ball is the convex hull polygon of the sampled boundary
     points ``+-u_j / N(u_j)``, built once, as the one-node case of
-    ``_hull_polygons``; the gauge, the ball area, the dual norm and
-    every Jacobian measure it."""
+    ``_hull_polygons``; the ball area and every Jacobian measure it."""
 
     m: int
     unit_norms: np.ndarray = field(repr=False)
@@ -88,17 +87,10 @@ class Norm2D:
         self.check_nondegenerate()
         return _hull_polygons(self.unit_norms[None])
 
-    def norm_of(self, vx, vy) -> np.ndarray:
-        """Gauge of the hull polygon at ``v``; see ``_gauge``."""
-        return _gauge(self._polygon, vx, vy)[0]
-
     def ball_area(self) -> float:
-        """Lebesgue area of the hull polygon; see ``_ball_areas``."""
-        return float(_ball_areas(self._polygon)[0])
-
-    def dual(self) -> "Norm2D":
-        """Dual norm at the sampled directions; see ``_dual_norms``."""
-        return Norm2D(self.m, _dual_norms(self._polygon)[0])
+        """Lebesgue area of the hull polygon; see ``_areas``."""
+        poly = self._polygon
+        return float(_areas(poly.vertices, poly.counts)[0])
 
     @staticmethod
     def from_callable(fn, m: int = 256) -> "Norm2D":
@@ -140,17 +132,17 @@ class Norm2D:
 
 
 class _Polygons(NamedTuple):
-    """Hull polygons of several norms sampled on ``m`` directions, each
-    the convex hull of its points ``+-u_j / N(u_j)``: the ``counts[n]``
-    vertices of one half-turn of node ``n``, counterclockwise from angle
-    0 (the other half-turn is their negatives), and its facet normals,
-    padded with zero rows to ``(nodes, K, 2)``.  The normals ``c``, one
-    per antipodal facet pair, are scaled so that the hull is ``{x : |c .
-    x| <= 1}``: row ``i`` is the facet from vertex ``i`` to the next one
-    counterclockwise, and they are the vertices of the dual unit ball.
-    A zero row adds nothing to a wedge, a support value or a load."""
+    """Hull polygons of several sampled norms, each the convex hull of
+    its points ``+-u_j / N(u_j)``: the ``counts[n]`` vertices of one
+    half-turn of node ``n``, counterclockwise from angle 0 (the other
+    half-turn is their negatives), and its facet normals, padded with
+    zero rows to ``(nodes, K, 2)``.  The normals ``c``, one per
+    antipodal facet pair, are scaled so that the hull is ``{x : |c . x|
+    <= 1}``: row ``i`` is the facet from vertex ``i`` to the next one
+    counterclockwise, and they are the half-turn vertices of the dual
+    unit ball, counterclockwise as well.  A zero row adds nothing to a
+    wedge, an area or a load."""
 
-    m: int
     counts: np.ndarray
     vertices: np.ndarray
     normals: np.ndarray
@@ -200,58 +192,24 @@ def _hull_polygons(unit_norms: np.ndarray) -> _Polygons:
     w[:, node[take], pos[take]] = x[take + 1], y[take + 1]
     det = v[0] * w[1] - v[1] * w[0]
     det[np.arange(v.shape[2]) >= counts[:, None]] = 1.0
-    return _Polygons(m, counts, np.stack(v, axis=-1),
+    return _Polygons(counts, np.stack(v, axis=-1),
                      np.stack([w[1] - v[1], v[0] - w[0]], axis=-1)
                      / det[..., None])
 
 
-def _polar_areas(norms: np.ndarray) -> np.ndarray:
-    """Polar formula ``(pi / m) sum r_j^2`` for the area of each ball
-    whose radius at the ``j``-th of ``m`` equispaced directions of a
-    half-turn is ``r_j = 1 / norms[..., j]``."""
-    r = 1.0 / norms
-    return (r * r).sum(axis=-1) * (PI / norms.shape[-1])
-
-
-def _gauge(poly: _Polygons, vx, vy) -> np.ndarray:
-    """Gauge ``|c . v|`` of each hull polygon at the vectors ``v``
-    (broadcast), shape ``(nodes,) + v.shape``: ``c`` is the facet of the
-    sector that opens at the last vertex whose angle is at most that of
-    ``v``, and before the first vertex the last facet."""
-    angle = np.mod(np.arctan2(vy, vx), PI)
-    nodes, K = poly.vertices.shape[:2]
-    ones = (1,) * angle.ndim
-    # row k of a node's K + 1 is the facet that opens at vertex k - 1,
-    # row 0 the last facet; a padded vertex is never at most an angle
-    c = np.concatenate([poly.normals[np.arange(nodes), poly.counts - 1,
-                                     None], poly.normals], axis=1)
-    vertex = np.where(np.arange(K)[:, None] < poly.counts,
-                      np.arctan2(*poly.vertices.T[::-1]), np.inf)
-    k = (np.arange(nodes) * (K + 1)).reshape(-1, *ones) \
-        + np.zeros(angle.shape, int)
-    for a in vertex:
-        k += a.reshape(-1, *ones) <= angle
-    c = c.reshape(-1, 2)
-    return np.abs(c[:, 0][k] * vx + c[:, 1][k] * vy)
-
-
-def _ball_areas(poly: _Polygons) -> np.ndarray:
-    """Lebesgue area of each hull polygon by the polar formula, with the
-    hull radii ``1 / N(u_j)`` of its gauge at the sampled directions."""
-    th = np.arange(poly.m) * (PI / poly.m)
-    return _polar_areas(_gauge(poly, np.cos(th), np.sin(th)))
-
-
-def _dual_norms(poly: _Polygons) -> np.ndarray:
-    """Dual norm of each hull polygon at the sampled directions: its
-    support function, a running maximum over its vertex columns."""
-    th = np.arange(poly.m) * (PI / poly.m)
-    ux, uy = np.cos(th), np.sin(th)
-    out = np.zeros((len(poly.counts), poly.m))
-    for px, py in poly.vertices.transpose(1, 2, 0):
-        np.maximum(out, np.abs(ux * px[:, None] + uy * py[:, None]),
-                   out=out)
-    return out
+def _areas(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Area of each origin-symmetric polygon with the ``counts[n]``
+    vertices ``p[n]`` of one half-turn, counterclockwise and padded with
+    zero rows to ``(nodes, K, 2)``: the shoelace sum over the full turn
+    is twice that over the half-turn, whose last vertex is followed by
+    the negated first one.  A running sum over the vertex columns, so a
+    padded row adds exactly 0."""
+    x, y = p[..., 0], p[..., 1]
+    out = np.zeros(len(p))
+    for i in range(p.shape[1] - 1):
+        out += x[:, i] * y[:, i + 1] - y[:, i] * x[:, i + 1]
+    last = p[np.arange(len(p)), counts - 1]
+    return out - (last[:, 0] * y[:, 0] - last[:, 1] * x[:, 0])
 
 
 # candidate active sets among three or four facets: every pair, then
@@ -379,11 +337,9 @@ def _jacobians(poly: _Polygons, definition: str) -> np.ndarray:
     if definition == "mass_star":
         return _max_wedges(poly.normals)
     if definition == "busemann_hausdorff":
-        return PI / _ball_areas(poly)
+        return PI / _areas(poly.vertices, poly.counts)
     if definition == "holmes_thompson":
-        # the support values sample the dual norm on a convex ball, so
-        # the polar formula reads its area without a second hull
-        return _polar_areas(_dual_norms(poly)) / PI
+        return _areas(poly.normals, poly.counts) / PI
     # the John ellipse L B has area pi |det L|
     return 1.0 / np.abs(np.linalg.det(_john_ellipses(poly.normals)))
 
@@ -393,8 +349,9 @@ def jacobian(norm: Norm2D, definition: str) -> float:
     definition for the sampled norm, measured on its hull polygon.
     The extremal frames of mass and mass* sit at vertices: mass is one
     over the largest wedge of two hull vertices, mass* the largest
-    wedge of two facet normals (the vertices of the dual ball).  This
-    is the one-node case of ``jacobians``."""
+    wedge of two facet normals (the vertices of the dual ball).  The
+    ball areas are exact (``_areas``).  This is the one-node case of
+    ``jacobians``."""
     if definition not in JACOBIAN_DEFINITIONS:
         raise ValueError(f"unknown volume definition {definition!r}")
     return float(_jacobians(norm._polygon, definition)[0])

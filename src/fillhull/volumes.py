@@ -179,22 +179,24 @@ def _metric_derivatives(chart: SurfaceChart,
 def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Complete the ``(nodes, k)`` samples along the same kept offsets,
     at angles ``thetas``, to the ``(nodes, N_DIRECTIONS)`` norms: the
-    polygon through the sampled unit-ball boundary points,
-    vectorized over the nodes; a node with a vanishing sample goes
-    through ``np.interp`` on its own."""
+    polygon through the sampled unit-ball boundary points, vectorized
+    over the nodes.  A node with a vanishing sample is a seminorm; its
+    sampled values are interpolated directly, as ``np.interp`` does on
+    each such node, and downstream Jacobians treat it as zero area."""
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     out = np.empty((len(samples), N_DIRECTIONS))
     order = np.argsort(thetas)
     thetas = thetas[order]
     norms = samples[:, order]
     seminorm = norms.min(axis=1) < 1e-12
-    for node in np.flatnonzero(seminorm):
-        # seminorm: interpolate the sampled values directly;
-        # downstream Jacobians treat it as zero area
-        row = norms[node]
-        ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
-        ext_n = np.concatenate([row, row, [row[0]]])
-        out[node] = np.interp(target, ext_t, ext_n)
+    # np.interp's chord from the last angle at or below the target; the
+    # angles start at 0, along the offset (1, 0) every row keeps
+    ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
+    semi = norms[seminorm]
+    ext_n = np.concatenate([semi, semi, semi[:, :1]], axis=1)
+    i = np.searchsorted(ext_t, target, side="right") - 1
+    slope = (ext_n[:, i + 1] - ext_n[:, i]) / (ext_t[i + 1] - ext_t[i])
+    out[seminorm] = slope * (target - ext_t[i]) + ext_n[:, i]
     live = ~seminorm
     if not live.any():
         return out

@@ -352,3 +352,17 @@ def test_a_small_distance_is_not_the_boundary(capsys):
     assert on_circle[0] == 2 and on_circle != near_it
     assert validate(near_it[1])["results"]["hemisphere_d"] == pytest.approx(
         1e-9, rel=1e-6)
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    # a usage error and a subcommand's defaults between two runs do not
+    # change the second run's output
+    assert cli.build_parser() is cli.build_parser()
+    first = run(capsys, "--format", "csv", "lowerbound", "--offsets", "0.5")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cone", "--param-n", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, "--format", "csv", "lowerbound")[0] == 0
+    assert run(capsys, "--format", "csv", "lowerbound", "--offsets",
+               "0.5") == first

@@ -19,28 +19,39 @@ from fillhull.quadrature import Grid, integrate_triangle
 PI = math.pi
 
 
-def ellipse_area(norm, q, phi, n_t):
-    """Area of the largest inscribed ellipse with aspect ``q`` and tilt
-    ``phi``: scale the shape until it touches the unit sphere."""
+def qhull_gauge(c, x, y):
+    """Gauge ``max_i c_i . v`` at the vectors ``v = (x, y)`` of the
+    polygon with facet normals ``c`` (``hull_facets``, which holds
+    each normal with its negative)."""
+    return np.tensordot(c, np.stack(np.broadcast_arrays(x, y)),
+                        axes=1).max(axis=0)
+
+
+def ellipse_area(c, q, phi, n_t):
+    """Area of the largest ellipse with aspect ``q`` and tilt ``phi``
+    inside the polygon with facet normals ``c``: scale the shape until
+    it touches the polygon."""
     t = np.arange(n_t) * (PI / n_t)     # ellipse symmetric: half period
     ct, st = np.cos(t), np.sin(t)
     q = np.asarray(q, float)[..., None]
     phi = np.asarray(phi, float)[..., None]
     x = np.cos(phi) * ct - np.sin(phi) * (q * st)
     y = np.sin(phi) * ct + np.cos(phi) * (q * st)
-    peak = norm.norm_of(x, y).max(axis=-1)
+    peak = qhull_gauge(c, x, y).max(axis=-1)
     return PI * q[..., 0] / (peak * peak)
 
 
 def dense_john_area(norm, n_q=120, n_phi=180, n_t=720):
-    """Brute-force reference for the inscribed ellipse area: dense scan
-    over aspect and tilt with the scale eliminated analytically, then
-    one zoomed rescan around the winner."""
+    """Brute-force reference for the inscribed ellipse area of the
+    Qhull polygon: dense scan over aspect and tilt with the scale
+    eliminated analytically, then one zoomed rescan around the
+    winner."""
+    c, _ = hull_facets(norm)
 
     def scan(qs, phis):
         best = (-1.0, None, None)
         for q in qs:
-            areas = ellipse_area(norm, np.full_like(phis, q), phis, n_t)
+            areas = ellipse_area(c, np.full_like(phis, q), phis, n_t)
             j = int(np.argmax(areas))
             if areas[j] > best[0]:
                 best = (float(areas[j]), float(q), float(phis[j]))
@@ -107,17 +118,19 @@ def ellipse_matrix(a, b, phi):
 
 
 def test_norm2d_triangle_inequality_spot_check():
+    # a random norm is convex, so every sample lies on its hull polygon:
+    # the polygon's gauge, which is subadditive, equals the samples
     rng = np.random.default_rng(0)
     for seed in range(5):
-        # direction resolution controls the interpolation error of the
-        # sampled norm, so the spot check needs a fine grid
         nm = Norm2D.random(seed, m=1024)
-        for _ in range(20):
-            u = rng.normal(size=2)
-            v = rng.normal(size=2)
-            lhs = float(nm.norm_of(u[0] + v[0], u[1] + v[1]))
-            rhs = float(nm.norm_of(u[0], u[1]) + nm.norm_of(v[0], v[1]))
-            assert lhs <= rhs * (1 + 1e-6)
+        c, _ = hull_facets(nm)
+        th = nm.theta_nodes
+        assert np.allclose(qhull_gauge(c, np.cos(th), np.sin(th)),
+                           nm.unit_norms, rtol=1e-12, atol=0)
+        u, v = rng.normal(size=(2, 2, 20))
+        lhs = qhull_gauge(c, *(u + v))
+        assert (lhs <= (qhull_gauge(c, *u) + qhull_gauge(c, *v))
+                * (1 + 1e-12)).all()
 
 
 def test_norm2d_rejects_degenerate():
@@ -129,17 +142,22 @@ def test_norm2d_rejects_degenerate():
 
 
 def test_dual_norm_swaps_l1_and_linf():
-    d = Norm2D.l1().dual()
-    want = Norm2D.linf()
-    assert np.allclose(d.unit_norms, want.unit_norms, atol=1e-3)
-    dd = Norm2D.l1().dual().dual()
-    assert np.allclose(dd.unit_norms, Norm2D.l1().unit_norms, atol=1e-3)
+    # Holmes-Thompson reads the dual ball: the square of area 4 for l1,
+    # the diamond of area 2 for l-infinity
+    for nm, dual_area in ((Norm2D.l1(), 4.0), (Norm2D.linf(), 2.0)):
+        c, _ = hull_facets(nm)
+        assert ConvexHull(c).volume == pytest.approx(dual_area, rel=1e-12)
+        assert volumes.jacobian(nm, "holmes_thompson") == pytest.approx(
+            dual_area / PI, rel=1e-12)
 
 
 def test_ball_area_closed_forms():
-    assert Norm2D.euclidean().ball_area() == pytest.approx(PI, rel=1e-6)
-    assert Norm2D.l1().ball_area() == pytest.approx(2.0, rel=1e-4)
-    assert Norm2D.linf().ball_area() == pytest.approx(4.0, rel=1e-4)
+    # the sampled Euclidean ball is the regular 512-gon inscribed in
+    # the unit circle; the l1 and l-infinity balls contain their corners
+    assert Norm2D.euclidean().ball_area() == pytest.approx(
+        256 * math.sin(PI / 256), rel=1e-12)
+    assert Norm2D.l1().ball_area() == pytest.approx(2.0, rel=1e-12)
+    assert Norm2D.linf().ball_area() == pytest.approx(4.0, rel=1e-12)
 
 
 def test_john_ellipse_of_round_and_square_balls_is_the_unit_disk():
@@ -169,11 +187,12 @@ def test_john_ellipse_matches_dense_scan_on_random_norms():
 def test_john_ellipse_stays_inside_the_ball():
     for seed in (1, 4, 73):
         nm = Norm2D.random(seed)
+        c, _ = hull_facets(nm)
         a, b, phi, _ = volumes.john_ellipse(nm)
         t = np.linspace(0, 2 * PI, 1000, endpoint=False)
         x = math.cos(phi) * a * np.cos(t) - math.sin(phi) * b * np.sin(t)
         y = math.sin(phi) * a * np.cos(t) + math.cos(phi) * b * np.sin(t)
-        assert float(nm.norm_of(x, y).max()) <= 1.0 + 1e-8
+        assert float(qhull_gauge(c, x, y).max()) <= 1.0 + 1e-8
 
 
 def test_john_ellipse_of_the_regular_hexagon():
@@ -302,23 +321,20 @@ def test_every_definition_measures_the_qhull_polygon_of_cone_samples():
     # the Richardson-extrapolated samples of the cone's metric derivative
     # are not convex, so the hull polygon differs from the samples
     chart = volumes.cone_chart(24, 24, Grid(128))
-    rng = np.random.default_rng(5)
     for node in [(5, 7), (12, 3), (20, 11)]:
         nm, _ = volumes.metric_derivative(chart, node)
         c, verts = hull_facets(nm)
         th = nm.theta_nodes
-        gauge = (c @ np.vstack([np.cos(th), np.sin(th)])).max(axis=0)
+        gauge = qhull_gauge(c, np.cos(th), np.sin(th))
         assert (nm.unit_norms - gauge).max() > 1e-3 * nm.unit_norms.max()
-        v = rng.normal(size=(2, 200))
-        assert np.allclose(nm.norm_of(v[0], v[1]), (c @ v).max(axis=0),
-                           rtol=1e-12, atol=0)
         assert volumes.jacobian(nm, "mass") == pytest.approx(
             1.0 / wedge_max(verts), rel=1e-12)
         assert volumes.jacobian(nm, "mass_star") == pytest.approx(
             wedge_max(c), rel=1e-12)
-        polar_area = float((1.0 / gauge ** 2).sum() * PI / nm.m)
         assert volumes.jacobian(nm, "busemann_hausdorff") == pytest.approx(
-            PI / polar_area, rel=1e-12)
+            PI / ConvexHull(verts).volume, rel=1e-12)
+        assert volumes.jacobian(nm, "holmes_thompson") == pytest.approx(
+            ConvexHull(c).volume / PI, rel=1e-12)
 
 
 def test_cone_mass_table_at_the_benchmark_size():
@@ -329,6 +345,20 @@ def test_cone_mass_table_at_the_benchmark_size():
             "inner_riemannian": PI ** 2}
     for d, w in want.items():
         assert table[d] == pytest.approx(w, rel=0.011)
+
+
+def test_cone_mass_table_is_exact_at_16_and_32_nodes():
+    # every metric derivative of these cones is exact, so the masses
+    # differ from the closed forms only by rounding: a polar Riemann
+    # sum of the ball areas put Busemann-Hausdorff 5.8e-3 low here
+    want = {"mass": PI ** 2 / 2, "holmes_thompson": 2 * PI,
+            "busemann_hausdorff": PI ** 3 / 4, "mass_star": PI ** 2,
+            "inner_riemannian": PI ** 2}
+    for n in (16, 32):
+        table = volumes.finsler_mass_table(volumes.cone_chart(n, n,
+                                                              Grid(256)))
+        for d, w in want.items():
+            assert table[d] == pytest.approx(w, rel=1e-12), (n, d)
 
 
 def test_jacobian_rejects_unknown_definition():
@@ -612,25 +642,13 @@ def reference_john_area(c):
 
 def reference_jacobian(norm):
     """The five Jacobians of one node, each measured on the node's own
-    hull: ``{definition: value}``, the vertex count and the trial-set
-    sizes of the John ellipse."""
+    hull, the ball areas by Qhull: ``{definition: value}``, the vertex
+    count and the trial-set sizes of the John ellipse."""
     p, c = reference_hull(norm)
-    th = norm.theta_nodes
-    sector = np.searchsorted(np.arctan2(p[:, 1], p[:, 0]),
-                             np.mod(np.arctan2(np.sin(th), np.cos(th)), PI),
-                             side="right") - 1
-    gauge = np.abs(c[sector, 0] * np.cos(th) + c[sector, 1] * np.sin(th))
-    support = np.abs(np.cos(th)[:, None] * p[None, :, 0]
-                     + np.sin(th)[:, None] * p[None, :, 1]).max(axis=1)
-
-    def polar_area(norms):
-        r = 1.0 / norms
-        return float((r * r).sum() * (PI / len(norms)))
-
     area, sizes = reference_john_area(c)
     return {"mass": 1.0 / wedge_max(p), "mass_star": wedge_max(c),
-            "busemann_hausdorff": PI / polar_area(gauge),
-            "holmes_thompson": polar_area(support) / PI,
+            "busemann_hausdorff": PI / ConvexHull(np.vstack([p, -p])).volume,
+            "holmes_thompson": ConvexHull(np.vstack([c, -c])).volume / PI,
             "inner_riemannian": PI / area}, len(p), sizes
 
 
@@ -678,9 +696,9 @@ def reference_hull_polygons(unit_norms):
 
 def assert_batch_matches_the_node_reference(unit_norms):
     """The batched hull polygons of the ``(nodes, m)`` norms equal the
-    flat elimination, and the batched Jacobians the reference node by
-    node; returns the vertex counts and the trial-set sizes of every
-    node."""
+    flat elimination, the batched Jacobians equal ``jacobian`` of each
+    node bit for bit, and they match the reference node by node;
+    returns the vertex counts and the trial-set sizes of every node."""
     got = jacobians(unit_norms)
     poly = _hull_polygons(unit_norms)
     for have, want in zip((poly.counts, poly.vertices, poly.normals),
@@ -688,12 +706,18 @@ def assert_batch_matches_the_node_reference(unit_norms):
         assert np.array_equal(have, want)
     counts, sizes = [], []
     for n, row in enumerate(unit_norms):
-        want, k, trials = reference_jacobian(Norm2D(len(row), row))
+        norm = Norm2D(len(row), row)
+        want, k, trials = reference_jacobian(norm)
         assert poly.counts[n] == k
-        for d in JACOBIAN_DEFINITIONS[:4]:
+        for d in JACOBIAN_DEFINITIONS:
+            assert np.array_equal(got[d][n], volumes.jacobian(norm, d)), \
+                (n, d)
+        for d in ("mass", "mass_star"):
             assert np.array_equal(got[d][n], want[d]), (n, d)
-        assert got["inner_riemannian"][n] == pytest.approx(
-            want["inner_riemannian"], rel=1e-13)
+        for d, rel in (("busemann_hausdorff", 1e-12),
+                       ("holmes_thompson", 1e-12),
+                       ("inner_riemannian", 1e-13)):
+            assert got[d][n] == pytest.approx(want[d], rel=rel), (n, d)
         counts.append(k)
         sizes.append(trials)
     return counts, sizes
