@@ -34,7 +34,9 @@ of ``e`` give, on the strict upper triangle,
 clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
 ``WeightedTable`` applies it to a stack of functions for Psi, the far
 gaps by FFT (``GapOperator``), and ``DenseTables`` to many functions
-for the surface integral, every gap by dense products.
+for the surface integral, every gap by matrix products with column
+blocks of the nonzero triangle of ``S^T`` and ``C^T``, built once per
+grid (``dense_tables``).
 """
 
 from __future__ import annotations
@@ -368,40 +370,90 @@ class WeightedTable:
         return W
 
 
+# column blocks of each DenseTables kernel: of 1 to 32, 8 made the
+# fastest row products at n = 256 and tied 16 at n = 512 (x86-64, one
+# BLAS thread)
+DENSE_BLOCKS = 8
+
+
 class DenseTables:
     """The dense counterpart of ``WeightedTable`` for many functions:
     every gap through the expansion of the module docstring, on the
-    dense strictly triangular ``S^T`` and ``C^T`` of a grid."""
+    strictly lower triangular ``S^T`` and ``C^T`` of a grid.
+
+    Each kernel is kept as ``DENSE_BLOCKS`` column blocks of about equal
+    width without the zero rows above them: block ``[j0, j1)`` holds the
+    rows ``k > j0``, zero where ``k <= j``.  So a product multiplies
+    about ``(1 + 1 / DENSE_BLOCKS) / 2`` of the full table, one matrix
+    product per block.  The rows run from ``k = n - 1`` down, so that a
+    column adds its near gaps, where ``1 / sin^2 a`` is largest, last:
+    on rows of caps at n = 256 and 512 the results then lie 3 to 6
+    times closer to the entry-by-entry table than summed in increasing
+    ``k``.  ``dense_tables`` caches the blocks per grid, read-only."""
 
     def __init__(self, grid: Grid):
         n = grid.n
-        s, c = gap_kernels(grid)
-        # S^T[k, j] and C^T[k, j], zero for k <= j
-        self.st = np.tril(toeplitz(s, n).T, -1)
-        self.ct = np.tril(toeplitz(c, n).T, -1)
+        edges = np.linspace(0, n, DENSE_BLOCKS + 1).astype(int)
+        # S^T[k, j] and C^T[k, j]; entry [r, c] of a block is [n - 1 -
+        # r, j0 + c], below the diagonal when c < n - 1 - j0 - r
+        kernels = [toeplitz(v, n).T for v in gap_kernels(grid)]
+        self.blocks = []
+        for j0, j1 in zip(edges[:-1], edges[1:]):
+            if j1 > j0:
+                pair = tuple(np.ascontiguousarray(
+                    np.tril(t[j0 + 1:, j0:j1])[::-1]) for t in kernels)
+                for b in pair:
+                    b.flags.writeable = False
+                self.blocks.append((j0, j1, pair))
         self.c = grid.triangle_weights
+
+    def _product(self, X: np.ndarray, kernel: int) -> np.ndarray:
+        """Each row of ``X`` times ``S^T`` (``kernel`` 0) or ``C^T``
+        (1), as ``(rows, n)``; ``X`` is ``(..., n)`` with its last axis
+        reversed, entry ``i`` for ``k = n - 1 - i``."""
+        n = X.shape[-1]
+        X = X.reshape(-1, n)
+        out = np.empty_like(X)
+        for j0, j1, pair in self.blocks:
+            out[:, j0:j1] = X[:, :n - 1 - j0] @ pair[kernel]
+        return out
 
     def pairs(self, y: np.ndarray, *ab: tuple) -> list[np.ndarray]:
         """``a_i . PW_i b_i`` for each pair ``(a, b)`` of ``(rows, n)``
         arrays and each row ``i``, ``PW_i`` the weighted table of the
         function with values ``y[i]``; the row factor ``1 / sin^2 x``
-        divides ``a``."""
+        divides ``a``.  Every pair's ``v`` and ``cos^2 y v`` go through
+        ``S^T`` as one stack, and every ``cos y v`` through ``C^T``."""
         x = midnodes(y, PI - y[:, 0])
-        cx, cy = np.cos(x), np.cos(y)
-        sx2, w = np.sin(x), np.sin(y)
+        cx, sx2 = np.cos(x), np.sin(x)
         sx2 *= sx2
+        # the factors of the operands, and the operands, in decreasing k
+        yr = y[:, ::-1]
+        cy, w = np.cos(yr), np.sin(yr)
         w *= w
-        np.divide(self.c, w, out=w)
-        out = []
-        for a, b in ab:
-            v = b * w
-            ev = np.zeros_like(v)
-            np.cumsum(v[:, :0:-1], axis=1, out=ev[:, -2::-1])
-            ev -= cx * cx * (v @ self.st)
-            ev -= (cy * cy * v) @ self.st
-            ev += 2.0 * cx * ((cy * v) @ self.ct)
-            out.append(np.einsum("ij,ij->i", a / sx2, ev))
-        return out
+        np.divide(self.c[::-1], w, out=w)
+        X = np.empty((3, len(ab)) + y.shape)
+        v = X[0]
+        for vb, (_, b) in zip(v, ab):
+            np.multiply(b[:, ::-1], w, out=vb)
+        np.multiply(cy * cy, v, out=X[1])
+        np.multiply(cy, v, out=X[2])
+        ys = self._product(X[:2], 0).reshape(X[:2].shape)
+        yc = self._product(X[2], 1).reshape(v.shape)
+        # U_j, the sum of v_k over k > j
+        ev = np.zeros_like(v)
+        np.cumsum(v[..., :-1], axis=-1, out=ev[..., -2::-1])
+        ev -= cx * cx * ys[0]
+        ev -= ys[1]
+        ev += 2.0 * cx * yc
+        return [np.einsum("ij,ij->i", a / sx2, e)
+                for (a, _), e in zip(ab, ev)]
+
+
+@lru_cache(maxsize=8)
+def dense_tables(grid: Grid) -> DenseTables:
+    """``DenseTables(grid)``, cached like the gap vectors."""
+    return DenseTables(grid)
 
 
 def _e_values(a, x, y):

@@ -61,7 +61,7 @@ class Norm2D:
 
     The unit ball is the convex hull polygon of the sampled boundary
     points ``+-u_j / N(u_j)``, built once, as the one-node case of
-    ``_hull_polygons``; the ball area and every Jacobian measure it."""
+    ``_hull_polygons``; every Jacobian measures it."""
 
     m: int
     unit_norms: np.ndarray = field(repr=False)
@@ -74,10 +74,6 @@ class Norm2D:
             raise ValueError("unit_norms must be finite")
         object.__setattr__(self, "unit_norms", v)
 
-    @property
-    def theta_nodes(self) -> np.ndarray:
-        return np.arange(self.m) * (PI / self.m)
-
     def check_nondegenerate(self) -> None:
         if (least := self.unit_norms.min()) <= DEGENERATE_NORM:
             raise DegenerateNormError(f"norm degenerates to {least:.3e}")
@@ -86,11 +82,6 @@ class Norm2D:
     def _polygon(self) -> "_Polygons":
         self.check_nondegenerate()
         return _hull_polygons(self.unit_norms[None])
-
-    def ball_area(self) -> float:
-        """Lebesgue area of the hull polygon; see ``_areas``."""
-        poly = self._polygon
-        return float(_areas(poly.vertices, poly.counts)[0])
 
     @staticmethod
     def from_callable(fn, m: int = 256) -> "Norm2D":

@@ -7,7 +7,8 @@ The cone chart over the boundary circle and the polar caps of the
 hemisphere are the worked examples, together with the surface integral
 of the two-form and the shoelace lower-bound loop.  The integral keeps
 the tangents, their pairing and the chart quadrature here; its
-coefficient tables and their algebra are ``coeffs.DenseTables``.
+coefficient tables and their algebra are ``coeffs.DenseTables``, whose
+kernel blocks ``coeffs.dense_tables`` builds once per grid.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .quadrature import Grid, midnodes
 from .hull import random_hull_point, sphere_point_values
-from .coeffs import DenseTables
+from .coeffs import dense_tables
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
 # are the names callers and the benchmark's tracer use
 from .norms import (DEGENERATE_NORM, DegenerateNormError,
@@ -58,7 +59,8 @@ class SurfaceChart:
     coordinates: the radial axis 0 includes both endpoints, and the
     angular axis 1 wraps around: its node spacing continues past the
     last node, so its ``n1`` steps make one turn of ``2 pi``.  Each
-    axis has at least two nodes and a uniform positive step.
+    axis has at least two nodes and a uniform positive step, and every
+    value is finite.
     """
 
     name: str
@@ -72,6 +74,10 @@ class SurfaceChart:
         expect = (len(self.axis0), len(self.axis1), self.grid.n)
         if v.shape != expect:
             raise ValueError(f"values shape {v.shape}, expected {expect}")
+        # a NaN passes the degeneracy test of the masses and the
+        # boundary test of the surface integral unnoticed
+        if not np.isfinite(v).all():
+            raise ValueError("chart values must be finite")
         axes = [np.asarray(axis, float) for axis in (self.axis0,
                                                      self.axis1)]
         for k, axis in enumerate(axes):
@@ -266,9 +272,6 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     the temporaries stay the size of one block and each node gets the
     value ``jacobian`` gives its norm; the weighted Jacobians are added
     node by node in row-major order."""
-    # a NaN norm would pass the degeneracy test below unnoticed
-    if not np.isfinite(chart.values).all():
-        raise ValueError("chart values must be finite")
     w0, w1 = _axis_weights(chart)
     n0, n1 = len(chart.axis0), len(chart.axis1)
     step = max(1, _BLOCK // n1)
@@ -337,12 +340,13 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     The node value is the form's action on the tangent path ``(t0,
     t1)``: with ``PW`` the weighted coefficient table of the node's hull
     function and ``t0m``, ``t1m`` the tangents at the midpoint nodes, it
-    is ``t1m . PW t0 - t0m . PW t1``.  ``coeffs.DenseTables`` applies
-    the tables to every node of a parameter row at once (the expansion
-    over ``1 / sin^2 a`` and ``cos a / sin^2 a`` is derived in
-    ``coeffs``), with temporaries the size of one row; the node values
-    are then integrated over the parameter rectangle.  Charts are
-    oriented (axis0, axis1); the cap comes out positive.
+    is ``t1m . PW t0 - t0m . PW t1``.  The grid's cached
+    ``coeffs.DenseTables`` applies the tables to every node of a
+    parameter row at once (the expansion over ``1 / sin^2 a`` and ``cos
+    a / sin^2 a`` is derived in ``coeffs``), with temporaries the size
+    of one row; the node values are then integrated over the parameter
+    rectangle.  Charts are oriented (axis0, axis1); the cap comes out
+    positive.
 
     Unlike ``p_grid``, ``e`` is not clamped at zero: the integral is
     defined for charts whose nodes are hull functions.  Then ``|x - y|
@@ -362,7 +366,7 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
                                                       near.shape))
         raise ValueError(f"chart node {node} touches the "
                          "boundary circle; p is undefined")
-    tables = DenseTables(chart.grid)
+    tables = dense_tables(chart.grid)
     w0, w1 = _axis_weights(chart)
     n0 = len(chart.axis0)
     h0 = chart.axis0[1] - chart.axis0[0]

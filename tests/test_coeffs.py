@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fillhull import coeffs, comass, hull, pathspace
-from fillhull.hull import SpherePoint
+from fillhull import coeffs, comass, hull, pathspace, volumes
+from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField
-from fillhull.quadrature import Grid, integrate_period
+from fillhull.quadrature import (Grid, integrate_period, integrate_triangle,
+                                 midnodes)
 
 PI = math.pi
 GRID = Grid(256)
@@ -241,3 +242,43 @@ def test_a_table_keeps_functions_in_place():
     assert np.array_equal(table(B), alone(B))
     assert np.array_equal(table.transposed(A), alone.transposed(A))
     assert table.p_first == alone.p_first
+
+
+def chart_row_pairs(grid, i=2):
+    """Row ``i`` of a perturbed 5 x 8 cap with its tangent pairs, as the
+    surface integral pairs them: ``(t1m, t0)`` and ``(t0m, t1)``."""
+    cap = volumes.cap_chart(0.3, 5, 8, grid)
+    V = volumes.perturbed_cap_chart(cap, bump_seed=2, amplitude=0.2).values
+    y = V[i]
+    t0 = V[i + 1] - V[i - 1]
+    t1 = np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)
+    t0m, t1m = (midnodes(t, -t[:, 0]) for t in (t0, t1))
+    return y, ((t1m, t0), (t0m, t1))
+
+
+@pytest.mark.parametrize("n", [64, 100, 256, 512])
+def test_dense_tables_match_the_full_tables(n):
+    # n = 100 is no multiple of the block count
+    grid = Grid(n)
+    tables = coeffs.dense_tables(grid)
+    assert coeffs.dense_tables(Grid(n)) is tables
+    for _, _, pair in tables.blocks:
+        for block in pair:
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+    # the blocked products against the full strictly lower triangular
+    # S^T and C^T, within the rounding bound of a sum of n terms in
+    # any order
+    X = np.random.default_rng(n).normal(size=(12, n))
+    for kernel, v in enumerate(coeffs.gap_kernels(grid)):
+        full = np.tril(coeffs.toeplitz(v, n).T, -1)
+        got = tables._product(X[:, ::-1].copy(), kernel)
+        bound = 2 * n * np.finfo(float).eps * (np.abs(X) @ np.abs(full))
+        assert (np.abs(got - X @ full) <= bound).all()
+    # pairs against the table entry by entry
+    y, ab = chart_row_pairs(grid)
+    for got, (a, b) in zip(tables.pairs(y, *ab), ab):
+        want = np.array([integrate_triangle(
+            coeffs.p_grid(HullFn(grid, yi)) * np.outer(ai, bi), grid)
+            for yi, ai, bi in zip(y, a, b)])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
