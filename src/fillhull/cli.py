@@ -9,7 +9,8 @@ generator specs:
     random:SEED,ROUGHNESS,EPS
     shrink:BASE_SPEC,LAMBDA      (BASE_SPEC is one of the above)
 
-Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
+Exit codes: 0 success, 1 a failed invariant of ``check``, 2 input
+error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -212,6 +213,8 @@ def cmd_lowerbound(args, cfg: RunConfig) -> int:
         offsets = [finite(v) for v in args.offsets.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad offsets: {exc}")
+    if not offsets:
+        raise InputError("empty offsets list")
     rows = [{"offset": o, "area": volumes.coordinate_filling_area(0.0, o)}
             for o in offsets]
     lines = ["offset,area"] + [f"{r['offset']:.12g},{r['area']:.12g}"
@@ -303,7 +306,10 @@ def run_checks(n: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         grid, 0.05 * np.sin(2 * grid.beta_nodes))
     hf = hull.sphere_point(h, grid)
     v1 = comass.psi(h, hf, eta)
-    v2 = pathspace.omega_action(hf, pathspace.gamma_from_eta(h, eta))
+    gamma = pathspace.gamma_from_eta(h, eta)
+    gb, gm = gamma.points, gamma.at_midnodes()
+    cross = np.outer(gm[:, 0], gb[:, 1]) - np.outer(gm[:, 1], gb[:, 0])
+    v2 = quadrature.integrate_triangle(coeffs.p_grid(hf) * cross, grid)
     record("psi equals path action", abs(v1 - v2) < 1e-9,
            f"gap {abs(v1 - v2):.3g}")
 

@@ -19,7 +19,8 @@ depends only on ``k - j``, so the per-grid tables are cached vectors
 over its 2n - 1 values, read as n x n Toeplitz views: ``cos a`` and
 ``sin^2 a`` (``gap_vectors``), and ``S = 1 / sin^2 a`` and ``C = cos a
 / sin^2 a`` (``gap_kernels``).  ``p_grid`` forms the dense table,
-clamped at zero on the strict upper triangle.
+clamped at zero on the strict upper triangle; it is a reference, which
+only ``check`` and the tests read.
 
 The weighted table is ``PW = p c``, ``c`` the column weights of the
 triangle rule.  With ``x`` the function at the midpoint nodes, ``y`` at
@@ -32,11 +33,11 @@ of ``e`` give, on the strict upper triangle,
 ``U_j`` the sum of ``u_k`` over ``k > j``, a reverse cumulative sum;
 ``b PW`` is the same with ``S^T`` and ``C^T``.  This expansion cannot
 clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
-``WeightedTable`` applies it to a stack of functions for Psi, the far
-gaps by FFT (``GapOperator``), and ``DenseTables`` to many functions
-for the surface integral, every gap by matrix products with column
-blocks of the nonzero triangle of ``S^T`` and ``C^T``, built once per
-grid (``dense_tables``).
+``WeightedTable`` applies it to a stack of functions for Psi, the path
+action and the l1 norm, the far gaps by FFT (``GapOperator``), and
+``DenseTables`` to many functions for the surface integral, every gap
+by matrix products with column blocks of the nonzero triangle of
+``S^T`` and ``C^T``, built once per grid (``dense_tables``).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .quadrature import Grid, band_rule, integrate_triangle, midnodes
+from .quadrature import Grid, band_rule, midnodes
 from .hull import HullFn, SpherePoint, dist_to_boundary
 
 __all__ = [
@@ -493,8 +494,8 @@ def p_grid(f: HullFn) -> np.ndarray:
     """Coefficient table of a hull function: ``p[j, k] = p(a, f(alpha_j),
     f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
     in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
-    ``k > j``, and zero on and below the diagonal: the l1 probe,
-    ``check``, the path action and the tests read it.
+    ``k > j``, and zero on and below the diagonal: a reference, which
+    only ``check`` and the tests read.
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
@@ -536,8 +537,10 @@ def q_band(f: HullFn) -> np.ndarray:
 
 
 def p_l1_norm(f: HullFn) -> float:
-    """Triangle integral of the (nonnegative) coefficient table."""
-    return integrate_triangle(p_grid(f), f.grid)
+    """Triangle integral of the (nonnegative) coefficient table: the
+    ``math.fsum`` of the row sums ``PW 1`` of ``WeightedTable``."""
+    ones = np.ones((1, 1, f.grid.n))
+    return math.fsum(WeightedTable([f], NEAR_GAPS)(ones)[0, 0])
 
 
 def hemisphere_speed(p: SpherePoint, alpha) -> np.ndarray | float:

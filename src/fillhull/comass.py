@@ -80,8 +80,8 @@ import numpy as np
 
 from .quadrature import Grid
 from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
-from .coeffs import NEAR_GAPS, WeightedTable, compact, gradient_near_gaps
-from .pathspace import AngleField, nu_tables
+from .coeffs import WeightedTable, compact, gradient_near_gaps
+from .pathspace import AngleField, gamma_from_eta, nu_tables, omega_action
 from .quadrature import midnodes
 
 __all__ = [
@@ -147,12 +147,10 @@ class _Workspace:
     for problem ``i``.
     """
 
-    def __init__(self, points: list[SpherePoint], fns: list[HullFn],
-                 near: int | None = None):
+    def __init__(self, points: list[SpherePoint], fns: list[HullFn]):
         self.grid = fns[0].grid
-        if near is None:
-            near = gradient_near_gaps(self.grid.n)
-        self.table = WeightedTable(fns, near)  # rejects boundary functions
+        # rejects boundary functions
+        self.table = WeightedTable(fns, gradient_near_gaps(self.grid.n))
         nu = [nu_tables(p, self.grid) for p in points]
         self.nu_beta = np.array([beta[:-1] for beta, _ in nu])
         self.nu_alpha = np.array([alpha for _, alpha in nu])
@@ -219,19 +217,10 @@ class _Workspace:
 
 
 def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:
-    """Value of the functional; identical discretization to the path
-    action of ``gamma_from_eta``.  A value alone keeps ``NEAR_GAPS``
-    near gaps (``coeffs.gradient_near_gaps``), within 4e-15 of the
-    workspace value up to n = 2048, and holds no n x n array.
-
-    The weighted table is that of ``coeffs.p_grid``, whose ``e`` is
-    clamped at zero; beyond the near gaps the expansion cannot clamp.
-    On the benchmark's inputs no entry is negative; on the 33 random
-    endpoints they come from (n = 512) the clamp moves Psi by at most
-    4.4e-15.
-    """
-    ws = _Workspace([p], [f], NEAR_GAPS)
-    return float(ws.value_rows(eta.values[None])[0][0])
+    """Value of the functional: the path action
+    (``pathspace.omega_action``) of ``gamma_from_eta``, which ``check``
+    compares with the dense sum of ``coeffs.p_grid``."""
+    return omega_action(f, gamma_from_eta(p, eta))
 
 
 def psi_gradient(p: SpherePoint, f: HullFn, eta: AngleField) -> AngleField:

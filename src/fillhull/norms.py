@@ -96,31 +96,6 @@ class Norm2D:
     def l1(m: int = 256) -> "Norm2D":
         return Norm2D.from_callable(lambda x, y: np.abs(x) + np.abs(y), m)
 
-    @staticmethod
-    def linf(m: int = 256) -> "Norm2D":
-        return Norm2D.from_callable(
-            lambda x, y: np.maximum(np.abs(x), np.abs(y)), m)
-
-    @staticmethod
-    def random(seed: int, m: int = 256) -> "Norm2D":
-        """Random polytope-with-disk norm: the maximum of a few random
-        linear functionals and a scaled Euclidean norm (always convex)."""
-        rng = np.random.default_rng(seed)
-        k = rng.integers(2, 6)
-        angles = rng.uniform(0.0, PI, size=k)
-        scales = rng.uniform(0.5, 1.5, size=k)
-        disk = rng.uniform(0.3, 1.0)
-
-        def fn(x, y):
-            vals = disk * np.hypot(x, y)
-            for a, s in zip(angles, scales):
-                vals = np.maximum(vals,
-                                  s * np.abs(math.cos(a) * x
-                                             + math.sin(a) * y))
-            return vals
-
-        return Norm2D.from_callable(fn, m)
-
 
 class _Polygons(NamedTuple):
     """Hull polygons of several sampled norms, each the convex hull of

@@ -10,8 +10,8 @@ The triangle rule is one set of column weights, ``Grid.triangle_weights``,
 on the strict upper triangle of an ``(alpha_j, beta_k)`` table.
 ``integrate_triangle`` masks the triangle in blocks of rows, reduces
 each row against the weights and adds the row values with
-``math.fsum``; callers that pair the table with vectors (the Psi
-workspace, the surface integral) use the same weights directly.
+``math.fsum``: a dense reference for ``check`` and the tests.  The
+sums that pair the table with vectors use the same weights directly.
 
 Values on the midpoint nodes come from one rule, ``midnodes``: the
 average of the two neighbouring integer nodes, continued past the half

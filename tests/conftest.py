@@ -1,13 +1,17 @@
 """Collects the one-line acceptance reports and echoes them in the
 terminal summary, so they are visible without disabling capture;
-provides the subprocess environments of the BLAS thread-count tests."""
+provides the subprocess environments of the BLAS thread-count tests and
+the random norms of the volume tests."""
 
+import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fillhull
+from fillhull.norms import Norm2D
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -32,3 +36,23 @@ def blas_thread_envs():
     base["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, base.get("PYTHONPATH")) if p)
     return dict(base, OPENBLAS_NUM_THREADS="1"), base
+
+
+def random_norm(seed: int, m: int = 256) -> Norm2D:
+    """Random polytope-with-disk norm: the maximum of a few random
+    linear functionals and a scaled Euclidean norm (always convex)."""
+    rng = np.random.default_rng(seed)
+    k = rng.integers(2, 6)
+    angles = rng.uniform(0.0, math.pi, size=k)
+    scales = rng.uniform(0.5, 1.5, size=k)
+    disk = rng.uniform(0.3, 1.0)
+
+    def fn(x, y):
+        vals = disk * np.hypot(x, y)
+        for a, s in zip(angles, scales):
+            vals = np.maximum(vals,
+                              s * np.abs(math.cos(a) * x
+                                         + math.sin(a) * y))
+        return vals
+
+    return Norm2D.from_callable(fn, m)

@@ -16,7 +16,7 @@ from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField
 from fillhull.quadrature import Grid, integrate_period
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, random_norm
 
 PI = math.pi
 
@@ -284,7 +284,7 @@ def test_volume_definition_order():
     worst_gap = math.inf
     worst_ratio = 0.0
     for seed in range(100):
-        nm = volumes.Norm2D.random(seed)
+        nm = random_norm(seed)
         vals = {d: volumes.jacobian(nm, d)
                 for d in volumes.JACOBIAN_DEFINITIONS}
         ir = vals["inner_riemannian"]

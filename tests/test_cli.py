@@ -137,7 +137,8 @@ def test_non_finite_numbers_exit_2(capsys, argv):
 
 def test_bad_table_sizes_exit_2(capsys):
     for argv in (("l1", "--count", "0"), ("l1", "--count", "-1"),
-                 ("cone", "--param-n", "1"), ("cone", "--param-n", "2")):
+                 ("cone", "--param-n", "1"), ("cone", "--param-n", "2"),
+                 ("lowerbound", "--offsets", ",")):
         code, out = run(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -6,7 +6,7 @@ import pytest
 
 from fillhull import coeffs, comass, hull, pathspace, volumes
 from fillhull.hull import HullFn, SpherePoint
-from fillhull.pathspace import AngleField
+from fillhull.pathspace import AngleField, PlanePath
 from fillhull.quadrature import (Grid, integrate_period, integrate_triangle,
                                  midnodes)
 
@@ -193,6 +193,58 @@ def test_p_l1_norm_positive_and_grid_stable():
     assert v512 == pytest.approx(v256, rel=2e-2)
 
 
+def random_path(grid, seed):
+    """An antipodal plane path, sampled at the integer nodes: the unit
+    circle plus random odd Fourier modes 1 to 7 of each coordinate, so
+    that its action does not cancel to a small value."""
+    rng = np.random.default_rng(seed)
+    modes = np.arange(1, 8, 2)
+    a, b = 0.2 * rng.normal(size=(2, len(modes), 2)) / modes[:, None]
+    a[0, 0] += 1.0
+    b[0, 1] += 1.0
+    t = grid.beta_nodes[:, None] * modes
+    return PlanePath(grid, np.cos(t) @ a + np.sin(t) @ b)
+
+
+def dense_sums(f, gamma):
+    """The path action and the l1 norm from the dense table: ``p_grid``
+    and ``integrate_triangle``."""
+    table = coeffs.p_grid(f)
+    gb, gm = gamma.points, gamma.at_midnodes()
+    cross = np.outer(gm[:, 0], gb[:, 1]) - np.outer(gm[:, 1], gb[:, 0])
+    return (integrate_triangle(table * cross, f.grid),
+            integrate_triangle(table, f.grid))
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_the_path_action_and_the_l1_norm_match_the_dense_table(n):
+    grid = Grid(n)
+    f = hull.random_hull_point(n, 0.5, 0.3, grid)
+    gamma = random_path(grid, n)
+    action, l1 = dense_sums(f, gamma)
+    assert pathspace.omega_action(f, gamma) == pytest.approx(action,
+                                                             rel=1e-12)
+    assert coeffs.p_l1_norm(f) == pytest.approx(l1, rel=1e-12)
+
+
+@pytest.mark.parametrize("total", ["path action", "l1 norm"])
+def test_the_path_action_and_the_l1_norm_hold_no_dense_table(total):
+    # one dense table at n = 4096 is 134 MB
+    grid = Grid(4096)
+    f = hull.random_hull_point(1, 0.5, 0.3, grid)
+    gamma = random_path(grid, 1)
+    tracemalloc.start()
+    try:
+        if total == "path action":
+            pathspace.omega_action(f, gamma)
+        else:
+            coeffs.p_l1_norm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
 def test_hemisphere_speed_integrates_to_two_pi():
     alphas = np.arange(2048) * (2 * PI / 2048)
     for d in (0.2, 0.7, PI / 2):
@@ -213,6 +265,8 @@ def test_every_coefficient_table_has_the_same_interior_check():
     gamma = pathspace.gamma_from_eta(h, AngleField.zero(GRID))
     message = "f touches the boundary circle; p is undefined"
     for table in (lambda: coeffs.p_grid(f),
+                  lambda: coeffs.p_l1_norm(f),
+                  lambda: pathspace.omega_action(f, gamma),
                   lambda: pathspace.mu_path(f, gamma),
                   lambda: comass.psi(h, f, AngleField.zero(GRID))):
         with pytest.raises(ValueError) as info:

@@ -16,7 +16,15 @@ from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
                               Norm2D, SurfaceChart)
 from fillhull.quadrature import Grid, integrate_triangle
 
+from conftest import random_norm
+
 PI = math.pi
+
+
+def linf_norm(m: int = 256) -> Norm2D:
+    """The max norm, sampled at ``m`` directions."""
+    return Norm2D.from_callable(
+        lambda x, y: np.maximum(np.abs(x), np.abs(y)), m)
 
 
 def theta_nodes(norm):
@@ -127,7 +135,7 @@ def test_norm2d_triangle_inequality_spot_check():
     # the polygon's gauge, which is subadditive, equals the samples
     rng = np.random.default_rng(0)
     for seed in range(5):
-        nm = Norm2D.random(seed, m=1024)
+        nm = random_norm(seed, m=1024)
         c, _ = hull_facets(nm)
         th = theta_nodes(nm)
         assert np.allclose(qhull_gauge(c, np.cos(th), np.sin(th)),
@@ -149,7 +157,7 @@ def test_norm2d_rejects_degenerate():
 def test_dual_norm_swaps_l1_and_linf():
     # Holmes-Thompson reads the dual ball: the square of area 4 for l1,
     # the diamond of area 2 for l-infinity
-    for nm, dual_area in ((Norm2D.l1(), 4.0), (Norm2D.linf(), 2.0)):
+    for nm, dual_area in ((Norm2D.l1(), 4.0), (linf_norm(), 2.0)):
         c, _ = hull_facets(nm)
         assert ConvexHull(c).volume == pytest.approx(dual_area, rel=1e-12)
         assert volumes.jacobian(nm, "holmes_thompson") == pytest.approx(
@@ -166,11 +174,11 @@ def test_ball_area_closed_forms():
     assert ball_area(Norm2D.euclidean()) == pytest.approx(
         256 * math.sin(PI / 256), rel=1e-12)
     assert ball_area(Norm2D.l1()) == pytest.approx(2.0, rel=1e-12)
-    assert ball_area(Norm2D.linf()) == pytest.approx(4.0, rel=1e-12)
+    assert ball_area(linf_norm()) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_john_ellipse_of_round_and_square_balls_is_the_unit_disk():
-    for nm in (Norm2D.euclidean(), Norm2D.linf()):
+    for nm in (Norm2D.euclidean(), linf_norm()):
         a, b, _, area = volumes.john_ellipse(nm)
         assert a == pytest.approx(1.0, abs=1e-3)
         assert b == pytest.approx(1.0, abs=1e-3)
@@ -188,14 +196,14 @@ def test_john_ellipse_matches_dense_scan_on_random_norms():
     # seed 73 has its maximizing tilt in the second quadrant, which a
     # half-range tilt scan would miss entirely
     for seed in (0, 7, 73):
-        nm = Norm2D.random(seed)
+        nm = random_norm(seed)
         area = volumes.john_ellipse(nm)[3]
         assert area == pytest.approx(dense_john_area(nm), abs=1e-3)
 
 
 def test_john_ellipse_stays_inside_the_ball():
     for seed in (1, 4, 73):
-        nm = Norm2D.random(seed)
+        nm = random_norm(seed)
         c, _ = hull_facets(nm)
         a, b, phi, _ = volumes.john_ellipse(nm)
         t = np.linspace(0, 2 * PI, 1000, endpoint=False)
@@ -241,7 +249,7 @@ def test_john_ellipse_of_an_affine_square_is_the_image_of_the_disk():
 
 def test_john_ellipse_lies_inside_every_hull_facet_and_touches():
     chart = volumes.cone_chart(24, 24, Grid(128))
-    norms = [Norm2D.random(seed) for seed in range(8)]
+    norms = [random_norm(seed) for seed in range(8)]
     norms += [volumes.metric_derivative(chart, node)[0]
               for node in [(1, 0), (5, 7), (23, 3)]]
     for nm in norms:
@@ -254,8 +262,8 @@ def test_john_ellipse_lies_inside_every_hull_facet_and_touches():
 
 def test_john_ellipse_is_bit_identical_on_repeated_calls():
     for seed in (2, 73):
-        first = volumes.john_ellipse(Norm2D.random(seed))
-        nm = Norm2D.random(seed)
+        first = volumes.john_ellipse(random_norm(seed))
+        nm = random_norm(seed)
         assert volumes.john_ellipse(nm) == first
         assert volumes.john_ellipse(nm) == first
 
@@ -296,7 +304,7 @@ def test_jacobians_are_monotone_under_norm_domination():
     # max(N1, N2) dominates both, so its ball is contained in both
     # balls and every volume density can only grow
     for s1, s2 in [(0, 1), (2, 3), (4, 6)]:
-        n1, n2 = Norm2D.random(s1), Norm2D.random(s2)
+        n1, n2 = random_norm(s1), random_norm(s2)
         top = Norm2D(n1.m, np.maximum(n1.unit_norms, n2.unit_norms))
         for d in JACOBIAN_DEFINITIONS:
             jt = volumes.jacobian(top, d)
@@ -306,7 +314,7 @@ def test_jacobians_are_monotone_under_norm_domination():
 
 def test_mass_star_between_one_and_two_times_mass():
     for seed in range(10):
-        nm = Norm2D.random(seed)
+        nm = random_norm(seed)
         m = volumes.jacobian(nm, "mass")
         ms = volumes.jacobian(nm, "mass_star")
         assert m - 1e-9 <= ms <= 2 * m + 1e-9
@@ -317,7 +325,7 @@ def test_mass_star_of_the_diamond_and_the_square_is_exact():
     # facet normals are exactly the vertices of the dual ball
     assert volumes.jacobian(Norm2D.l1(), "mass_star") == pytest.approx(
         2.0, rel=1e-12)
-    assert volumes.jacobian(Norm2D.linf(), "mass_star") == pytest.approx(
+    assert volumes.jacobian(linf_norm(), "mass_star") == pytest.approx(
         1.0, rel=1e-12)
 
 
@@ -765,8 +773,8 @@ def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
     square = Norm2D.from_callable(
         lambda x, y: np.maximum(np.abs(Tinv[0, 0] * x + Tinv[0, 1] * y),
                                 np.abs(Tinv[1, 0] * x + Tinv[1, 1] * y)), m)
-    batch = [Norm2D.random(seed, m) for seed in range(100)]
-    batch += [Norm2D.l1(m), Norm2D.linf(m), Norm2D.euclidean(m), hexagon,
+    batch = [random_norm(seed, m) for seed in range(100)]
+    batch += [Norm2D.l1(m), linf_norm(m), Norm2D.euclidean(m), hexagon,
               square]
     _, sizes = assert_batch_matches_the_node_reference(
         np.stack([nm.unit_norms for nm in batch]))
@@ -776,7 +784,7 @@ def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
     # set the elimination tolerance of the others
     counts, _ = assert_batch_matches_the_node_reference(np.stack(
         [Norm2D.l1(64).unit_norms, Norm2D.euclidean(64).unit_norms,
-         Norm2D.random(3, 64).unit_norms,
+         random_norm(3, 64).unit_norms,
          Norm2D.euclidean(64, scale=1e-6).unit_norms]))
     assert counts[:2] == [2, 64] and counts[3] == 64
     # a batch where the first pass drops nothing: no flat pass runs
