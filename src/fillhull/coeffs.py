@@ -183,25 +183,26 @@ class GapOperator:
         spectra = np.fft.rfft(r)
         self.spectra = (spectra, spectra.conj())
 
-    def __call__(self, rows: np.ndarray, factors: tuple, n_s: int,
+    def __call__(self, rows: np.ndarray, factors: tuple,
                  transpose: bool = False) -> np.ndarray:
-        """``S`` (``S^T`` when ``transpose``) on the first ``n_s`` rows of
-        the stack of ``rows * f`` over ``factors`` (``None`` for 1, else
-        broadcast against ``rows``), ``C`` (``C^T``) on the others, as a
-        ``(rows, n)`` array; ``rows`` is ``(..., n)``.  The transforms go
-        row by row, so a row's result does not depend on the others."""
+        """``S`` (``S^T`` when ``transpose``) on ``rows * f`` for every
+        factor ``f`` of ``factors`` but the last (``None`` for 1, else
+        broadcast against ``rows``), ``C`` (``C^T``) on ``rows`` times the
+        last, as a ``(len(factors),) + rows.shape`` array; ``rows`` is
+        ``(..., n)``.  The transforms go row by row, so a row's result
+        does not depend on the others."""
         n = self.n
         X = np.zeros((len(factors),) + rows.shape[:-1] + (2 * n,))
         for x, f in zip(X, factors):
             np.multiply(rows, 1.0 if f is None else f, out=x[..., :n])
-        spec = np.fft.rfft(X.reshape(-1, 2 * n))
+        spec = np.fft.rfft(X)
         # the padded input goes before the inverse transform's output
         # comes, so that no more than two such arrays are held
         del X, x
         spectra = self.spectra[transpose]
-        spec[:n_s] *= spectra[0]
-        spec[n_s:] *= spectra[1]
-        return np.fft.irfft(spec, 2 * n)[:, :n]
+        spec[:-1] *= spectra[0]
+        spec[-1] *= spectra[1]
+        return np.fft.irfft(spec, 2 * n)[..., :n]
 
 
 @lru_cache(maxsize=8)
@@ -318,8 +319,7 @@ class WeightedTable:
         m, r, n = B.shape
         nb, K = self.blocks.shape[1:3]
         u = B * self.wy[:, None]
-        Y = self.op(u, (None, self.cy2[:, None], self.cy[:, None]),
-                    2 * m * r).reshape(3, m, r, n)
+        Y = self.op(u, (None, self.cy2[:, None], self.cy[:, None]))
         # U_j = sum of u_k over k - j > K (the corner's share is taken
         # out with the corner below)
         U = np.zeros_like(u)
@@ -346,7 +346,7 @@ class WeightedTable:
         nb, K = self.blocks.shape[1:3]
         w = A * self.rsx2[:, None]
         Y = self.op(w, (self.cx2[:, None], None, self.cx2x[:, None]),
-                    2 * m * r, transpose=True).reshape(3, m, r, n)
+                    transpose=True)
         # W_k = sum of w_j over k - j > K (the corner's share is taken
         # out with the corner below)
         W = np.zeros_like(w)

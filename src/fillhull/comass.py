@@ -81,7 +81,8 @@ import numpy as np
 from .quadrature import Grid
 from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
 from .coeffs import WeightedTable, compact, gradient_near_gaps
-from .pathspace import AngleField, gamma_from_eta, nu_tables, omega_action
+from .pathspace import (AngleField, competitor_rows, gamma_from_eta,
+                        nu_tables, omega_action)
 from .quadrature import midnodes
 
 __all__ = [
@@ -138,10 +139,12 @@ class _Workspace:
 
     With ``tb = nu_beta + eta`` and ``ta = nu_alpha + eta_mid``, the
     integrand's ``sin(tb_k - ta_j)`` and ``cos(tb_k - ta_j)`` split by
-    the addition formula into products of O(n) trig vectors, so every
-    sum over the weighted table ``PW`` is a product of ``PW`` or its
-    transpose with a few n-vectors: ``coeffs.WeightedTable``, which
-    holds no n x n array.
+    the addition formula into products of the trig rows of the
+    competitor paths: ``B`` at the nodes and ``A`` at the midpoints,
+    which ``pathspace.competitor_rows`` forms from the phases held
+    here.  So every sum over the weighted table ``PW`` is a product of
+    ``PW`` or its transpose with a few n-vectors:
+    ``coeffs.WeightedTable``, which holds no n x n array.
 
     Every method takes fields ``eta`` as an ``(m, n)`` array, row ``i``
     for problem ``i``.
@@ -161,24 +164,12 @@ class _Workspace:
         self.nu_beta = compact(self.nu_beta, rows)
         self.nu_alpha = compact(self.nu_alpha, rows)
 
-    def _trig(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows (cos tb, sin tb) and (cos ta, sin ta), each ``(m, 2,
-        n)``."""
-        tb = self.nu_beta + eta
-        ta = self.nu_alpha + midnodes(eta, eta[:, 0])
-        B, A = np.empty((2, len(tb), 2, tb.shape[1]))
-        np.cos(tb, out=B[:, 0])
-        np.sin(tb, out=B[:, 1])
-        np.cos(ta, out=A[:, 0])
-        np.sin(ta, out=A[:, 1])
-        return B, A
-
     def value_rows(self, eta: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Psi of each problem and the rows ``(B, A, R)`` it is summed
         from: the trig rows and the product ``R = PW @ B``.  The gradient
         at the same ``eta`` can take them instead of forming them
         again."""
-        B, A = self._trig(eta)
+        B, A = competitor_rows(self.nu_beta, self.nu_alpha, eta)
         R = self.table(B)                  # (PW cos tb, PW sin tb)
         # row j of the triangle rule is sum_k PW_jk sin(tb_k - ta_j):
         # cos ta . PW sin tb - sin ta . PW cos tb
@@ -206,7 +197,7 @@ class _Workspace:
         the concavity regime): -sum of PW_jk sin(tb_k - ta_j) (v_k -
         vm_j)^2, with the square expanded as v_k^2 - 2 v_k vm_j + vm_j^2:
         one product of PW with six rows."""
-        B, A = self._trig(eta)
+        B, A = competitor_rows(self.nu_beta, self.nu_alpha, eta)
         vk = v[:, None]
         vm = midnodes(v, v[:, 0])
         Y = self.table(np.concatenate([B * vk * vk, B * vk, B], axis=1))
@@ -501,8 +492,11 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
 
     Returns a row per ``t`` with the distance to the hemisphere and
     the defect ``|comass - pi|``, plus a log-log least-squares slope
-    over the converged rows whose defect exceeds ``defect_floor``
-    (rows at the optimizer noise floor carry no rate information).
+    and intercept over the converged rows whose defect exceeds
+    ``defect_floor`` (rows at the optimizer noise floor carry no rate
+    information).  Unless those rows hold at least two distinct
+    distances, no line is fitted and ``slope`` and ``intercept`` are
+    left out.
     Consecutive rows ascend as one stack (``_maximize``) within
     ``_STACK_BYTES``; each row is the one ``maximize_eta`` gives alone.
     """
@@ -535,7 +529,7 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
     fit_rows = [r for r in rows
                 if r["converged"] and not r["floored"] and r["dist"] > 0]
     out = {"rows": rows, "n_fit": len(fit_rows)}
-    if len(fit_rows) >= 2:
+    if len({r["dist"] for r in fit_rows}) >= 2:
         lx = np.log([r["dist"] for r in fit_rows])
         ly = np.log([r["defect"] for r in fit_rows])
         slope, intercept = np.polyfit(lx, ly, 1)

@@ -7,9 +7,9 @@ half at read time, so the symmetry is structural rather than tested.
 
 Distinguished subsets:
 
-* the circle itself, given by distance functions ``boundary_point``,
 * the embedded upper hemisphere, given by ``sphere_point``, and the
-  point on it nearest to ``f`` within a certified ``HEMISPHERE_GAP``,
+  point on it nearest to ``f`` within a certified ``HEMISPHERE_GAP``;
+  at ``d = 0`` it is the circle itself, as distance functions,
 * the truncated hull (values clamped to ``[eps, pi - eps]``),
 * functions with Lipschitz constant < 1 (``shrink_toward_center``),
   which serve as the practical certificate for strict interiority.
@@ -30,7 +30,6 @@ __all__ = [
     "SpherePoint",
     "ConvergenceError",
     "is_member",
-    "boundary_point",
     "sphere_point",
     "sup_dist",
     "dist_to_boundary",
@@ -140,12 +139,6 @@ def sphere_point_values(d, tau, alpha) -> np.ndarray:
     np.arcsin(v, out=v)
     v *= 2.0
     return v
-
-
-def boundary_point(tau: float, grid: Grid) -> HullFn:
-    """The circle distance function ``alpha -> arccos(cos(alpha - tau))``,
-    the hemisphere point at ``d = 0``."""
-    return HullFn(grid, sphere_point_values(0.0, tau, grid.beta_nodes))
 
 
 def sphere_point(p: SpherePoint, grid: Grid) -> HullFn:
@@ -274,9 +267,15 @@ def random_hull_point(seed: int, roughness: float, eps: float,
 
     A random hemisphere point is perturbed by a truncated random
     Fourier series with only odd harmonics (which keeps the antipodal
-    identity), then projected by alternating (a) antipodal
-    symmetrization, (b) the 1-Lipschitz envelope average, (c) the
-    clamp to ``[eps, pi - eps]`` until the iteration is stationary.
+    identity), then projected in one pass: (a) antipodal
+    symmetrization, (b) the 1-Lipschitz envelope average, (a) again and
+    (c) the clamp to ``[eps, pi - eps]``.  Each step keeps what the
+    steps before it gave: (b) maps an antipodal input to an antipodal
+    output (the upper envelope of ``pi - w(. + pi)`` is ``pi`` less the
+    lower envelope of ``w``, moved by ``pi``), and an average or a clamp
+    of 1-Lipschitz functions is 1-Lipschitz.  So the result is in the
+    hull, and a second pass moves no value by more than rounding;
+    ``is_member`` guards it.
     """
     if not 0.0 < eps < PI / 2:
         raise ValueError(f"eps must lie in (0, pi/2), got {eps}")
@@ -297,16 +296,10 @@ def random_hull_point(seed: int, roughness: float, eps: float,
         w = w + amp * (rng.normal() * np.cos(k * alphas)
                        + rng.normal() * np.sin(k * alphas))
 
-    for _ in range(100):
-        prev = w
-        w = 0.5 * (w + PI - np.roll(w, -n))
-        w = _lipschitz_envelope(w)
-        w = 0.5 * (w + PI - np.roll(w, -n))
-        w = np.clip(w, eps, PI - eps)
-        if np.abs(w - prev).max() < 1e-10:
-            out = HullFn(grid, w[:n])
-            if not is_member(out):
-                raise ConvergenceError("projection left the hull")
-            return out
-    raise ConvergenceError(
-        "random hull projection did not stabilize in 100 rounds")
+    w = 0.5 * (w + PI - np.roll(w, -n))
+    w = _lipschitz_envelope(w)
+    w = 0.5 * (w + PI - np.roll(w, -n))
+    out = HullFn(grid, np.clip(w[:n], eps, PI - eps))
+    if not is_member(out):
+        raise ConvergenceError("projection left the hull")
+    return out

@@ -10,7 +10,8 @@ action of the form with coefficients ``p`` is
 For a hemisphere point ``h`` the maximizer is the unit path
 ``gamma_0 = exp(i nu_h)`` where ``nu_h`` integrates the tangent-circle
 speed; perturbed competitors ``gamma_eta = exp(i (nu_h + eta))`` with a
-mean-zero angle field ``eta`` feed the comass optimization, and the
+mean-zero angle field ``eta`` feed the comass optimization, which takes
+their samples for a stack of fields from ``competitor_rows``, and the
 auxiliary loops ``mu`` and ``sigma`` quantify how far a competitor is
 from calibrating.
 """
@@ -31,6 +32,7 @@ __all__ = [
     "AngleField",
     "nu_h",
     "nu_tables",
+    "competitor_rows",
     "gamma_from_eta",
     "omega_action",
     "mu_path",
@@ -97,16 +99,9 @@ class AngleField:
         object.__setattr__(self, "values", v)
 
     @staticmethod
-    def zero(grid: Grid) -> "AngleField":
-        return AngleField(grid, np.zeros(grid.n))
-
-    @staticmethod
     def from_values(grid: Grid, values: np.ndarray) -> "AngleField":
         v = np.asarray(values, dtype=float)
         return AngleField(grid, v - v.mean())
-
-    def at_midnodes(self) -> np.ndarray:
-        return midnodes(self.values, self.values[0])
 
 
 def nu_tables(p: SpherePoint, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -129,16 +124,31 @@ def nu_h(p: SpherePoint, grid: Grid) -> np.ndarray:
     return nu_tables(p, grid)[0]
 
 
+def competitor_rows(nu_beta: np.ndarray, nu_alpha: np.ndarray,
+                    eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (cos, sin) rows of ``gamma_eta = exp(i (nu_h + eta))`` for a
+    stack of fields ``eta`` ``(m, n)``, each ``(m, 2, n)``: at the
+    integer nodes, of the phase ``nu_beta + eta``, and at the midpoint
+    nodes, of ``nu_alpha`` plus ``eta`` averaged there.  ``nu_beta`` is
+    the node table of ``nu_tables`` without its node at pi, ``nu_alpha``
+    the midpoint table, each broadcast against ``eta``."""
+    tb = nu_beta + eta
+    ta = nu_alpha + midnodes(eta, eta[:, 0])
+    B, A = np.empty((2, len(tb), 2, tb.shape[1]))
+    np.cos(tb, out=B[:, 0])
+    np.sin(tb, out=B[:, 1])
+    np.cos(ta, out=A[:, 0])
+    np.sin(ta, out=A[:, 1])
+    return B, A
+
+
 def gamma_from_eta(p: SpherePoint, eta: AngleField) -> PlanePath:
     """Unit path ``exp(i (nu_h + eta))`` with exact midpoint samples
     (eta interpolated linearly at midpoints, matching the phase-space
-    functional)."""
+    functional): row 0 of ``competitor_rows``."""
     nu_beta, nu_alpha = nu_tables(p, eta.grid)
-    theta = nu_beta[:-1] + eta.values
-    theta_mid = nu_alpha + eta.at_midnodes()
-    pts = np.column_stack([np.cos(theta), np.sin(theta)])
-    mid = np.column_stack([np.cos(theta_mid), np.sin(theta_mid)])
-    return PlanePath(eta.grid, pts, mid)
+    B, A = competitor_rows(nu_beta[:-1], nu_alpha, eta.values[None])
+    return PlanePath(eta.grid, B[0].T, A[0].T)
 
 
 def omega_action(f: HullFn, gamma: PlanePath) -> float:

@@ -1,7 +1,8 @@
 """Collects the one-line acceptance reports and echoes them in the
 terminal summary, so they are visible without disabling capture;
-provides the subprocess environments of the BLAS thread-count tests and
-the random norms of the volume tests."""
+provides the subprocess environments of the BLAS thread-count tests,
+the random norms of the volume tests, and the circle points and zero
+angle fields that several test modules build."""
 
 import math
 import os
@@ -11,7 +12,10 @@ import numpy as np
 import pytest
 
 import fillhull
+from fillhull.hull import HullFn, sphere_point_values
 from fillhull.norms import Norm2D
+from fillhull.pathspace import AngleField
+from fillhull.quadrature import Grid
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -56,3 +60,14 @@ def random_norm(seed: int, m: int = 256) -> Norm2D:
         return vals
 
     return Norm2D.from_callable(fn, m)
+
+
+def boundary_point(tau: float, grid: Grid) -> HullFn:
+    """The circle distance function ``alpha -> arccos(cos(alpha - tau))``,
+    the hemisphere point at ``d = 0``."""
+    return HullFn(grid, sphere_point_values(0.0, tau, grid.beta_nodes))
+
+
+def zero_field(grid: Grid) -> AngleField:
+    """The angle field ``eta = 0``, the maximizer at ``f = h``."""
+    return AngleField(grid, np.zeros(grid.n))

@@ -16,7 +16,7 @@ from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField
 from fillhull.quadrature import Grid, integrate_period
 
-from conftest import ACCEPTANCE_LINES, random_norm
+from conftest import ACCEPTANCE_LINES, random_norm, zero_field
 
 PI = math.pi
 
@@ -134,7 +134,7 @@ def test_stationarity_of_hemisphere_points():
         p = SpherePoint(rng.uniform(0, 2 * PI), rng.uniform(0.35, PI / 2))
         h_fn = hull.sphere_point(p, grid)
         f = hull.random_hull_point(200 + trial, 0.3, 0.3, grid)
-        zero = AngleField.zero(grid)
+        zero = zero_field(grid)
         t = 1e-4
         up = HullFn(grid, (1 - t) * h_fn.values + t * f.values)
         dn = HullFn(grid, (1 + t) * h_fn.values - t * f.values)

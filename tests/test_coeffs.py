@@ -6,9 +6,11 @@ import pytest
 
 from fillhull import coeffs, comass, hull, pathspace, volumes
 from fillhull.hull import HullFn, SpherePoint
-from fillhull.pathspace import AngleField, PlanePath
+from fillhull.pathspace import PlanePath
 from fillhull.quadrature import (Grid, integrate_period, integrate_triangle,
                                  midnodes)
+
+from conftest import boundary_point, zero_field
 
 PI = math.pi
 GRID = Grid(256)
@@ -30,7 +32,7 @@ def test_p_is_nonnegative_and_vanishes_on_degenerate_triples():
         assert coeffs.p_scalar(a, x, y) >= 0.0
     # distance-function values make the spherical triangle flat
     tau = 0.8
-    f = hull.boundary_point(tau, GRID)
+    f = boundary_point(tau, GRID)
     fm = f.at_midnodes()
     j, k = 40, 90
     p = coeffs.p_scalar(GRID.beta_nodes[k] - GRID.alpha_nodes[j],
@@ -179,7 +181,7 @@ def test_p_grid_zero_outside_triangle():
 
 
 def test_p_grid_rejects_boundary_functions():
-    f = hull.boundary_point(0.0, GRID)
+    f = boundary_point(0.0, GRID)
     with pytest.raises(ValueError):
         coeffs.p_grid(f)
 
@@ -260,15 +262,15 @@ def test_hemisphere_speed_rejects_boundary():
 
 def test_every_coefficient_table_has_the_same_interior_check():
     # f(0) = 0: the function touches the boundary circle
-    f = hull.boundary_point(0.0, GRID)
+    f = boundary_point(0.0, GRID)
     h = SpherePoint(1.3, 0.6)
-    gamma = pathspace.gamma_from_eta(h, AngleField.zero(GRID))
+    gamma = pathspace.gamma_from_eta(h, zero_field(GRID))
     message = "f touches the boundary circle; p is undefined"
     for table in (lambda: coeffs.p_grid(f),
                   lambda: coeffs.p_l1_norm(f),
                   lambda: pathspace.omega_action(f, gamma),
                   lambda: pathspace.mu_path(f, gamma),
-                  lambda: comass.psi(h, f, AngleField.zero(GRID))):
+                  lambda: comass.psi(h, f, zero_field(GRID))):
         with pytest.raises(ValueError) as info:
             table()
         assert str(info.value) == message

@@ -9,7 +9,9 @@ from fillhull.coeffs import WeightedTable, gradient_near_gaps, p_grid
 from fillhull.comass import OptimizerConfig
 from fillhull.hull import SpherePoint
 from fillhull.pathspace import AngleField
-from fillhull.quadrature import Grid, integrate_triangle
+from fillhull.quadrature import Grid, integrate_triangle, midnodes
+
+from conftest import boundary_point, zero_field
 
 PI = math.pi
 GRID = Grid(256)
@@ -44,7 +46,7 @@ def quadform(ws, eta, v):
 
 def test_psi_at_hemisphere_maximizer_is_pi():
     f = hull.sphere_point(H, GRID)
-    assert comass.psi(H, f, AngleField.zero(GRID)) == pytest.approx(PI,
+    assert comass.psi(H, f, zero_field(GRID)) == pytest.approx(PI,
                                                                     abs=1e-4)
 
 
@@ -81,7 +83,7 @@ def test_hessian_is_negative_near_the_maximizer():
     f = hull.sphere_point(H, GRID)
     for _ in range(10):
         v = random_field(GRID, rng, amp=0.1)
-        q = quadform(workspace(H, f), AngleField.zero(GRID), v)
+        q = quadform(workspace(H, f), zero_field(GRID), v)
         assert q < 0
 
 
@@ -96,7 +98,7 @@ def test_maximize_eta_at_hemisphere_point_returns_pi_and_tiny_eta():
 def test_maximize_eta_never_decreases_from_zero_start():
     f = hull.random_hull_point(6, 0.25, 0.3, GRID)
     _, h = hull.dist_to_hemisphere(f)
-    base = comass.psi(h, f, AngleField.zero(GRID))
+    base = comass.psi(h, f, zero_field(GRID))
     _, val, _ = comass.maximize_eta(h, f)
     assert val >= base - 1e-12
 
@@ -224,6 +226,16 @@ def test_calibration_sweep_floor_excludes_rows():
     assert out["n_fit"] == 0
 
 
+def test_a_sweep_fits_no_line_through_one_distance():
+    # two copies of one row: a line through them is a rank-1 fit
+    grid = Grid(128)
+    g = hull.random_hull_point(3, 0.25, 0.3, grid)
+    out = comass.calibration_sweep(H, g, [0.1, 0.1])
+    assert out["rows"][0] == out["rows"][1]
+    assert out["n_fit"] == 2
+    assert "slope" not in out and "intercept" not in out
+
+
 def test_optimizer_config_validation():
     for multistart in (0, -1):
         with pytest.raises(ValueError):
@@ -231,9 +243,9 @@ def test_optimizer_config_validation():
 
 
 def test_workspace_rejects_boundary_functions():
-    f = hull.boundary_point(0.0, GRID)
+    f = boundary_point(0.0, GRID)
     with pytest.raises(ValueError):
-        comass.psi(H, f, AngleField.zero(GRID))
+        comass.psi(H, f, zero_field(GRID))
     with pytest.raises(ValueError):
         workspace(H, f)
 
@@ -251,7 +263,7 @@ def _dense_reference(ws, f, eta, v):
     """Value, gradient and Hessian quadratic form of Psi from the full
     n x n tables of sin and cos of tb_k - ta_j, term by term."""
     tb = ws.nu_beta[0] + eta.values
-    ta = ws.nu_alpha[0] + eta.at_midnodes()
+    ta = ws.nu_alpha[0] + midnodes(eta.values, eta.values[0])
     delta = tb[None, :] - ta[:, None]
     value = integrate_triangle(p_grid(f) * np.sin(delta), ws.grid)
     PW = _weighted_table(f)
@@ -259,7 +271,7 @@ def _dense_reference(ws, f, eta, v):
     g = G.sum(axis=0)
     rows = G.sum(axis=1)
     g -= 0.5 * (rows + np.roll(rows, 1))
-    dv = v.values[None, :] - v.at_midnodes()[:, None]
+    dv = v.values[None, :] - midnodes(v.values, v.values[0])[:, None]
     q = float(-(PW * np.sin(delta) * dv * dv).sum())
     return value, g - g.mean(), q
 
@@ -283,7 +295,7 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
     ws = workspace(h, f)
     rng = np.random.default_rng(n)
     cap = OptimizerConfig().eta_cap
-    eta = {"zero": AngleField.zero(grid),
+    eta = {"zero": zero_field(grid),
            "interior": _capped_field(grid, rng, 0.3 * cap),
            "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
     v = _capped_field(grid, rng, 0.3)
@@ -315,7 +327,7 @@ def test_streamed_psi_matches_the_workspace_value(n, point):
         _, h = hull.dist_to_hemisphere(f)
     ws = workspace(h, f)
     rng = np.random.default_rng(n + 1)
-    for eta in (AngleField.zero(grid),
+    for eta in (zero_field(grid),
                 _capped_field(grid, rng, OptimizerConfig().eta_cap)):
         # the same weighted entries, summed block by block: measured
         # within 1.5e-16
@@ -328,7 +340,7 @@ def test_gradient_from_the_value_product_is_bit_identical():
     _, h = hull.dist_to_hemisphere(f)
     ws = workspace(h, f)
     rng = np.random.default_rng(5)
-    fields = [AngleField.zero(GRID)] + [
+    fields = [zero_field(GRID)] + [
         _capped_field(GRID, rng, amp)
         for amp in (0.05, OptimizerConfig().eta_cap)]
     for eta in fields:
@@ -500,7 +512,7 @@ def test_a_maximizer_at_the_cap_is_converged_inside_it():
     assert diag["cap_active"] and diag["converged"]
     assert diag["termination"] in ("grad_tol", "value_resolution")
     assert np.abs(eta.values).max() <= CAP
-    assert val >= comass.psi(h, f, AngleField.zero(GRID))
+    assert val >= comass.psi(h, f, zero_field(GRID))
 
 
 def test_ascent_stops_at_the_iteration_limit(monkeypatch):
@@ -550,7 +562,7 @@ def test_psi_and_the_workspace_hold_no_n_by_n_table():
     grid = Grid(2048)
     f = hull.random_hull_point(3, 0.4, 0.3, grid)
     _, h = hull.dist_to_hemisphere(f)
-    eta = AngleField.zero(grid)
+    eta = zero_field(grid)
     gradient(workspace(h, f), eta)     # the per-grid caches
     comass.psi(h, f, eta)
     for run, limit in ((lambda: comass.psi(h, f, eta), 1e6),

@@ -7,6 +7,8 @@ from fillhull import hull
 from fillhull.hull import HullFn, SpherePoint
 from fillhull.quadrature import Grid
 
+from conftest import boundary_point
+
 PI = math.pi
 GRID = Grid(256)
 
@@ -63,7 +65,7 @@ def reference_dist_to_hemisphere(f):
 
 
 def test_boundary_point_is_member_with_zero_boundary_distance():
-    f = hull.boundary_point(1.3, GRID)
+    f = boundary_point(1.3, GRID)
     assert hull.is_member(f)
     # the minimum sits between sample nodes, so only step-level accuracy
     assert 0.0 <= hull.dist_to_boundary(f) <= GRID.step
@@ -81,7 +83,7 @@ def test_small_distances_keep_their_digits():
     assert f.values[0] == pytest.approx(1e-9, rel=1e-15)
     f = hull.sphere_point(SpherePoint(0.0, 1e-7), grid)
     assert f.values[0] == pytest.approx(1e-7, rel=1e-15)
-    assert hull.boundary_point(1e-8, grid).values[0] == pytest.approx(
+    assert boundary_point(1e-8, grid).values[0] == pytest.approx(
         1e-8, rel=1e-15)
 
 
@@ -193,7 +195,7 @@ def test_dist_to_hemisphere_is_certified_at_the_boundary_circle(n):
             assert hull.sup_dist(hull.sphere_point(q, grid), f) == (
                 pytest.approx(dist, abs=1e-12))
     # 1e-4 from a boundary point, which is a hemisphere point
-    f = hull.truncate(hull.boundary_point(0.7, grid), 1e-4)
+    f = hull.truncate(boundary_point(0.7, grid), 1e-4)
     dist, q = hull.dist_to_hemisphere(f)
     assert dist <= 1e-4
     assert hull.sup_dist(hull.sphere_point(q, grid), f) == pytest.approx(
@@ -201,7 +203,7 @@ def test_dist_to_hemisphere_is_certified_at_the_boundary_circle(n):
 
 
 def test_truncate_clamps_and_stays_member():
-    f = hull.boundary_point(0.4, GRID)
+    f = boundary_point(0.4, GRID)
     g = hull.truncate(f, 0.25)
     assert hull.is_member(g)
     assert g.values.min() >= 0.25
@@ -211,7 +213,7 @@ def test_truncate_clamps_and_stays_member():
 
 
 def test_shrink_reduces_lipschitz_constant():
-    f = hull.boundary_point(0.0, GRID)
+    f = boundary_point(0.0, GRID)
     g = hull.shrink_toward_center(f, 0.5)
     assert np.abs(np.diff(g.values)).max() <= 0.5 * GRID.step + 1e-12
     assert hull.is_member(g)
@@ -224,6 +226,28 @@ def test_random_hull_point_is_member_and_deterministic():
     assert np.array_equal(f1.values, f2.values)
     assert f1.values.min() >= 0.3 - 1e-9
     assert f1.values.max() <= PI - 0.3 + 1e-9
+
+
+# (roughness, eps) of random points the package draws: the CLI examples
+# and the benchmark's sweep endpoints, check and random:3, the l1
+# probe, perturbed_cap_chart, and random:5
+PROJECTED_PAIRS = [(0.25, 0.3), (0.4, 0.3), (0.5, 0.3), (0.3, 0.25),
+                   (0.3, 0.3)]
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_random_hull_point_is_one_projection_pass_from_a_fixed_point(n):
+    grid = Grid(n)
+    for rough, eps in PROJECTED_PAIRS:
+        for seed in range(20):
+            f = hull.random_hull_point(seed, rough, eps, grid)
+            assert hull.is_member(f)
+            w = f.extended()
+            w = 0.5 * (w + PI - np.roll(w, -n))
+            w = hull._lipschitz_envelope(w)
+            w = 0.5 * (w + PI - np.roll(w, -n))
+            w = np.clip(w, eps, PI - eps)
+            assert np.abs(w - f.extended()).max() <= 1e-14
 
 
 def test_random_hull_point_rejects_non_finite_roughness():

@@ -6,7 +6,9 @@ import pytest
 from fillhull import comass, hull, pathspace
 from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField, PlanePath
-from fillhull.quadrature import Grid
+from fillhull.quadrature import Grid, midnodes
+
+from conftest import zero_field
 
 PI = math.pi
 GRID = Grid(256)
@@ -51,6 +53,29 @@ def test_gamma_from_eta_is_unit_and_admissible():
     assert is_admissible(gamma)
 
 
+def test_competitor_rows_of_a_stack_are_those_of_each_field():
+    nu_beta, nu_alpha = pathspace.nu_tables(H, GRID)
+    rng = np.random.default_rng(4)
+    fields = [AngleField.from_values(GRID, 0.05 * rng.normal(size=GRID.n))
+              for _ in range(3)]
+    B, A = pathspace.competitor_rows(nu_beta[:-1], nu_alpha,
+                                     np.array([e.values for e in fields]))
+    assert B.shape == A.shape == (3, 2, GRID.n)
+    for b, a, eta in zip(B, A, fields):
+        alone = pathspace.competitor_rows(nu_beta[:-1], nu_alpha,
+                                          eta.values[None])
+        assert np.array_equal(b, alone[0][0])
+        assert np.array_equal(a, alone[1][0])
+        gamma = pathspace.gamma_from_eta(H, eta)
+        assert np.array_equal(gamma.points, b.T)
+        assert np.array_equal(gamma.mid_points, a.T)
+        # exp(i (nu_h + eta)), eta averaged at the midpoints
+        theta = nu_beta[:-1] + eta.values
+        theta_mid = nu_alpha + midnodes(eta.values, eta.values[0])
+        assert np.array_equal(b, [np.cos(theta), np.sin(theta)])
+        assert np.array_equal(a, [np.cos(theta_mid), np.sin(theta_mid)])
+
+
 def test_angle_field_enforces_mean_zero():
     with pytest.raises(ValueError):
         AngleField(GRID, np.full(GRID.n, 0.1))
@@ -60,7 +85,7 @@ def test_angle_field_enforces_mean_zero():
 
 def test_action_of_hemisphere_maximizer_is_pi():
     f = hull.sphere_point(H, GRID)
-    gamma = pathspace.gamma_from_eta(H, AngleField.zero(GRID))
+    gamma = pathspace.gamma_from_eta(H, zero_field(GRID))
     val = pathspace.omega_action(f, gamma)
     assert val == pytest.approx(PI, abs=1e-4)
 
@@ -94,7 +119,7 @@ def test_action_is_invariant_under_basepoint_shift():
 
 def test_scaling_the_path_scales_the_action():
     f = hull.sphere_point(H, GRID)
-    gamma = pathspace.gamma_from_eta(H, AngleField.zero(GRID))
+    gamma = pathspace.gamma_from_eta(H, zero_field(GRID))
     half = PlanePath(GRID, 0.5 * gamma.points, 0.5 * gamma.mid_points)
     v1 = pathspace.omega_action(f, gamma)
     v2 = pathspace.omega_action(f, half)
@@ -105,7 +130,7 @@ def test_mu_is_orthogonal_to_the_maximizer():
     # at eta = 0 the maximizer gamma and its mu loop are pointwise
     # parallel to each other's normal: <gamma, mu> = 0 up to quadrature
     f = hull.sphere_point(H, GRID)
-    gamma = pathspace.gamma_from_eta(H, AngleField.zero(GRID))
+    gamma = pathspace.gamma_from_eta(H, zero_field(GRID))
     mu = pathspace.mu_path(f, gamma)
     inner = np.einsum("kc,kc->k", gamma.points, mu.points)
     scale = np.hypot(mu.points[:, 0], mu.points[:, 1]).max()
@@ -113,20 +138,20 @@ def test_mu_is_orthogonal_to_the_maximizer():
 
 
 def test_sigma_area_is_maximal_exactly_at_zero_eta():
-    _, a0 = pathspace.sigma_path(H, AngleField.zero(GRID))
+    _, a0 = pathspace.sigma_path(H, zero_field(GRID))
     assert a0 == pytest.approx(PI, abs=1e-3)
     _, a1 = pathspace.sigma_path(H, small_eta(amp=0.15))
     assert a1 < a0
 
 
 def test_sigma_of_maximizer_is_the_unit_circle():
-    sigma, _ = pathspace.sigma_path(H, AngleField.zero(GRID))
+    sigma, _ = pathspace.sigma_path(H, zero_field(GRID))
     r = np.hypot(sigma.points[:, 0], sigma.points[:, 1])
     assert np.allclose(r, 1.0, atol=2e-3)
 
 
 def test_fuglede_check_on_the_maximizer():
-    c0, c1, w_sup, bound = pathspace.fuglede_check(H, AngleField.zero(GRID))
+    c0, c1, w_sup, bound = pathspace.fuglede_check(H, zero_field(GRID))
     assert abs(c0) < 1e-3
     assert abs(abs(c1) - 1.0) < 1e-3
     assert w_sup < 5e-3

@@ -10,13 +10,13 @@ from scipy.spatial import ConvexHull
 
 from fillhull import volumes
 from fillhull.coeffs import p_grid
-from fillhull.hull import HullFn, SpherePoint, boundary_point, sphere_point
+from fillhull.hull import HullFn, SpherePoint, sphere_point
 from fillhull.norms import _areas, _hull_polygons, jacobians
 from fillhull.volumes import (DegenerateNormError, JACOBIAN_DEFINITIONS,
                               Norm2D, SurfaceChart)
 from fillhull.quadrature import Grid, integrate_triangle
 
-from conftest import random_norm
+from conftest import boundary_point, random_norm
 
 PI = math.pi
 
