@@ -62,12 +62,15 @@ is each row's pairwise sum.  So a problem's result is the one it gets
 alone, bit for bit, and ``maximize_eta`` is a stack of one.
 
 ``calibration_sweep`` ascends consecutive rows as stacks whose near-gap
-blocks fit ``_STACK_BYTES``.  The blocks (``WeightedTable.block_shape``)
-are nearly all of a workspace's memory, and their size per row grows
-with n: 0.44 MB at n = 512, 1.8 MB at 1024, 7.3 MB at 2048.  A byte
-budget bounds the peak where a fixed row count would not: 4 rows at n =
-512, 1 from 1024 up; all ten tables of an n = 512 sweep at once raised
-the peak RSS by 4.4 MB.
+blocks fit ``_STACK_BYTES`` = 3 MiB.  The blocks
+(``WeightedTable.block_shape``) are nearly all of a workspace's memory,
+and their size per row grows with n: 0.26 MB at n = 512, 1.03 MB at
+1024, 4.2 MB at 2048.  A byte budget bounds the peak where a fixed row
+count would not: 12 rows at n = 512, so that the default ten-row sweep
+is one stack, 3 at 1024 and 1 from 2048 up.  On the benchmark's
+``calibration`` workload that one stack ran 10% more operations per
+second than stacks of four rows of 0.44 MB each (a 2 MiB budget), at
+1.9 MB more peak RSS (45.3 MB).
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ NONMONOTONE = 10
 # the terminations that count as converged
 CONVERGED = ("grad_tol", "value_resolution")
 # ``calibration_sweep``: bytes of near-gap blocks one stack may hold
-_STACK_BYTES = 2 * 2 ** 20
+_STACK_BYTES = 3 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -498,7 +501,9 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
     distances, no line is fitted and ``slope`` and ``intercept`` are
     left out.
     Consecutive rows ascend as one stack (``_maximize``) within
-    ``_STACK_BYTES``; each row is the one ``maximize_eta`` gives alone.
+    ``_STACK_BYTES`` of near-gap blocks: the default ten rows at n =
+    512, three at a time at 1024, one at a time from 2048 up.  Each row
+    is the one ``maximize_eta`` gives alone.
     """
     for t in t_list:
         if not 0.0 <= t <= 1.0:

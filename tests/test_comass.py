@@ -169,11 +169,18 @@ def record_stacks(monkeypatch):
     return stacks
 
 
-@pytest.mark.parametrize("n, sizes", [(256, [10]), (512, [4, 4, 2])])
+@pytest.mark.parametrize("n, rows, sizes", [
+    (256, None, [10]), (512, 4, [4, 4, 2]), (512, None, [10])],
+    ids=["256-sizes0", "512-sizes1", "512-sizes2"])
 def test_a_sweep_row_does_not_depend_on_the_rest_of_its_stack(
-        monkeypatch, n, sizes):
-    # at n = 256 a sweep is one stack, at n = 512 stacks of 4 rows
+        monkeypatch, n, rows, sizes):
+    # with the default budget a sweep is one stack at n = 256 and 512;
+    # with a budget of 4 rows' blocks, stacks of 4 rows at n = 512
     grid = Grid(n)
+    if rows is not None:
+        block = 8 * math.prod(WeightedTable.block_shape(
+            n, gradient_near_gaps(n)))
+        monkeypatch.setattr(comass, "_STACK_BYTES", rows * block)
     stacks = record_stacks(monkeypatch)
     for seed in range(8):
         g = hull.random_hull_point(seed, 0.25, 0.3, grid)
@@ -192,8 +199,9 @@ def test_a_sweep_row_does_not_depend_on_the_rest_of_its_stack(
 
 def test_a_sweep_at_the_largest_grid_holds_one_table_at_a_time(
         monkeypatch):
-    # a row's near-gap blocks are 7.3 MB at n = 2048, so each stack
-    # holds one row, and the sweep's peak stays below two such tables
+    # a row's near-gap blocks are 4.2 MB at n = 2048, more than a
+    # stack's budget, so each stack holds one row, and the sweep's peak
+    # stays below two such tables
     grid = Grid(2048)
     g = hull.random_hull_point(1, 0.25, 0.3, grid)
     comass.calibration_sweep(H, g, [0.05])     # the per-grid caches
@@ -208,7 +216,7 @@ def test_a_sweep_at_the_largest_grid_holds_one_table_at_a_time(
         tracemalloc.stop()
     assert [len(stack) for stack in stacks] == [1, 1]
     assert all(row["converged"] for row in out["rows"])
-    assert block > 7e6 and peak < 2 * block, peak
+    assert block > comass._STACK_BYTES and peak < 2 * block, peak
 
 
 @pytest.mark.parametrize("t", [1.5, -0.2, float("nan")])
@@ -491,18 +499,35 @@ def test_problems_that_end_apart_get_their_results_alone(
 
 def test_problems_that_backtrack_apart_get_their_results_alone(
         monkeypatch):
-    # a third of all values, keyed on their bits, fall by 1e-3, so the
-    # problems of a stack reject trials in different rounds, and the
-    # ones that did not move take gradients with the ones that did
-    value_rows = comass._Workspace.value_rows
+    # past its 3 + 2i-th value call, every value of problem i falls by
+    # 1e-3 more than the one before.  Keyed on counts of calls, which
+    # rounding cannot move, the problems of a stack reject trials from
+    # different rounds on, and the ones that did not move take gradients
+    # with the ones that did
+    problems = toward(SpherePoint(0.0, 0.7), Grid(128), (0, 1, 2, 3, 5, 7),
+                      0.2)
+    index = {id(f): i for i, (_, f) in enumerate(problems)}
+    Workspace = comass._Workspace
+    init, keep, value_rows = (Workspace.__init__, Workspace.keep,
+                              Workspace.value_rows)
+
+    def counting(self, points, fns):
+        init(self, points, fns)
+        self.start = np.array([3 + 2 * index[id(f)] for f in fns])
+        self.calls = np.zeros(len(fns), dtype=int)
+
+    def kept(self, rows):
+        keep(self, rows)
+        self.start, self.calls = self.start[rows], self.calls[rows]
 
     def falling(self, eta):
         val, rows = value_rows(self, eta)
-        return val - (val.view(np.int64) % 3 == 0) * 1e-3, rows
+        self.calls += 1
+        return val - 1e-3 * np.maximum(self.calls - self.start, 0), rows
 
-    monkeypatch.setattr(comass._Workspace, "value_rows", falling)
-    problems = toward(SpherePoint(0.0, 0.7), Grid(128), (0, 1, 2, 3, 5, 7),
-                      0.2)
+    monkeypatch.setattr(Workspace, "__init__", counting)
+    monkeypatch.setattr(Workspace, "keep", kept)
+    monkeypatch.setattr(Workspace, "value_rows", falling)
     assert "line_search_stall" in stacked_as_alone(problems)
 
 
@@ -557,8 +582,8 @@ def test_an_unresolvable_rise_ends_as_converged(monkeypatch):
 
 def test_psi_and_the_workspace_hold_no_n_by_n_table():
     # one 2048 x 2048 table of doubles is 34 MB.  psi keeps NEAR_GAPS
-    # near gaps; the gradient workspace keeps n // 10 of them in blocks
-    # twice as wide, 7.3 MB at n = 2048
+    # near gaps; the gradient workspace keeps K = n // 10 of them in
+    # blocks of R rows and R + K - 1 columns, 4.2 MB at n = 2048
     grid = Grid(2048)
     f = hull.random_hull_point(3, 0.4, 0.3, grid)
     _, h = hull.dist_to_hemisphere(f)
