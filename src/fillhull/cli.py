@@ -45,6 +45,8 @@ class RunConfig:
             raise ValueError("grid_n must be >= 64")
         if self.eval_n < self.grid_n:
             raise ValueError("eval_n must be >= grid_n")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
 
 class InputError(ValueError):
@@ -81,6 +83,13 @@ def _jsonable(obj):
     return obj
 
 
+def _hemisphere_point(tau: float, d: float) -> hull.SpherePoint:
+    """The point at azimuth ``tau`` mod 2 pi and distance ``d``; a
+    ``tau`` in (-4.4e-16, 0), whose remainder rounds up to 2 pi, is 0."""
+    tau %= 2 * PI
+    return hull.SpherePoint(0.0 if tau == 2 * PI else tau, d)
+
+
 def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
     """Build a hull function from a generator spec or a JSON file path;
     a file must be sampled on ``grid`` and be a hull member."""
@@ -102,8 +111,7 @@ def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
     try:
         if kind == "sphere":
             tau, d = (finite(v) for v in rest.split(","))
-            return hull.sphere_point(hull.SpherePoint(tau % (2 * PI), d),
-                                     grid)
+            return hull.sphere_point(_hemisphere_point(tau, d), grid)
         if kind == "random":
             seed, rough, eps = rest.split(",")
             return hull.random_hull_point(int(seed), finite(rough),
@@ -144,8 +152,7 @@ def _emit(command: str, results: dict, cfg: RunConfig,
 def cmd_comass(args, cfg: RunConfig) -> int:
     grid = Grid(cfg.grid_n)
     f = parse_hull_spec(args.input, grid)
-    opt = comass.OptimizerConfig(seed=cfg.seed, multistart=args.multistart)
-    value, diag = comass.comass_ir(f, opt, eval_grid=Grid(cfg.eval_n))
+    value, diag = comass.comass_ir(f, eval_grid=Grid(cfg.eval_n))
     h = diag["hemisphere_point"]
     _emit("comass", {
         "comass": value,
@@ -174,9 +181,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         raise InputError(f"bad hemisphere spec: {exc}")
     grid = Grid(cfg.grid_n)
     g = parse_hull_spec(args.g, grid)
-    opt = comass.OptimizerConfig(seed=cfg.seed)
-    table = comass.calibration_sweep(hull.SpherePoint(tau % (2 * PI), d), g,
-                                     t_list, opt,
+    table = comass.calibration_sweep(_hemisphere_point(tau, d), g, t_list,
                                      defect_floor=args.defect_floor)
     lines = ["t,dist,defect,eta_inf,iters,converged"]
     for r in table["rows"]:
@@ -380,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("comass", help="comass of a hull function")
     p.add_argument("input", help="hull JSON file or generator spec")
-    p.add_argument("--multistart", type=int, default=1)
     p.set_defaults(fn=cmd_comass)
 
     p = sub.add_parser("sweep", help="calibration defect rate sweep")

@@ -13,8 +13,9 @@ through ``coeffs.WeightedTable``, which forms the entries near the two
 ends of the gap range one by one and the rest by FFT, with no n x n
 array.
 
-The optimizer is projected gradient ascent in the mean-zero gauge with
-Barzilai-Borwein steps and a nonmonotone Armijo search, on the set
+The optimizer is one projected gradient ascent from ``eta = 0``, the
+maximizer at ``f = h``, in the mean-zero gauge with Barzilai-Borwein
+steps and a nonmonotone Armijo search, on the set
 {mean 0, ``|eta|_inf <= eta_cap``}.  The projection onto that set is
 exact (``_project``), so ``eta_inf <= eta_cap`` always holds.
 
@@ -23,15 +24,21 @@ the Fourier modes below a cutoff (``max(8, n // 8)``).  Near the grid
 Nyquist frequency the staggered node/midpoint coupling of the
 discretization nearly annihilates the Hessian, so unfiltered ascent
 accumulates grid-scale oscillations there that carry no information
-about the continuum maximizer.  Smooth maximizers are spectrally
-concentrated well below the cutoff, so the restriction changes the
-reported maximum only at the level of the quadrature error.  Once the
-field reaches the cap, clipping brings those modes back and a band-
-limited step need not rise at all; there the full gradient is used,
-and the run converges to a KKT point of the capped problem.  A capped
-maximizer means ``f`` is outside the regime where the cap is inactive
-and the maximum is the comass; it is a converged result, not a failed
-one, and ``cap_active`` says so.
+about the continuum maximizer.  The flattest of these is a Nyquist mode
+localized at the seam ``alpha = 0``: in the Hessian at ``eta = 0`` of
+the hemisphere points (0, 0.7) and (pi/2, 0.7), n = 256, the least
+curved direction (lambda = -1.6e-4 and -3.0e-5) has its spectrum peak
+at mode n / 2, more than 99% of its energy above mode n // 8, and 87%
+and 69% of its weight on nodes 0-7.  The next two are as high in
+frequency but spread out, with 13-23% on nodes 0-7.  Smooth
+maximizers are spectrally concentrated well below the cutoff, so the
+restriction changes the reported maximum only at the level of the
+quadrature error.  Once the field reaches the cap, clipping brings
+those modes back and a band-limited step need not rise at all; there
+the full gradient is used, and the run converges to a KKT point of the
+capped problem.  A capped maximizer means ``f`` is outside the regime
+where the cap is inactive and the maximum is the comass; it is a
+converged result, not a failed one, and ``cap_active`` says so.
 
 A run ends (``diag["termination"]``) on
 
@@ -76,8 +83,6 @@ second than stacks of four rows of 0.44 MB each (a 2 MiB budget), at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -115,18 +120,11 @@ CONVERGED = ("grad_tol", "value_resolution")
 _STACK_BYTES = 3 * 2 ** 20
 
 
-@dataclass(frozen=True)
 class OptimizerConfig:
-    """``multistart`` ascents of ``maximize_eta``, all but the first
-    from random fields drawn with ``seed``; ``eta_cap`` is fixed."""
+    """The one fixed setting of the ascent: the cap ``eta_cap`` on
+    ``|eta|_inf``."""
 
-    eta_cap: ClassVar[float] = 0.15
-    multistart: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.multistart <= 0:
-            raise ValueError("multistart must be positive")
+    eta_cap = 0.15
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,18 +337,18 @@ class _Run:
             "termination": self.termination}
 
 
-def _ascend(ws: _Workspace,
-            eta0: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Ascents of every problem of ``ws`` from the rows of ``eta0``, in
-    lockstep.  A round takes the gradient of the stack when a problem
-    has just accepted a field, then one line-search trial of every
-    problem.  A problem that has ended leaves the arrays and ``ws``
-    before the trials are valued, so ``ws`` is left with none."""
-    count, n = eta0.shape
+def _ascend(ws: _Workspace) -> list[tuple]:
+    """Ascents of every problem of ``ws`` from ``eta = 0``, in lockstep:
+    ``(eta, value, diagnostics)`` per problem.  A round takes the
+    gradient of the stack when a problem has just accepted a field, then
+    one line-search trial of every problem.  A problem that has ended
+    leaves the arrays and ``ws`` before the trials are valued, so ``ws``
+    is left with none."""
+    count, n = ws.nu_beta.shape
     cap = OptimizerConfig.eta_cap
     band = max(8, n // 8)
 
-    eta = _project(_bandpass(eta0, band), cap)
+    eta = np.zeros((count, n))
     # B, A and R are the trig rows and PW @ B at each current eta, from
     # the value that accepted it; the next gradient is taken at the same
     # field and reuses them
@@ -411,35 +409,17 @@ def _ascend(ws: _Workspace,
             cand[back], Bc[back], Ac[back], Rc[back] = (
                 eta[back], B[back], A[back], R[back])
         eta, B, A, R = cand, Bc, Ac, Rc
-    eta = np.array([r[0] for r in results])
-    return eta, [r[1] for r in results], [r[2] for r in results]
+    return results
 
 
-def _maximize(points: list[SpherePoint], fns: list[HullFn],
-              cfg: OptimizerConfig) -> list[tuple]:
+def _maximize(points: list[SpherePoint], fns: list[HullFn]) -> list[tuple]:
     """``maximize_eta`` of each problem ``(points[i], fns[i])`` on one
     grid, ascended as one stack: ``(eta, value, diagnostics)`` per
     problem, each the one the problem alone gives."""
-    n = fns[0].grid.n
-    rng = np.random.default_rng(cfg.seed)
-    best = None
-    for trial in range(cfg.multistart):
-        if trial == 0:
-            eta0 = np.zeros(n)
-        else:
-            eta0 = rng.normal(scale=0.2 * cfg.eta_cap, size=n)
-        # a workspace per ascent, which its problems leave as they end
-        eta, val, diags = _ascend(_Workspace(points, fns),
-                                  np.tile(eta0, (len(fns), 1)))
-        runs = list(zip(eta, val, diags))
-        best = runs if best is None else [
-            run if run[1] > kept[1] else kept
-            for run, kept in zip(runs, best)]
-    return best
+    return _ascend(_Workspace(points, fns))
 
 
-def maximize_eta(p: SpherePoint, f: HullFn,
-                 cfg: OptimizerConfig = OptimizerConfig()
+def maximize_eta(p: SpherePoint, f: HullFn
                  ) -> tuple[AngleField, float, dict]:
     """Projected gradient ascent on Psi over mean-zero angle fields
     with ``sup |eta| <= OptimizerConfig.eta_cap``, at most ``MAX_ITERS``
@@ -447,7 +427,7 @@ def maximize_eta(p: SpherePoint, f: HullFn,
     diagnostics hold ``iterations``, ``grad_norm`` (the gradient
     mapping), ``cap_active``, ``termination`` and ``converged``; a run
     that does not converge is reported there, not raised."""
-    (eta, val, diag), = _maximize([p], [f], cfg)
+    (eta, val, diag), = _maximize([p], [f])
     return AngleField(f.grid, eta), val, diag
 
 
@@ -463,8 +443,8 @@ def _resample_field(eta: AngleField, grid: Grid) -> AngleField:
     return AngleField.from_values(grid, v)
 
 
-def comass_ir(f: HullFn, cfg: OptimizerConfig = OptimizerConfig(),
-              eval_grid: Grid | None = None) -> tuple[float, dict]:
+def comass_ir(f: HullFn, eval_grid: Grid | None = None
+              ) -> tuple[float, dict]:
     """Comass of the form of ``f``: pick the nearest hemisphere point,
     then maximize Psi.  Returns the value and diagnostics (including
     the chosen hemisphere point and the maximizing field).
@@ -475,7 +455,7 @@ def comass_ir(f: HullFn, cfg: OptimizerConfig = OptimizerConfig(),
     coarse quadrature bias at a single extra evaluation.
     """
     hemi_dist, h = dist_to_hemisphere(f)
-    eta, val, diag = maximize_eta(h, f, cfg)
+    eta, val, diag = maximize_eta(h, f)
     diag = dict(diag)
     if eval_grid is not None and eval_grid.n != f.grid.n:
         f_fine = _resample_hull(f, eval_grid)
@@ -487,7 +467,6 @@ def comass_ir(f: HullFn, cfg: OptimizerConfig = OptimizerConfig(),
 
 
 def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
-                      cfg: OptimizerConfig = OptimizerConfig(),
                       defect_floor: float = 0.0) -> dict:
     """Comass defect along the segment ``f_t = (1 - t) h + t g``, ``t``
     in [0, 1] (a ``ValueError`` otherwise: off the segment ``f_t`` need
@@ -519,7 +498,7 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
     runs = []
     for i in range(0, len(f_ts), size):
         runs += _maximize([h_t for _, h_t in nearest[i:i + size]],
-                          f_ts[i:i + size], cfg)
+                          f_ts[i:i + size])
     rows = []
     for t, (dist, _), (eta, val, diag) in zip(t_list, nearest, runs):
         rows.append({

@@ -109,8 +109,7 @@ def test_unusable_hull_file_exits_2(tmp_path, capsys, n, values, message):
 def test_bad_run_config_exits_2(capsys):
     for argv in (("--grid-n", "16", "comass", "sphere:0.5,0.7"),
                  ("--grid-n", "256", "--eval-n", "128",
-                  "comass", "sphere:0.5,0.7"),
-                 ("comass", "sphere:0.5,0.7", "--multistart", "0")):
+                  "comass", "sphere:0.5,0.7")):
         code, out = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -145,7 +144,7 @@ def test_bad_table_sizes_exit_2(capsys):
 
 
 def test_non_convergence_exits_3(monkeypatch, capsys):
-    def fake_comass_ir(f, cfg, eval_grid=None):
+    def fake_comass_ir(f, eval_grid=None):
         diag = {"hemisphere_point": hull.SpherePoint(0.0, 0.5),
                 "hemisphere_dist": 0.0, "eta_inf": 0.0, "iterations": 400,
                 "grad_norm": 1.0, "converged": False,
@@ -188,6 +187,46 @@ def test_sweep_takes_a_hemisphere_point_with_a_negative_angle(capsys):
         assert code == 0
         outs.append(validate(out)["results"])
     assert outs[0] == outs[1]
+
+
+def test_a_tiny_negative_azimuth_is_the_azimuth_0(capsys):
+    # tau % (2 pi) rounds up to 2 pi for every tau in (-4.4e-16, 0)
+    grid = Grid(128)
+    want = cli.parse_hull_spec("sphere:0,0.7", grid).values
+    for tau in ("-1e-20", "-1e-17", "-0.0"):
+        got = cli.parse_hull_spec(f"sphere:{tau},0.7", grid).values
+        assert np.array_equal(got, want), tau
+    outs = []
+    for h in ("0,0.7", "-1e-17,0.7"):
+        code, out = run(capsys, "--grid-n", "128", "--eval-n", "256",
+                        "sweep", "--h", h, "--t-list", "0.1,0.2")
+        assert code == 0
+        outs.append(validate(out)["results"]["rows"])
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("comass", "sphere:0.5,0.7"), ("sweep",), ("cone", "--param-n", "3"),
+    ("lowerbound",), ("l1", "--count", "1"), ("check", "--fast")])
+def test_a_negative_seed_exits_2(capsys, argv):
+    assert cli.main(["--grid-n", "128", "--seed", "-1", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("comass", "random:3,0.4,0.3"),
+    ("sweep", "--t-list", "0.1,0.2,0.3")])
+def test_comass_and_sweep_do_not_depend_on_the_seed(capsys, argv):
+    # the optimizer draws no random numbers
+    reports = []
+    for seed in ("0", "7"):
+        cli.main(["--grid-n", "128", "--eval-n", "256", "--seed", seed,
+                  *argv])
+        reports.append(validate(capsys.readouterr().out))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert [r["config"]["seed"] for r in reports] == [0, 7]
 
 
 def test_sweep_empty_t_list_exits_2(capsys):

@@ -103,15 +103,6 @@ def test_maximize_eta_never_decreases_from_zero_start():
     assert val >= base - 1e-12
 
 
-def test_multistart_agrees_with_single_start():
-    f = hull.random_hull_point(8, 0.2, 0.3, GRID)
-    _, h = hull.dist_to_hemisphere(f)
-    _, v1, _ = comass.maximize_eta(h, f, OptimizerConfig())
-    _, v3, _ = comass.maximize_eta(h, f, OptimizerConfig(multistart=3))
-    assert v3 >= v1 - 1e-10
-    assert v3 == pytest.approx(v1, abs=1e-5)
-
-
 def test_comass_ir_two_grid_matches_fine_answer():
     f_coarse = hull.sphere_point(H, Grid(256))
     val, diag = comass.comass_ir(f_coarse, eval_grid=Grid(1024))
@@ -160,8 +151,8 @@ def record_stacks(monkeypatch):
     stacks = []
     maximize = comass._maximize
 
-    def recorded(points, fns, cfg):
-        runs = maximize(points, fns, cfg)
+    def recorded(points, fns):
+        runs = maximize(points, fns)
         stacks.append(list(zip(points, fns, runs)))
         return runs
 
@@ -242,12 +233,6 @@ def test_a_sweep_fits_no_line_through_one_distance():
     assert out["rows"][0] == out["rows"][1]
     assert out["n_fit"] == 2
     assert "slope" not in out and "intercept" not in out
-
-
-def test_optimizer_config_validation():
-    for multistart in (0, -1):
-        with pytest.raises(ValueError):
-            OptimizerConfig(multistart=multistart)
 
 
 def test_workspace_rejects_boundary_functions():
@@ -466,35 +451,33 @@ def toward(h, grid, seeds, t):
     return problems
 
 
-def stacked_as_alone(problems, cfg=OptimizerConfig()):
+def stacked_as_alone(problems):
     """Each problem's termination alone, once one stack of all of them
     has given each problem exactly its result alone."""
     points, fns = (list(x) for x in zip(*problems))
-    stacked = comass._maximize(points, fns, cfg)
-    alone = [comass.maximize_eta(h, f, cfg) for h, f in problems]
+    stacked = comass._maximize(points, fns)
+    alone = [comass.maximize_eta(h, f) for h, f in problems]
     for (eta, val, diag), (eta1, val1, diag1) in zip(stacked, alone):
         assert np.array_equal(eta, eta1.values)
         assert (val, diag) == (val1, diag1)
     return [diag["termination"] for *_, diag in alone]
 
 
-@pytest.mark.parametrize("max_iters, multistart, terminations", [
-    (comass.MAX_ITERS, 1, ["value_resolution", "grad_tol", "grad_tol",
-                           "value_resolution"]),
-    (20, 1, ["max_iters", "grad_tol", "grad_tol", "value_resolution"]),
-    (comass.MAX_ITERS, 2, None)])
+@pytest.mark.parametrize("max_iters, terminations", [
+    (comass.MAX_ITERS, ["value_resolution", "grad_tol", "grad_tol",
+                        "value_resolution"]),
+    (20, ["max_iters", "grad_tol", "grad_tol", "value_resolution"])],
+    ids=["400-1-terminations0", "20-1-terminations1"])
 def test_problems_that_end_apart_get_their_results_alone(
-        monkeypatch, max_iters, multistart, terminations):
+        monkeypatch, max_iters, terminations):
     # the capped problem, the hemisphere point and two points near it
     # end after 33, 7, 10 and 11 iterations; with a limit of 20 the
     # capped one ends on it after the others have converged.  Each ended
-    # problem leaves the stack, and a second start begins on all four
+    # problem leaves the stack
     monkeypatch.setattr(comass, "MAX_ITERS", max_iters)
     problems = ([_capped_problem(), (H, hull.sphere_point(H, GRID))]
                 + toward(H, GRID, (2, 0), 0.02))
-    ends = stacked_as_alone(problems, OptimizerConfig(multistart=multistart))
-    if terminations is not None:
-        assert ends == terminations
+    assert stacked_as_alone(problems) == terminations
 
 
 def test_problems_that_backtrack_apart_get_their_results_alone(
