@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,23 +29,6 @@ from . import coeffs, comass, hull, pathspace, quadrature, volumes
 from .quadrature import Grid
 
 PI = math.pi
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    grid_n: int = 512
-    eval_n: int = 1024
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.grid_n < 64:
-            raise ValueError("grid_n must be >= 64")
-        if self.eval_n < self.grid_n:
-            raise ValueError("eval_n must be >= grid_n")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {self.seed}")
 
 
 class InputError(ValueError):
@@ -127,21 +109,21 @@ def parse_hull_spec(spec: str, grid: Grid) -> hull.HullFn:
     raise InputError(f"unknown generator kind {kind!r} in {spec!r}")
 
 
-def _emit(command: str, results: dict, cfg: RunConfig,
+def _emit(command: str, results: dict, args: argparse.Namespace,
           csv_text: str | None) -> None:
     """Write the report ``{command, config, results}`` of a command, or
     its CSV table under ``--format csv`` where it has one."""
     report = {"command": command,
-              "config": {"grid_n": cfg.grid_n, "eval_n": cfg.eval_n,
-                         "seed": cfg.seed},
+              "config": {"grid_n": args.grid_n, "eval_n": args.eval_n,
+                         "seed": args.seed},
               "results": results}
-    if cfg.fmt == "csv" and csv_text is not None:
+    if args.format == "csv" and csv_text is not None:
         text = csv_text
     else:
         text = json.dumps(_jsonable(report), indent=2) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:      # a missing directory, no permission
             raise InputError(f"cannot write --out: {exc}")
@@ -149,10 +131,10 @@ def _emit(command: str, results: dict, cfg: RunConfig,
         sys.stdout.write(text)
 
 
-def cmd_comass(args, cfg: RunConfig) -> int:
-    grid = Grid(cfg.grid_n)
+def cmd_comass(args: argparse.Namespace) -> int:
+    grid = Grid(args.grid_n)
     f = parse_hull_spec(args.input, grid)
-    value, diag = comass.comass_ir(f, eval_grid=Grid(cfg.eval_n))
+    value, diag = comass.comass_ir(f, eval_grid=Grid(args.eval_n))
     h = diag["hemisphere_point"]
     _emit("comass", {
         "comass": value,
@@ -164,11 +146,11 @@ def cmd_comass(args, cfg: RunConfig) -> int:
         "iterations": diag["iterations"],
         "grad_norm": diag["grad_norm"],
         "converged": diag["converged"],
-    }, cfg, None)
+    }, args, None)
     return 0 if diag["converged"] else 3
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         t_list = [finite(v) for v in args.t_list.split(",") if v.strip()]
     except ValueError as exc:
@@ -179,7 +161,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         tau, d = (finite(v) for v in args.h.split(","))
     except ValueError as exc:
         raise InputError(f"bad hemisphere spec: {exc}")
-    grid = Grid(cfg.grid_n)
+    grid = Grid(args.grid_n)
     g = parse_hull_spec(args.g, grid)
     table = comass.calibration_sweep(_hemisphere_point(tau, d), g, t_list,
                                      defect_floor=args.defect_floor)
@@ -188,19 +170,19 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         lines.append(f"{r['t']:.12g},{r['dist']:.12g},{r['defect']:.12g},"
                      f"{r['eta_inf']:.12g},{r['iters']},"
                      f"{str(r['converged']).lower()}")
-    _emit("sweep", table, cfg, "\n".join(lines) + "\n")
+    _emit("sweep", table, args, "\n".join(lines) + "\n")
     if not all(r["converged"] for r in table["rows"]):
         return 3
     return 0
 
 
-def cmd_cone(args, cfg: RunConfig) -> int:
+def cmd_cone(args: argparse.Namespace) -> int:
     if args.param_n < 3:
         raise InputError(f"--param-n must be >= 3, got {args.param_n}")
     if args.param_n < 16:
         print(f"fillhull: warning: --param-n {args.param_n} is below 16, "
               "where the cone masses are far off", file=sys.stderr)
-    grid = Grid(max(64, cfg.grid_n // 2))
+    grid = Grid(max(64, args.grid_n // 2))
     chart = volumes.cone_chart(n_r=args.param_n, n_alpha=args.param_n,
                                grid=grid)
     values = volumes.finsler_mass_table(chart)
@@ -209,36 +191,36 @@ def cmd_cone(args, cfg: RunConfig) -> int:
         lines.append(f"cone,{definition},{values[definition]:.12g},"
                      f"{grid.n},{args.param_n}")
     _emit("cone", {"masses": values, "param_n": args.param_n,
-                   "chart_grid_n": grid.n}, cfg, "\n".join(lines) + "\n")
+                   "chart_grid_n": grid.n}, args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_lowerbound(args, cfg: RunConfig) -> int:
+def cmd_lowerbound(args: argparse.Namespace) -> int:
     try:
         offsets = [finite(v) for v in args.offsets.split(",") if v.strip()]
     except ValueError as exc:
         raise InputError(f"bad offsets: {exc}")
     if not offsets:
         raise InputError("empty offsets list")
-    rows = [{"offset": o, "area": volumes.coordinate_filling_area(0.0, o)}
+    rows = [{"offset": o, "area": volumes.coordinate_filling_area(o)}
             for o in offsets]
     lines = ["offset,area"] + [f"{r['offset']:.12g},{r['area']:.12g}"
                                for r in rows]
-    _emit("lowerbound", {"rows": rows}, cfg, "\n".join(lines) + "\n")
+    _emit("lowerbound", {"rows": rows}, args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_l1(args, cfg: RunConfig) -> int:
+def cmd_l1(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError(f"--count must be >= 1, got {args.count}")
-    grid = Grid(cfg.eval_n)
+    grid = Grid(args.eval_n)
     rows = []
     best = None
     for k in range(args.count):
-        f = hull.random_hull_point(cfg.seed + k, roughness=0.5,
+        f = hull.random_hull_point(args.seed + k, roughness=0.5,
                                    eps=args.eps, grid=grid)
         v = coeffs.p_l1_norm(f)
-        rows.append({"seed": cfg.seed + k, "value": v})
+        rows.append({"seed": args.seed + k, "value": v})
         if best is None or v > best["value"]:
             best = rows[-1]
     bound = PI * PI / 2
@@ -249,7 +231,7 @@ def cmd_l1(args, cfg: RunConfig) -> int:
         "argmax_seed": best["seed"],
         "bound": bound,
         "exceeds_bound": bool(best["value"] > bound + 1e-2),
-    }, cfg, "\n".join(lines) + "\n")
+    }, args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -302,11 +284,16 @@ def run_checks(n: int, seed: int = 0) -> list[tuple[str, bool, str]]:
         ok = ok and abs(direct - table[j, k]) < 1e-10
     record("coefficient table consistency", ok, f"worst gap {worst:.3g}")
 
-    # phase normalization and the two routes to the action
+    # the closed-form phase against a fine trapezoid of its speed, and
+    # the two routes to the action
     h = hull.SpherePoint(1.3, 0.6)
-    nu = pathspace.nu_h(h, grid)
-    record("phase normalization", abs(nu[-1] - PI) < 1e-6,
-           f"nu(pi) = {nu[-1]:.9f}")
+    m = 32
+    speed = coeffs.hemisphere_speed(h, np.arange(n * m + 1) * (grid.step / m))
+    cells = (speed[:-1] + speed[1:]).reshape(n, m).sum(axis=1)
+    gap = np.abs(np.diff(pathspace.nu_h(h, grid))
+                 - cells * (grid.step / (2 * m))).max()
+    record("phase against its speed", gap < 1e-7,
+           f"worst cell gap {gap:.3g}")
     eta = pathspace.AngleField.from_values(
         grid, 0.05 * np.sin(2 * grid.beta_nodes))
     hf = hull.sphere_point(h, grid)
@@ -351,21 +338,22 @@ def run_checks(n: int, seed: int = 0) -> list[tuple[str, bool, str]]:
              for d, w in want.items())
     record("l1 jacobians", ok, "diamond values")
 
-    area = volumes.coordinate_filling_area(0.3, PI / 2)
-    record("filling lower bound", abs(area - PI * PI / 2) < 1e-4,
-           f"area = {area:.6f}")
+    area = volumes.coordinate_filling_area(PI / 2)
+    record("filling lower bound",
+           abs(area - PI * PI / 2) <= 4 * math.ulp(PI * PI / 2),
+           f"area = {area:.12g}")
     return results
 
 
-def cmd_check(args, cfg: RunConfig) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     n = 128 if args.fast else 256
-    results = run_checks(n, cfg.seed)
+    results = run_checks(n, args.seed)
     failed = [name for name, ok, _ in results if not ok]
     _emit("check", {
         "checks": [{"name": name, "passed": ok, "detail": detail}
                    for name, ok, detail in results],
         "n_failed": len(failed),
-    }, cfg, None)
+    }, args, None)
     return 0 if not failed else 1
 
 
@@ -433,9 +421,14 @@ def main(argv=None) -> int:
             words[k - 1:k + 1] = [words[k - 1] + "=" + words[k]]
     args = parser.parse_args(words)
     try:
-        cfg = RunConfig(grid_n=args.grid_n, eval_n=args.eval_n,
-                        seed=args.seed, fmt=args.format, out=args.out)
-        return args.fn(args, cfg)
+        if args.grid_n < 64:
+            raise InputError(f"--grid-n must be >= 64, got {args.grid_n}")
+        if args.eval_n < args.grid_n:
+            raise InputError(f"--eval-n must be >= --grid-n "
+                             f"({args.grid_n}), got {args.eval_n}")
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
+        return args.fn(args)
     except ValueError as exc:       # InputError among them
         print(f"fillhull: {exc}", file=sys.stderr)
         return 2

@@ -4,14 +4,16 @@ home of their table on a grid.
 For a triple ``(a, x, y)`` with ``a`` the angular gap and ``x, y`` the
 two function values, put
 
-    e(a, x, y) = 1 - (cos^2 x + cos^2 y - 2 cos a cos x cos y) / sin^2 a,
+    e(a, x, y) = 1 - (cos^2 x + cos^2 y - 2 cos a cos x cos y) / sin^2 a
+               = sin^2 y - (cos x - cos a cos y)^2 / sin^2 a,
     q = e / sin^2 y,
     p = e / (sin^2 x sin^2 y).
 
 Geometrically ``sqrt(e)`` is the height of the spherical point cut out
 by the triple, so ``p >= 0`` with equality exactly on degenerate
 triangles; roundoff can make ``e`` slightly negative there, which we
-clamp away before dividing.
+clamp away before dividing.  Entry by entry ``e`` takes the second form,
+which does not cancel at small gaps; the expansion below the first.
 
 On a grid the gap of the table entry ``(alpha_j, beta_k)`` is ``a =
 (k - j - 1/2) * step``, rounded once, never ``beta_k - alpha_j``.  It
@@ -74,20 +76,19 @@ def _check_interior(f: HullFn) -> None:
         raise ValueError("f touches the boundary circle; p is undefined")
 
 
-def _e_kernel(ca, sa2, cx, cy, den=None):
-    """e(a, x, y) from ``cos a``, ``sin^2 a``, ``cos x`` and ``cos y``,
-    clamped at zero; divided by ``den`` when it is given (``sin^2 x
-    sin^2 y`` for p, ``sin^2 y`` for q).  The closed form, in the same
-    order, in place: two arrays of the broadcast shape per call."""
+def _e_kernel(ca, sa2, cx, cy, sy2, den=None):
+    """e(a, x, y) from ``cos a``, ``sin^2 a``, ``cos x``, ``cos y`` and
+    ``sin^2 y``, clamped at zero; divided by ``den`` when it is given
+    (``sin^2 x sin^2 y`` for p, ``sin^2 y`` for q).  The form ``sin^2 y
+    - (cos x - cos a cos y)^2 / sin^2 a``, in place: one array of the
+    broadcast shape per call."""
     e = np.empty(np.broadcast_shapes(np.shape(ca), np.shape(cx),
-                                     np.shape(cy)))
-    np.add(cx * cx, cy * cy, out=e)
-    t = np.multiply(2.0, ca, out=np.empty_like(e))
-    t *= cx
-    t *= cy
-    e -= t
+                                     np.shape(cy), np.shape(sy2)))
+    np.multiply(ca, cy, out=e)
+    np.subtract(cx, e, out=e)
+    e *= e
     e /= sa2
-    np.subtract(1.0, e, out=e)
+    np.subtract(sy2, e, out=e)
     np.maximum(e, 0.0, out=e)
     if den is not None:
         e /= den
@@ -298,7 +299,7 @@ class WeightedTable:
         for i in range(0, nb, per):
             j, stop = i * R, min(i + per, nb) * R
             e = _e_kernel(ca[n:n + K], sa2[n:n + K], cxp[:, j:stop, None],
-                          cyw[:, j:stop],
+                          cyw[:, j:stop], sy2w[:, j:stop],
                           sx2p[:, j:stop, None] * sy2w[:, j:stop])
             # the largest entry on the first gap, where the table is
             # largest (within 4e-5 of its maximum on the benchmark's
@@ -315,7 +316,7 @@ class WeightedTable:
         mask = k - j >= max(K + 1, n - K)
         ca_k, sa2_k = (toeplitz(v, n)[:K, n - K:] for v in (ca, sa2))
         self.corner = _e_kernel(ca_k, sa2_k, cx[:, :K, None],
-                                cy[:, None, n - K:])
+                                cy[:, None, n - K:], sy2[:, None, n - K:])
         self.corner -= 1.0
         self.corner *= mask * rsx2[:, :K, None] * self.wy[:, None, n - K:]
 
@@ -481,7 +482,8 @@ def dense_tables(grid: Grid) -> DenseTables:
 
 def _e_values(a, x, y):
     """Squared height of the triple; clamped at zero."""
-    return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y))
+    sy = np.sin(y)
+    return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y), sy * sy)
 
 
 def p_scalar(a: float, x: float, y: float) -> float:
@@ -539,7 +541,8 @@ def p_grid(f: HullFn) -> np.ndarray:
     for j in range(0, n - 1, rows):
         block, cols = slice(j, j + rows), slice(j + 1, n)
         e = _e_kernel(ca[block, cols], sa2[block, cols], cx[block, None],
-                      cy[None, cols], sx2[block, None] * sy2[None, cols])
+                      cy[None, cols], sy2[None, cols],
+                      sx2[block, None] * sy2[None, cols])
         corner = e[:, :rows]
         corner *= upper[:corner.shape[0], :corner.shape[1]]
         p[block, cols] = e
@@ -554,8 +557,9 @@ def q_band(f: HullFn) -> np.ndarray:
     _check_interior(f)
     idx, _ = band_rule(f.grid)
     y = f.extended()[idx]
+    sy2 = np.sin(y) ** 2
     return _e_kernel(*_gap_trig(np.arange(1, f.grid.n) * f.grid.step),
-                     np.cos(f.values[:, None]), np.cos(y), np.sin(y) ** 2)
+                     np.cos(f.values[:, None]), np.cos(y), sy2, sy2)
 
 
 def p_l1_norm(f: HullFn) -> float:

@@ -104,23 +104,30 @@ class AngleField:
         return AngleField(grid, v - v.mean())
 
 
+def _phase(theta: np.ndarray, s: float) -> np.ndarray:
+    """``phi(theta)``, the branch of ``atan2(sin theta, s cos theta)`` in
+    theta's quadrant: an antiderivative of ``s / (s^2 cos^2 theta +
+    sin^2 theta)``, inverted by ``phi`` at ``1 / s``."""
+    psi = np.arctan2(np.sin(theta), s * np.cos(theta))
+    return psi + TWO_PI * np.round((theta - psi) / TWO_PI)
+
+
 def nu_tables(p: SpherePoint, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Phase ``nu_h`` at the integer nodes (n+1 values on [0, pi]) and
-    at the midpoint nodes, from one cumulative trapezoid of the speed
-    at half-step resolution so the two families share a table."""
+    at the midpoint nodes: ``phi(alpha - tau) - phi(-tau)``, ``phi`` the
+    ``_phase`` at ``sin d``, integrates ``hemisphere_speed``; ``nu_h(pi)
+    = pi`` by ``phi(theta + pi) = phi(theta) + pi``, not evaluated."""
     if p.d <= 0.0:
         raise ValueError("nu is undefined on the boundary circle (d = 0)")
-    n = grid.n
-    pts = np.arange(2 * n + 1) * (grid.step / 2.0)
-    speed = hemisphere_speed(p, pts)
-    inc = 0.5 * (speed[:-1] + speed[1:]) * (grid.step / 2.0)
-    cum = np.concatenate([[0.0], np.cumsum(inc)])
-    return cum[::2], cum[1::2]
+    sd = math.sin(p.d)
+    pts = np.arange(2 * grid.n) * (grid.step / 2.0)
+    nu = _phase(pts - p.tau, sd) - _phase(-p.tau, sd)
+    return np.append(nu[::2], PI), nu[1::2]
 
 
 def nu_h(p: SpherePoint, grid: Grid) -> np.ndarray:
-    """Monotone phase function with ``nu(0) = 0`` and ``nu(pi) = pi``
-    up to quadrature error; slope between ``sin d`` and ``1/sin d``."""
+    """Monotone phase function with ``nu(0) = 0`` and ``nu(pi) = pi``;
+    slope between ``sin d`` and ``1/sin d``."""
     return nu_tables(p, grid)[0]
 
 
@@ -210,26 +217,23 @@ def fuglede_check(p: SpherePoint,
     """Fourier stability data of the sigma loop.
 
     Reparametrizes sigma by the arclength variable ``t = nu_h(alpha)``,
-    computes the Fourier coefficients ``c0, c1`` by the periodic
-    trapezoid rule at 2048 values of ``t``, and returns ``(c0, c1,
-    sup|w|, 5*pi*(pi - A))`` where ``w(t) = c0 + c1 e^{it} - sigma(t)``.
+    inverted in closed form, computes the Fourier coefficients ``c0,
+    c1`` by the periodic trapezoid rule at 2048 values of ``t``, and
+    returns ``(c0, c1, sup|w|, 5*pi*(pi - A))`` where ``w(t) = c0 + c1
+    e^{it} - sigma(t)``.
     """
     grid = eta.grid
-    n = grid.n
     sigma, area = sigma_path(p, eta)
-    nu_beta, _ = nu_tables(p, grid)
-    nu_full = np.concatenate([nu_beta[:-1], nu_beta[:-1] + PI, [TWO_PI]])
     alpha_full = np.concatenate([grid.beta_nodes, grid.beta_nodes + PI,
                                  [TWO_PI]])
-    s_ext = sigma.extended()
-    s_full = np.vstack([s_ext, s_ext[:1]])
+    z = sigma.extended() @ np.array([1.0, 1j])
 
     m_t = 2048
     t = np.arange(m_t) * (TWO_PI / m_t)
-    alpha_t = np.interp(t, nu_full, alpha_full)
-    sx = np.interp(alpha_t, alpha_full, s_full[:, 0])
-    sy = np.interp(alpha_t, alpha_full, s_full[:, 1])
-    s_tilde = sx + 1j * sy
+    # the inverse of nu_h: phi at 1 / sin d inverts phi at sin d
+    sd = math.sin(p.d)
+    alpha_t = p.tau + _phase(t + _phase(-p.tau, sd), 1.0 / sd)
+    s_tilde = np.interp(alpha_t, alpha_full, np.append(z, z[0]))
 
     c0 = complex(s_tilde.mean())
     c1 = complex((s_tilde * np.exp(-1j * t)).mean())

@@ -296,7 +296,7 @@ def cone_chart(n_r: int = 48, n_alpha: int = 48,
     ``f(r, alpha) = (pi/2)(1 - r) + r * d_alpha``, ``r`` in [0, 1]."""
     rs = np.linspace(0.0, 1.0, n_r)
     alphas = np.arange(n_alpha) * (TWO_PI / n_alpha)
-    dist = np.arccos(np.cos(grid.beta_nodes[None, :] - alphas[:, None]))
+    dist = sphere_point_values(0.0, alphas[:, None], grid.beta_nodes)
     values = ((PI / 2) * (1.0 - rs)[:, None, None]
               + rs[:, None, None] * dist[None, :, :])
     return SurfaceChart("cone", grid, rs, alphas, values)
@@ -386,15 +386,10 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
     return float(total)
 
 
-def coordinate_filling_area(alpha: float, offset: float) -> float:
-    """Signed shoelace area of the loop
-    ``t -> (d_alpha(t), d_{alpha+offset}(t))`` of two coordinate
-    distance functions.  For offset pi/2 the loop is the tilted square
-    through (0, pi/2) and the area is pi^2 / 2."""
-    n_t = 4096                      # a multiple of 4: corners on nodes
-    t = alpha + np.arange(n_t) * (TWO_PI / n_t)
-    x = np.arccos(np.cos(t - alpha))
-    y = np.arccos(np.cos(t - alpha - offset))
-    xs = np.roll(x, -1)
-    ys = np.roll(y, -1)
-    return float(0.5 * np.sum(x * ys - xs * y))
+def coordinate_filling_area(offset: float) -> float:
+    """Signed area ``2 s (pi - |s|)``, ``s`` the offset mod 2 pi in [-pi,
+    pi], of the loop ``t -> (d_alpha(t), d_{alpha+offset}(t))`` of two
+    coordinate distance functions: the parallelogram through its four
+    kinks, whatever ``alpha``; at offset pi/2 the square of area pi^2/2."""
+    s = math.remainder(offset, TWO_PI)
+    return 2.0 * s * (PI - abs(s))

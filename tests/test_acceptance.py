@@ -162,11 +162,11 @@ def test_cone_mass_table():
 
 
 def test_filling_area_lower_bound():
-    got = volumes.coordinate_filling_area(0.0, PI / 2)
-    ok = abs(got - PI ** 2 / 2) <= 1e-4
+    got = volumes.coordinate_filling_area(PI / 2)
+    ok = abs(got - PI ** 2 / 2) <= 4 * math.ulp(PI ** 2 / 2)
     report("lower bound", ok,
-           f"coordinate filling area {got:.6f} vs pi^2/2 = "
-           f"{PI ** 2 / 2:.6f} (tol 1e-4)")
+           f"coordinate filling area {got:.12g} vs pi^2/2 = "
+           f"{PI ** 2 / 2:.12g} (tol 4 ulp)")
     assert ok
 
 

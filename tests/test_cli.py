@@ -107,12 +107,16 @@ def test_unusable_hull_file_exits_2(tmp_path, capsys, n, values, message):
 
 
 def test_bad_run_config_exits_2(capsys):
-    for argv in (("--grid-n", "16", "comass", "sphere:0.5,0.7"),
-                 ("--grid-n", "256", "--eval-n", "128",
-                  "comass", "sphere:0.5,0.7")):
-        code, out = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
+    for argv, message in (
+            (("--grid-n", "16", "comass", "sphere:0.5,0.7"),
+             "--grid-n must be >= 64, got 16"),
+            (("--grid-n", "256", "--eval-n", "128",
+              "comass", "sphere:0.5,0.7"),
+             "--eval-n must be >= --grid-n (256), got 128")):
+        assert cli.main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,7 +180,7 @@ def test_lowerbound_takes_a_list_that_starts_with_a_negative_number(
     assert [r["offset"] for r in rows] == [-0.5, 1.0]
     # the signed area is odd in the offset
     assert rows[0]["area"] == pytest.approx(
-        -volumes.coordinate_filling_area(0.0, 0.5), abs=1e-9)
+        -volumes.coordinate_filling_area(0.5), abs=1e-9)
 
 
 def test_sweep_takes_a_hemisphere_point_with_a_negative_angle(capsys):

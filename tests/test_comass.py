@@ -464,14 +464,14 @@ def stacked_as_alone(problems):
 
 
 @pytest.mark.parametrize("max_iters, terminations", [
-    (comass.MAX_ITERS, ["value_resolution", "grad_tol", "grad_tol",
+    (comass.MAX_ITERS, ["value_resolution", "value_resolution", "grad_tol",
                         "value_resolution"]),
-    (20, ["max_iters", "grad_tol", "grad_tol", "value_resolution"])],
+    (20, ["max_iters", "value_resolution", "grad_tol", "value_resolution"])],
     ids=["400-1-terminations0", "20-1-terminations1"])
 def test_problems_that_end_apart_get_their_results_alone(
         monkeypatch, max_iters, terminations):
     # the capped problem, the hemisphere point and two points near it
-    # end after 33, 7, 10 and 11 iterations; with a limit of 20 the
+    # end after 33, 6, 10 and 11 iterations; with a limit of 20 the
     # capped one ends on it after the others have converged.  Each ended
     # problem leaves the stack
     monkeypatch.setattr(comass, "MAX_ITERS", max_iters)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fillhull import comass, hull, pathspace
+from fillhull import coeffs, comass, hull, pathspace
 from fillhull.hull import HullFn, SpherePoint
 from fillhull.pathspace import AngleField, PlanePath
 from fillhull.quadrature import Grid, midnodes
@@ -29,8 +29,46 @@ def small_eta(grid=GRID, amp=0.05):
 def test_nu_is_monotone_and_normalized():
     nu = pathspace.nu_h(H, GRID)
     assert nu[0] == 0.0
-    assert nu[-1] == pytest.approx(PI, abs=1e-6)
+    assert nu[-1] == PI
     assert np.all(np.diff(nu) > 0)
+
+
+def trapezoid_half_cells(p, grid, m):
+    """Increments of the integral of the speed over the 2n half cells of
+    ``grid``, each by the trapezoid rule on ``m`` steps."""
+    h = grid.step / (2 * m)
+    speed = coeffs.hemisphere_speed(p, np.arange(2 * grid.n * m + 1) * h)
+    return (speed[:-1] + speed[1:]).reshape(-1, m).sum(axis=1) * (h / 2)
+
+
+@pytest.mark.parametrize("d", [1e-3, 0.01, 0.3, 1.4])
+@pytest.mark.parametrize("tau", [1e-3, PI / 2 + 1e-3, PI - 1e-3])
+def test_nu_is_the_integral_of_the_speed(tau, d):
+    # the closed form against fine trapezoids of the speed, 256 and 512
+    # steps per cell, extrapolated as the trapezoid's error falls by 4 a
+    # halving: its increments over the half cells lie within 5% of the
+    # two trapezoids' distance of the extrapolation (at most 1.4% here)
+    p, grid = SpherePoint(tau, d), Grid(64)
+    nu_beta, nu_alpha = pathspace.nu_tables(p, grid)
+    assert nu_beta[-1] == PI
+    nu = np.empty(2 * grid.n + 1)
+    nu[::2], nu[1::2] = nu_beta, nu_alpha
+    coarse, fine = (trapezoid_half_cells(p, grid, m) for m in (128, 256))
+    assert (np.abs(np.diff(nu) - (4 * fine - coarse) / 3)
+            <= 0.05 * np.abs(coarse - fine) + 4e-15).all()
+
+
+@pytest.mark.parametrize("d", [1e-3, 0.01, 0.3, 1.4])
+@pytest.mark.parametrize("tau", [1e-3, PI / 2 + 1e-3, PI - 1e-3])
+def test_the_inverse_phase_returns_the_nodes(tau, d):
+    # alpha(t) = tau + phi_{1/s}(t + phi_s(-tau)), s = sin d, inverts
+    # nu_h(alpha) = phi_s(alpha - tau) - phi_s(-tau); nu_h rounds to
+    # about eps, which the inverse's slope, up to 1 / sin d, magnifies
+    s = math.sin(d)
+    nu = pathspace.nu_h(SpherePoint(tau, d), GRID)
+    alpha = tau + pathspace._phase(nu + pathspace._phase(-tau, s), 1.0 / s)
+    want = np.append(GRID.beta_nodes, PI)
+    assert np.abs(alpha - want).max() <= 8e-16 / s
 
 
 def test_nu_slope_between_sin_d_and_its_inverse():

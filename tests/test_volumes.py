@@ -1018,11 +1018,28 @@ def test_surface_integral_rejects_boundary_nodes():
 
 
 def test_coordinate_filling_area_quarter_offset():
-    for alpha in (0.0, 0.3, 2.0):
-        got = volumes.coordinate_filling_area(alpha, PI / 2)
-        assert got == pytest.approx(PI ** 2 / 2, abs=1e-10)
+    assert volumes.coordinate_filling_area(PI / 2) == pytest.approx(
+        PI ** 2 / 2, rel=1e-15)
 
 
 def test_coordinate_filling_area_vanishes_at_degenerate_offsets():
-    assert volumes.coordinate_filling_area(0.0, 0.0) == pytest.approx(
-        0.0, abs=1e-9)
+    for offset in (0.0, PI, -PI, 2 * PI):
+        assert volumes.coordinate_filling_area(offset) == pytest.approx(
+            0.0, abs=1e-14)
+
+
+def test_coordinate_filling_area_is_the_shoelace_of_its_kinks():
+    # the loop t -> (d_alpha(t), d_{alpha+offset}(t)) is linear between
+    # its four kinks, where t is alpha or alpha + offset, mod pi
+    def dist(t, c):
+        return abs(math.remainder(t - c, 2 * PI))
+
+    for alpha in (0.0, 0.3, 2.0):
+        for offset in (0.785, 1.5708, -0.5, 1.0, 2.9, 3.5, -7.0, 12.0):
+            kinks = sorted((alpha + s) % (2 * PI)
+                           for s in (0.0, PI, offset, offset + PI))
+            pts = [(dist(t, alpha), dist(t, alpha + offset)) for t in kinks]
+            area = 0.5 * sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1)
+                             in zip(pts, pts[1:] + pts[:1]))
+            assert volumes.coordinate_filling_area(offset) == pytest.approx(
+                area, rel=1e-12)
