@@ -338,6 +338,16 @@ def run_checks(n: int, seed: int = 0) -> list[tuple[str, bool, str]]:
              for d, w in want.items())
     record("l1 jacobians", ok, "diamond values")
 
+    # the form is exact: a cap and its interior perturbation integrate
+    # alike, up to the central differences of their tangents
+    cap = volumes.cap_chart(0.3, 17, 32, grid)
+    a = volumes.omega_surface_integral(cap)
+    b = volumes.omega_surface_integral(
+        volumes.perturbed_cap_chart(cap, bump_seed=seed + 1, amplitude=0.2))
+    gap = abs(b - a) / abs(a)
+    record("Stokes exactness", gap <= 5e-3,
+           f"cap {a:.9g}, perturbed {b:.9g}, relative gap {gap:.3g}")
+
     area = volumes.coordinate_filling_area(PI / 2)
     record("filling lower bound",
            abs(area - PI * PI / 2) <= 4 * math.ulp(PI * PI / 2),

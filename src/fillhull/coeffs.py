@@ -448,14 +448,10 @@ class DenseTables:
         function with values ``y[i]``; the row factor ``1 / sin^2 x``
         divides ``a``.  Every pair's ``v`` and ``cos^2 y v`` go through
         ``S^T`` as one stack, and every ``cos y v`` through ``C^T``."""
-        x = midnodes(y, PI - y[:, 0])
-        cx, sx2 = np.cos(x), np.sin(x)
-        sx2 *= sx2
-        # the factors of the operands, and the operands, in decreasing k
-        yr = y[:, ::-1]
-        cy, w = np.cos(yr), np.sin(yr)
-        w *= w
-        np.divide(self.c[::-1], w, out=w)
+        cy, w, cx, sx2 = _half_angle_factors(y)
+        # the operands and their factors in decreasing k
+        np.divide(self.c, w, out=w)
+        w, cy = w[:, ::-1], cy[:, ::-1]
         X = np.empty((3, len(ab)) + y.shape)
         v = X[0]
         for vb, (_, b) in zip(v, ab):
@@ -465,13 +461,47 @@ class DenseTables:
         ys = self._product(X[:2], 0).reshape(X[:2].shape)
         yc = self._product(X[2], 1).reshape(v.shape)
         # U_j, the sum of v_k over k > j
-        ev = np.zeros_like(v)
+        ev = np.empty_like(v)
+        ev[..., -1] = 0.0
         np.cumsum(v[..., :-1], axis=-1, out=ev[..., -2::-1])
-        ev -= cx * cx * ys[0]
+        ys[0] *= cx * cx
+        cx *= 2.0
+        yc *= cx
+        ev -= ys[0]
         ev -= ys[1]
-        ev += 2.0 * cx * yc
+        ev += yc
         return [np.einsum("ij,ij->i", a / sx2, e)
                 for (a, _), e in zip(ab, ev)]
+
+
+def _half_angle_factors(y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(cos y, sin^2 y, cos x, sin^2 x)`` along the last axis of ``y``,
+    ``x`` its midpoint values ``(y_k + y_{k+1}) / 2`` with ``y_n = pi -
+    y_0`` (``midnodes``), from one cosine and one sine of ``y / 2``:
+    with ``c, s = cos(y / 2), sin(y / 2)``, ``cos y = (c - s)(c + s)``,
+    ``sin^2 y = (2 s c)^2``, and at the midpoints the angle sums ``cos x
+    = c_k c_{k+1} - s_k s_{k+1}`` and ``sin x = s_k c_{k+1} + c_k
+    s_{k+1}``, where ``pi - y_0`` swaps the half-angle pair exactly.
+    The midpoints are exact, not rounded sums, and for values in ``(0,
+    pi)`` the sines add positive terms, so the squared sines keep their
+    relative precision near 0 and pi."""
+    c = 0.5 * y
+    s = np.sin(c)
+    np.cos(c, out=c)
+    # the half-angle pair at k + 1
+    c1 = np.concatenate([c[..., 1:], s[..., :1]], axis=-1)
+    s1 = np.concatenate([s[..., 1:], c[..., :1]], axis=-1)
+    cx = c * c1
+    cx -= s * s1
+    sx = s * c1
+    sx += c * s1
+    sx *= sx
+    cy = c - s
+    cy *= c + s
+    s *= c
+    s *= 2.0
+    s *= s
+    return cy, s, cx, sx
 
 
 @lru_cache(maxsize=8)

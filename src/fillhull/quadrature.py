@@ -1,8 +1,9 @@
 """Uniform angular grids and deterministic quadrature rules.
 
 Everything downstream integrates over the triangle ``{0 < alpha <
-beta < pi}``, over the band ``(beta, beta + pi)`` of a node, or over one
-full period of a periodic function.  The rules here are plain
+beta < pi}``, over the band ``(beta, beta + pi)`` of a node, over one
+full period of a periodic function, or over the parameter rectangle of
+a chart (``axis_weights``).  The rules here are plain
 midpoint-type rules with a fixed summation order, so repeated runs
 produce bit-identical results.
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "midnodes", "band_rule", "integrate_triangle",
-           "integrate_period"]
+__all__ = ["Grid", "midnodes", "band_rule", "axis_weights",
+           "integrate_triangle", "integrate_period"]
 
 PI = math.pi
 
@@ -100,6 +101,18 @@ def band_rule(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     w[0] = 1.5 * step
     w[-1] = 1.5 * step
     return idx, w
+
+
+def axis_weights(axis0: np.ndarray,
+                 axis1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature weights on the two axes of a parameter rectangle: the
+    trapezoid rule on the uniform radial axis 0, and on the uniform
+    angular axis 1, which wraps around the circle, every node its
+    spacing."""
+    h0 = axis0[1] - axis0[0]
+    w0 = np.full(len(axis0), h0)
+    w0[0] = w0[-1] = 0.5 * h0
+    return w0, np.full(len(axis1), axis1[1] - axis1[0])
 
 
 def integrate_triangle(values: np.ndarray, grid: Grid) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import Grid, midnodes
+from .quadrature import Grid, axis_weights, midnodes
 from .hull import random_hull_point, sphere_point_values
 from .coeffs import dense_tables
 # the norm API is re-exported: volumes.jacobian and volumes.john_ellipse
@@ -250,15 +250,6 @@ def metric_derivative(chart: SurfaceChart,
     return Norm2D(N_DIRECTIONS, norms[j]), flags[0]
 
 
-def _axis_weights(chart: SurfaceChart) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature weights of the two axes: the trapezoid rule on the
-    radial axis 0, uniform weights on the angular axis 1."""
-    h0 = chart.axis0[1] - chart.axis0[0]
-    w0 = np.full(len(chart.axis0), h0)
-    w0[0] = w0[-1] = 0.5 * h0
-    return w0, np.full(len(chart.axis1), chart.axis1[1] - chart.axis1[0])
-
-
 def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     """Finsler masses of the chart for every volume definition in one
     pass: parameter quadrature of the volume Jacobians of the metric
@@ -272,7 +263,7 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     the temporaries stay the size of one block and each node gets the
     value ``jacobian`` gives its norm; the weighted Jacobians are added
     node by node in row-major order."""
-    w0, w1 = _axis_weights(chart)
+    w0, w1 = axis_weights(chart.axis0, chart.axis1)
     n0, n1 = len(chart.axis0), len(chart.axis1)
     step = max(1, _BLOCK // n1)
     totals = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
@@ -367,10 +358,11 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
         raise ValueError(f"chart node {node} touches the "
                          "boundary circle; p is undefined")
     tables = dense_tables(chart.grid)
-    w0, w1 = _axis_weights(chart)
+    w0, w1 = axis_weights(chart.axis0, chart.axis1)
     n0 = len(chart.axis0)
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
+    t1 = np.empty_like(V[0])
     total = 0.0
     for i in range(n0):
         y = V[i]
@@ -379,7 +371,10 @@ def omega_surface_integral(chart: SurfaceChart) -> float:
         # antiperiodically, which gives their midpoint values
         lo, hi = max(i - 1, 0), min(i + 1, n0 - 1)
         t0 = (V[hi] - V[lo]) / ((hi - lo) * h0)
-        t1 = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) / (2.0 * h1)
+        np.subtract(y[2:], y[:-2], out=t1[1:-1])
+        np.subtract(y[1], y[-1], out=t1[0])
+        np.subtract(y[0], y[-2], out=t1[-1])
+        t1 /= 2.0 * h1
         t0m, t1m = (midnodes(t, -t[:, 0]) for t in (t0, t1))
         a, b = tables.pairs(y, (t1m, t0), (t0m, t1))
         total += w0[i] * (w1 @ (a - b))

@@ -348,6 +348,23 @@ def test_check_catches_a_coefficient_sign_bug(monkeypatch, capsys):
     assert "coefficient table consistency" in failed
 
 
+def test_check_catches_a_dense_table_sign_bug(monkeypatch, capsys):
+    # the surface integral's cos y factor negated: only the Stokes line
+    # reaches the dense tables
+    true_factors = cli.coeffs._half_angle_factors
+
+    def flipped(y):
+        cy, *rest = true_factors(y)
+        return (-cy, *rest)
+
+    monkeypatch.setattr(cli.coeffs, "_half_angle_factors", flipped)
+    code, out = run(capsys, "check", "--fast")
+    assert code != 0
+    failed = {c["name"] for c in json.loads(out)["results"]["checks"]
+              if not c["passed"]}
+    assert failed == {"Stokes exactness"}
+
+
 def test_cli_import_leaves_scipy_out():
     code = ("import sys, fillhull.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
