@@ -132,6 +132,10 @@ def _emit(command: str, results: dict, args: argparse.Namespace,
 
 
 def cmd_comass(args: argparse.Namespace) -> int:
+    # the one command that reads both grids
+    if args.eval_n < args.grid_n:
+        raise InputError(f"--eval-n must be >= --grid-n "
+                         f"({args.grid_n}), got {args.eval_n}")
     grid = Grid(args.grid_n)
     f = parse_hull_spec(args.input, grid)
     value, diag = comass.comass_ir(f, eval_grid=Grid(args.eval_n))
@@ -433,9 +437,8 @@ def main(argv=None) -> int:
     try:
         if args.grid_n < 64:
             raise InputError(f"--grid-n must be >= 64, got {args.grid_n}")
-        if args.eval_n < args.grid_n:
-            raise InputError(f"--eval-n must be >= --grid-n "
-                             f"({args.grid_n}), got {args.eval_n}")
+        if args.eval_n < 64:
+            raise InputError(f"--eval-n must be >= 64, got {args.eval_n}")
         if args.seed < 0:
             raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)

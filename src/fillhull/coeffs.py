@@ -39,7 +39,10 @@ clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
 action and the l1 norm, the far gaps by FFT (``GapOperator``), and
 ``DenseTables`` to many functions for the surface integral, every gap
 by matrix products with column blocks of the nonzero triangle of
-``S^T`` and ``C^T``, built once per grid (``dense_tables``).
+``S^T`` and ``C^T``, built once per grid (``dense_tables``).  These
+two and ``q_band`` take their trig factors from ``_half_angle_factors``;
+the references ``p_grid``, ``p_scalar``, ``p_derivatives`` and
+``_e_values`` take their own, so that they stay independent.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .quadrature import Grid, band_rule, midnodes
+from .quadrature import Grid, band_rule
 from .hull import HullFn, SpherePoint, dist_to_boundary
 
 __all__ = [
@@ -210,10 +213,8 @@ class GapOperator:
         return np.fft.irfft(spec, 2 * n)[..., :n]
 
 
-@lru_cache(maxsize=8)
-def gap_operator(grid: Grid, near: int) -> GapOperator:
-    """``GapOperator(grid, near)``, cached like the gap vectors."""
-    return GapOperator(grid, near)
+# GapOperator(grid, near), cached like the gap vectors
+gap_operator = lru_cache(maxsize=8)(GapOperator)
 
 
 class WeightedTable:
@@ -227,10 +228,11 @@ class WeightedTable:
 
     Where ``sin a`` is small, within ``K`` gaps of either end of the gap
     range (``a`` near 0 on the diagonal band, near pi in the top right
-    corner), the entries are formed one by one with the arithmetic of
-    ``p_grid``, ``e`` clamped at zero.  The far gaps take the expansion
-    of the module docstring through ``GapOperator``; its rounding falls
-    as ``K`` grows (``gradient_near_gaps``).
+    corner), the entries are formed one by one, ``e`` clamped at zero:
+    the kernel of ``p_grid`` on the factors ``DenseTables`` reads, so
+    they round as its do.  The far gaps take the expansion of the module
+    docstring through ``GapOperator``; its rounding falls as ``K`` grows
+    (``gradient_near_gaps``).
 
     A product takes rows for every function of the stack.  The far gaps
     of all of them are one ``GapOperator`` call, and the band and the
@@ -259,10 +261,8 @@ class WeightedTable:
         nb, R, L = self.block_shape(n, near)
         K = L + 1 - R
         self.op = gap_operator(grid, K)
-        y = np.array([f.values for f in fs])
-        x = midnodes(y, PI - y[:, 0])      # each f.at_midnodes()
-        cx, sx2 = np.cos(x), np.sin(x) ** 2
-        cy, sy2 = np.cos(y), np.sin(y) ** 2
+        cy, sy2, cx, sx2 = _half_angle_factors(
+            np.array([f.values for f in fs]))
         c = grid.triangle_weights
         rsx2 = 1.0 / sx2
         self.cy, self.cy2, self.wy = cy, cy * cy, c / sy2
@@ -504,10 +504,8 @@ def _half_angle_factors(y: np.ndarray) -> tuple[np.ndarray, ...]:
     return cy, s, cx, sx
 
 
-@lru_cache(maxsize=8)
-def dense_tables(grid: Grid) -> DenseTables:
-    """``DenseTables(grid)``, cached like the gap vectors."""
-    return DenseTables(grid)
+# DenseTables(grid), cached like the gap vectors
+dense_tables = lru_cache(maxsize=8)(DenseTables)
 
 
 def _e_values(a, x, y):
@@ -583,13 +581,15 @@ def q_band(f: HullFn) -> np.ndarray:
     """``q = e / sin^2 y`` on the band of ``quadrature.band_rule``: entry
     ``[k, m - 1]`` at the gap ``m * step`` between the integer nodes
     ``beta_k`` and ``beta_{k+m}``, with ``x = f(beta_k)`` and ``y =
-    f(beta_{k+m})`` on the full circle, ``e`` clamped at zero."""
+    f(beta_{k+m})`` on the full circle, ``e`` clamped at zero.  Its
+    factors are ``_half_angle_factors``' at the n samples, continued by
+    ``cos(pi - y) = -cos y``."""
     _check_interior(f)
     idx, _ = band_rule(f.grid)
-    y = f.extended()[idx]
-    sy2 = np.sin(y) ** 2
+    cy, sy2 = _half_angle_factors(f.values)[:2]
+    cy_band, sy2_band = np.concatenate([cy, -cy])[idx], sy2[idx % f.grid.n]
     return _e_kernel(*_gap_trig(np.arange(1, f.grid.n) * f.grid.step),
-                     np.cos(f.values[:, None]), np.cos(y), sy2, sy2)
+                     cy[:, None], cy_band, sy2_band, sy2_band)
 
 
 def p_l1_norm(f: HullFn) -> float:

@@ -87,7 +87,8 @@ import math
 import numpy as np
 
 from .quadrature import Grid
-from .hull import HullFn, SpherePoint, dist_to_hemisphere, sphere_point
+from .hull import (HEMISPHERE_GAP, HullFn, SpherePoint, dist_to_hemisphere,
+                   sphere_point)
 from .coeffs import WeightedTable, compact, gradient_near_gaps
 from .pathspace import (AngleField, competitor_rows, gamma_from_eta,
                         nu_tables, omega_action)
@@ -476,9 +477,11 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
     the defect ``|comass - pi|``, plus a log-log least-squares slope
     and intercept over the converged rows whose defect exceeds
     ``defect_floor`` (rows at the optimizer noise floor carry no rate
-    information).  Unless those rows hold at least two distinct
-    distances, no line is fitted and ``slope`` and ``intercept`` are
-    left out.
+    information) and whose distance exceeds ``HEMISPHERE_GAP``, within
+    which ``dist_to_hemisphere`` certifies it (a smaller one is
+    rounding: 4.4e-16 at t = 0).  Unless those rows hold at least two
+    distinct distances, no line is fitted and ``slope`` and
+    ``intercept`` are left out.
     Consecutive rows ascend as one stack (``_maximize``) within
     ``_STACK_BYTES`` of near-gap blocks: the default ten rows at n =
     512, three at a time at 1024, one at a time from 2048 up.  Each row
@@ -511,7 +514,8 @@ def calibration_sweep(h: SpherePoint, g: HullFn, t_list,
             "floored": bool(abs(val - PI) <= defect_floor),
         })
     fit_rows = [r for r in rows
-                if r["converged"] and not r["floored"] and r["dist"] > 0]
+                if r["converged"] and not r["floored"]
+                and r["dist"] > HEMISPHERE_GAP]
     out = {"rows": rows, "n_fit": len(fit_rows)}
     if len({r["dist"] for r in fit_rows}) >= 2:
         lx = np.log([r["dist"] for r in fit_rows])

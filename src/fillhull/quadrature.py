@@ -16,7 +16,11 @@ sums that pair the table with vectors use the same weights directly.
 
 Values on the midpoint nodes come from one rule, ``midnodes``: the
 average of the two neighbouring integer nodes, continued past the half
-period by each caller's own symmetry.
+period by each caller's own symmetry.  It gives values only.  The
+coefficient tables, all but the reference ``coeffs.p_grid``, take the
+cosines and sines of a hull function at its midpoints from
+``coeffs._half_angle_factors``, whose angle sums are exact where a
+rounded average is not.
 """
 
 from __future__ import annotations

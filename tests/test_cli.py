@@ -120,6 +120,23 @@ def test_bad_run_config_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("cone", "--param-n", "3"),     # reads --grid-n only
+    ("lowerbound",),                # reads neither grid
+    ("l1", "--count", "1"),         # reads --eval-n only
+])
+def test_eval_n_below_grid_n_is_no_error_where_unread(capsys, argv):
+    assert cli.main(["--grid-n", "2048", *argv]) == 0
+    assert "--eval-n" not in capsys.readouterr().err
+
+
+def test_eval_n_below_64_exits_2(capsys):
+    assert cli.main(["--eval-n", "16", "l1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--eval-n must be >= 64, got 16" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ("comass", "random:1,nan,0.3"),
     ("comass", "random:1,inf,0.3"),
     ("sweep", "--t-list", "0.1,nan"),
@@ -348,9 +365,11 @@ def test_check_catches_a_coefficient_sign_bug(monkeypatch, capsys):
     assert "coefficient table consistency" in failed
 
 
-def test_check_catches_a_dense_table_sign_bug(monkeypatch, capsys):
-    # the surface integral's cos y factor negated: only the Stokes line
-    # reaches the dense tables
+def test_check_catches_a_trig_factor_sign_bug(monkeypatch, capsys):
+    # the production tables' cos y factor negated: the weighted table
+    # of Psi and the path action and the surface integral's dense
+    # tables read it, so the Psi and Stokes lines fail, while the
+    # reference table of the consistency line keeps its own trig
     true_factors = cli.coeffs._half_angle_factors
 
     def flipped(y):
@@ -362,7 +381,8 @@ def test_check_catches_a_dense_table_sign_bug(monkeypatch, capsys):
     assert code != 0
     failed = {c["name"] for c in json.loads(out)["results"]["checks"]
               if not c["passed"]}
-    assert failed == {"Stokes exactness"}
+    assert failed == {"psi equals path action", "psi gradient",
+                      "Stokes exactness"}
 
 
 def test_cli_import_leaves_scipy_out():

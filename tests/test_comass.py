@@ -225,6 +225,22 @@ def test_calibration_sweep_floor_excludes_rows():
     assert out["n_fit"] == 0
 
 
+def test_a_sweep_fits_no_row_at_a_distance_of_rounding():
+    # the CLI's default h and g at n = 64: the t = 0 row, at the
+    # hemisphere point, is 4.4e-16 from the hemisphere and its defect
+    # lies above the floor; fitted, it would pull the slope from 1.98
+    # to 0.076
+    grid = Grid(64)
+    h = SpherePoint(0.0, 0.7)
+    g = hull.random_hull_point(1, 0.25, 0.3, grid)
+    out = comass.calibration_sweep(h, g, [0.0, 0.1, 0.2], defect_floor=5e-5)
+    row = out["rows"][0]
+    assert 0 < row["dist"] <= hull.HEMISPHERE_GAP and not row["floored"]
+    want = comass.calibration_sweep(h, g, [0.1, 0.2], defect_floor=5e-5)
+    assert out["n_fit"] == want["n_fit"] == 2
+    assert out["slope"] == want["slope"]
+
+
 def test_a_sweep_fits_no_line_through_one_distance():
     # two copies of one row: a line through them is a rank-1 fit
     grid = Grid(128)
