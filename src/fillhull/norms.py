@@ -15,11 +15,11 @@ vertices give mass and the ball area, its facet normals ``c_i`` (the
 vertices of the dual polygon) give mass* and the dual ball area, and
 the John ellipse is the exact solution of a 3-variable max-det problem
 over the ``c_i``.  The polygons of many norms are built and measured
-together (``jacobians``): the hull's first pass runs on the regular
-layout of ``2m`` points per node, and the polygons are padded with
-zero rows to ``K`` vertices, which the kernels take a column at a
-time.  ``Norm2D``, ``jacobian`` and ``john_ellipse`` are the one-node
-case of that code.
+together (``jacobians``): the hull's passes run on the half-turn of
+``m`` points per node, the first on their regular layout, and the
+polygons are padded with zero rows to ``K`` vertices, which the kernels
+take a column at a time.  ``Norm2D``, ``jacobian`` and
+``john_ellipse`` are the one-node case of that code.
 """
 
 from __future__ import annotations
@@ -122,45 +122,86 @@ def _hull_polygons(unit_norms: np.ndarray) -> _Polygons:
     neighbours lies in their triangle with the origin: all such points
     are dropped at once until none is left.  Unlike a sort by
     coordinates, this order has no ties up to rounding on axis-parallel
-    edges.  The first pass runs on the regular layout, x and y as two
-    ``(nodes, 2m)`` arrays with a node's neighbours along its row; the
-    survivors form flat x and y arrays with a node id per point, and
-    each later pass finds a point's neighbours within its node's run.
-    The elimination keeps each point set symmetric, so the first half
-    of a node's run is its half-turn of vertices."""
+    edges.  The point set stays symmetric, and negation is exact in
+    floating point, so a point and its negative are kept or dropped
+    together: every pass runs on the half-turn ``u_j / N(u_j)`` alone,
+    whose first point follows the negated last one.  The first pass
+    runs on the regular layout, x and y as two ``(nodes, m)`` arrays
+    with a node's neighbours along its row, at four floats per point
+    at most; the survivors form flat x and y arrays with a node id per
+    point, and each later pass finds a point's neighbours within its
+    node's run.  What is left of a node's run is its half-turn of
+    vertices."""
     nodes, m = unit_norms.shape
     th = np.arange(m) * (PI / m)
-    x, y = np.cos(th) / unit_norms, np.sin(th) / unit_norms
-    x, y = np.concatenate([x, -x], axis=1), np.concatenate([y, -y], axis=1)
-    tol = 1e-14 * (x * x + y * y).max(axis=1)
-    # the edge into each point; the edge out of it goes into the next
-    ex, ey = x - np.roll(x, 1, axis=1), y - np.roll(y, 1, axis=1)
-    keep = ex * np.roll(ey, -1, axis=1) - ey * np.roll(ex, -1, axis=1) \
-        > tol[:, None]
-    x, y, node = x[keep], y[keep], np.nonzero(keep)[0]
-    while not keep.all():
+    cos, sin = np.cos(th), np.sin(th)
+    x, y = cos / unit_norms, sin / unit_norms
+    tol = x * x
+    tol += y * y
+    tol = 1e-14 * tol.max(axis=1)
+    ex, ey = _edges(x), _edges(y)
+    del x, y
+    # the turn ex_i ey_(i+1) - ey_i ex_(i+1) at each point, flat, where
+    # the edge after the last point is the negated first one
+    wrap = ex[:, -1] * -ey[:, 0] - ey[:, -1] * -ex[:, 0]
+    cross = np.empty(ex.shape)
+    fx, fy, fc = ex.reshape(-1), ey.reshape(-1), cross.reshape(-1)
+    np.multiply(fx[:-1], fy[1:], out=fc[:-1])
+    fc[:-1] -= np.multiply(fy[:-1], fx[1:], out=fy[:-1])
+    cross[:, -1] = wrap
+    keep = cross > tol[:, None]
+    del ex, ey, cross, fx, fy, fc
+    # the survivors' points again, by the same division
+    node, col = np.nonzero(keep)
+    norm = unit_norms[node, col]
+    x, y = cos[col] / norm, sin[col] / norm
+    while True:
         first = np.flatnonzero(np.diff(node, prepend=-1))
         last = np.append(first[1:], len(node)) - 1
-        prev = np.arange(-1, len(node) - 1)
-        prev[first] = last
         succ = np.arange(1, len(node) + 1)
         succ[last] = first
-        ex, ey = x - x[prev], y - y[prev]
-        keep = ex * ey[succ] - ey * ex[succ] > tol[node]
+        if keep.all():
+            break
+        prev = np.arange(-1, len(node) - 1)
+        prev[first] = last
+        ex, ey = (z - _signed(z, prev, first) for z in (x, y))
+        keep = ex * _signed(ey, succ, last) - ey * _signed(ex, succ, last) \
+            > tol[node]
         x, y, node = x[keep], y[keep], node[keep]
-    counts = np.bincount(node, minlength=nodes) // 2
+    counts = np.bincount(node, minlength=nodes)
     pos = np.arange(len(node)) - np.searchsorted(node, node)
-    take = np.flatnonzero(pos < counts[node])
     v, w = np.zeros((2, 2, nodes, counts.max()))
-    # facet i runs from vertex i to the next point of the run, which
-    # after the last vertex is the negated first one
-    v[:, node[take], pos[take]] = x[take], y[take]
-    w[:, node[take], pos[take]] = x[take + 1], y[take + 1]
+    # facet i runs from vertex i to the next point, which after the
+    # last vertex is the negated first one
+    v[:, node, pos] = x, y
+    w[:, node, pos] = _signed(x, succ, last), _signed(y, succ, last)
     det = v[0] * w[1] - v[1] * w[0]
     det[np.arange(v.shape[2]) >= counts[:, None]] = 1.0
     return _Polygons(counts, np.stack(v, axis=-1),
                      np.stack([w[1] - v[1], v[0] - w[0]], axis=-1)
                      / det[..., None])
+
+
+def _edges(z: np.ndarray) -> np.ndarray:
+    """The coordinate ``z`` of the edge into each point of the ``(nodes,
+    m)`` half-turns ``z``, the first edge from the negated last point:
+    the differences of the flat array, one contiguous run each (a
+    strided operand costs numpy a buffer), with the first column, which
+    they get wrong, set after."""
+    e = np.empty(z.shape)
+    flat = z.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], out=e.reshape(-1)[1:])
+    np.add(z[:, 0], z[:, -1], out=e[:, 0])
+    return e
+
+
+def _signed(z: np.ndarray, index: np.ndarray,
+            wrap: np.ndarray) -> np.ndarray:
+    """``z[index]``, negated at the positions ``wrap``: a neighbour
+    across the end of a half-turn run is the negated point."""
+    out = z[index]
+    out[wrap] = -out[wrap]
+    return out
 
 
 def _areas(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -327,6 +368,11 @@ def jacobians(unit_norms: np.ndarray) -> dict[str, np.ndarray]:
     """Jacobians of every definition for every row of the ``(nodes, m)``
     non-degenerate sampled norms: one batched hull build and, per
     definition, one batched pass of the code ``jacobian`` runs on one
-    node, so each node's value is the same."""
+    node, so each node's value is the same.  The temporaries are four
+    ``m``-float arrays per node in the hull's first pass, then flat
+    arrays of the points that survive it and ``K``-vertex arrays: at
+    ``m = 64``, about 2 KB per node on the cone's balls of at most 8
+    vertices, and up to 5.4 KB on the 26-vertex balls of a smooth cap,
+    where most points survive the first pass."""
     poly = _hull_polygons(unit_norms)
     return {d: _jacobians(poly, d) for d in JACOBIAN_DEFINITIONS}

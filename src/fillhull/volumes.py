@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,29 +101,34 @@ class SurfaceChart:
 # the shortest representative per direction
 _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
                  if (b > 0 or a > 0) and math.gcd(abs(a), b) == 1)
-# parameter nodes per block of rows of ``finsler_mass_table``: at 96
-# the Jacobians of a block peak at about 0.7 MB of temporaries; 192
-# ran a 24 x 24 cone faster, but at a higher peak RSS
-_BLOCK = 96
+# bytes of the largest temporaries of ``finsler_mass_table``: the
+# sup-difference buffer of a slice of rows (at least one), and the five
+# ``N_DIRECTIONS``-float arrays per node of a batch of nodes being
+# resampled (at least one); the benchmark's 24 x 24 cone on Grid(256)
+# goes in 10-row slices and 192-node batches
+_BATCH_BYTES = 480 << 10
 
 
-def _metric_derivatives(chart: SurfaceChart,
-                        rows: range) -> tuple[np.ndarray, list[bool]]:
-    """Metric derivative norms of every node of the parameter ``rows``:
-    the ``(len(rows) * n1, N_DIRECTIONS)`` resampled unit norms in
-    row-major order, and per row whether any of its samples is
+def _offset_samples(chart: SurfaceChart, rows: range
+                    ) -> tuple[np.ndarray, np.ndarray, list[bool]]:
+    """Samples of the metric derivative of every node of the parameter
+    ``rows`` along every offset of ``_OFFSETS``: the ``(len(rows), n1,
+    len(_OFFSETS))`` samples, per row which offsets it keeps (its other
+    samples are unset), and per row whether any of its samples is
     one-sided.  See ``metric_derivative``.
 
     Whether a neighbour at ``(i + a, j + b)`` exists depends only on
     the row, as the angular axis 1 wraps; so each offset picks one rule
     per row, and the consecutive rows with the same rule cost one
-    sup-difference of two row slices per scale.  The rows that keep
-    the same offsets are resampled together."""
+    sup-difference of two row slices per scale, in slices of as many
+    rows as a difference buffer of ``_BATCH_BYTES`` holds (at least
+    one)."""
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
     n0, n1 = len(chart.axis0), len(chart.axis1)
     V = chart.values
-    buf = np.empty((len(rows), n1, chart.grid.n))
+    span = max(1, _BATCH_BYTES // V[0].nbytes)
+    buf = np.empty((min(span, len(rows)), n1, chart.grid.n))
     samples = np.empty((len(rows), n1, len(_OFFSETS)))
     kept = np.zeros((len(rows), len(_OFFSETS)), bool)
     flags = np.zeros(len(rows), bool)
@@ -160,41 +166,76 @@ def _metric_derivatives(chart: SurfaceChart,
             if not p + q:
                 continue
             run = list(run)
-            lo, hi = run[0], run[-1] + 1
-            D = [sup_diff(lo, hi, p * s * a, p * s * b, -q * s * a,
-                          -q * s * b) / ((p + q) * s * length)
-                 for s in range(1, k + 1)]
-            at = slice(lo - rows[0], hi - rows[0])
-            samples[at, :, o] = 2.0 * D[0] - D[1] if k == 2 else D[0]
+            for lo in range(run[0], run[-1] + 1, span):
+                hi = min(lo + span, run[-1] + 1)
+                D = [sup_diff(lo, hi, p * s * a, p * s * b, -q * s * a,
+                              -q * s * b) / ((p + q) * s * length)
+                     for s in range(1, k + 1)]
+                at = slice(lo - rows[0], hi - rows[0])
+                samples[at, :, o] = 2.0 * D[0] - D[1] if k == 2 else D[0]
+            at = slice(run[0] - rows[0], run[-1] + 1 - rows[0])
             kept[at, o] = True
             flags[at] |= not (k == 2 and p and q)
+    return samples, kept, flags.tolist()
+
+
+def _resampled(chart: SurfaceChart, samples: np.ndarray, kept: np.ndarray,
+               nodes: range) -> np.ndarray:
+    """The ``(len(nodes), N_DIRECTIONS)`` metric derivative norms of
+    the ``nodes``, a range of row-major indices into the rows of
+    ``samples`` and ``kept`` (``_offset_samples``); the nodes of the
+    rows that keep the same offsets are resampled together."""
+    h0 = chart.axis0[1] - chart.axis0[0]
+    h1 = chart.axis1[1] - chart.axis1[0]
+    n1 = len(chart.axis1)
     thetas = np.array([math.atan2(b * h1, a * h0) % PI
                        for a, b in _OFFSETS])
+    flat = samples.reshape(-1, len(_OFFSETS))
     groups = {}
-    for r, mask in enumerate(kept):
-        groups.setdefault(tuple(np.flatnonzero(mask)), []).append(r)
-    out = np.empty((len(rows), n1, N_DIRECTIONS))
+    for r in range(nodes.start // n1, (nodes.stop - 1) // n1 + 1):
+        lo, hi = max(nodes.start, r * n1), min(nodes.stop, (r + 1) * n1)
+        groups.setdefault(tuple(np.flatnonzero(kept[r])), []).append(
+            np.arange(lo, hi))
+    if len(groups) == 1:
+        (cols, _), = groups.items()
+        return _resample(thetas, flat[nodes.start:nodes.stop], cols)
+    out = np.empty((len(nodes), N_DIRECTIONS))
     for cols, members in groups.items():
-        cols = list(cols)
-        out[members] = _resample(
-            thetas[cols], samples[members][:, :, cols].reshape(-1, len(cols))
-        ).reshape(len(members), n1, N_DIRECTIONS)
-    return out.reshape(-1, N_DIRECTIONS), flags.tolist()
+        at = np.concatenate(members)
+        out[at - nodes.start] = _resample(thetas, flat[at], cols)
+    return out
 
 
-def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Complete the ``(nodes, k)`` samples along the same kept offsets,
-    at angles ``thetas``, to the ``(nodes, N_DIRECTIONS)`` norms: the
-    polygon through the sampled unit-ball boundary points, vectorized
-    over the nodes.  A node with a vanishing sample is a seminorm; its
-    sampled values are interpolated directly, as ``np.interp`` does on
-    each such node, and downstream Jacobians treat it as zero area."""
+def _metric_derivatives(chart: SurfaceChart,
+                        rows: range) -> tuple[np.ndarray, list[bool]]:
+    """Metric derivative norms of every node of the parameter ``rows``:
+    the ``(len(rows) * n1, N_DIRECTIONS)`` resampled unit norms in
+    row-major order, and per row whether any of its samples is
+    one-sided.  See ``metric_derivative``."""
+    samples, kept, flags = _offset_samples(chart, rows)
+    return _resampled(chart, samples, kept,
+                      range(len(rows) * len(chart.axis1))), flags
+
+
+def _resample(thetas: np.ndarray, samples: np.ndarray,
+              cols: tuple[int, ...]) -> np.ndarray:
+    """Complete the ``(nodes, len(_OFFSETS))`` samples, of which the
+    nodes keep the columns ``cols``, to the ``(nodes, N_DIRECTIONS)``
+    norms, vectorized over the nodes; ``thetas`` are the angles of the
+    offsets.  A node with a vanishing sample is a seminorm; its sampled
+    values are interpolated directly, as ``np.interp`` does on each
+    such node, and downstream Jacobians treat it as zero area.  The
+    other nodes get the polygon through their sampled unit-ball
+    boundary points (``_polygon_norms``)."""
+    cols = np.asarray(cols)
+    cols = cols[np.argsort(thetas[cols])]
+    thetas = thetas[cols]
+    norms = np.take(samples, cols, axis=1)
+    seminorm = norms.min(axis=1) < 1e-12
+    if not seminorm.any():
+        return _polygon_norms(thetas, norms)
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     out = np.empty((len(samples), N_DIRECTIONS))
-    order = np.argsort(thetas)
-    thetas = thetas[order]
-    norms = samples[:, order]
-    seminorm = norms.min(axis=1) < 1e-12
     # np.interp's chord from the last angle at or below the target; the
     # angles start at 0, along the offset (1, 0) every row keeps
     ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
@@ -203,23 +244,39 @@ def _resample(thetas: np.ndarray, samples: np.ndarray) -> np.ndarray:
     i = np.searchsorted(ext_t, target, side="right") - 1
     slope = (ext_n[:, i + 1] - ext_n[:, i]) / (ext_t[i + 1] - ext_t[i])
     out[seminorm] = slope * (target - ext_t[i]) + ext_n[:, i]
-    live = ~seminorm
-    if not live.any():
-        return out
-    norms = norms[live]
-    # polygon through the sampled unit-ball boundary points: the chord
-    # from point k to point k + 1 of the full turn, where point i has
-    # the direction full_t[i] and the norm of sample i mod len(thetas)
+    if not seminorm.all():
+        out[~seminorm] = _polygon_norms(thetas, norms[~seminorm])
+    return out
+
+
+def _polygon_norms(thetas: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The ``(nodes, N_DIRECTIONS)`` norms of the polygon through the
+    sampled unit-ball boundary points of each node, the ``(nodes, k)``
+    positive ``norms`` at the increasing angles ``thetas``: the chord
+    from point ``k`` of the full turn to point ``k + 1``, where point
+    ``i`` has the direction ``full_t[i]`` and the norm of sample ``i
+    mod k``.  Five ``(nodes, N_DIRECTIONS)`` arrays, reused in place."""
+    target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     full_t = np.concatenate([thetas, thetas + PI])
     k = np.searchsorted(full_t, target, side="right") - 1
-    u = np.stack([np.cos(full_t), np.sin(full_t)])
-    p, q = (u[:, None, i] / norms[:, i % len(thetas)]
-            for i in (k, (k + 1) % len(full_t)))
-    num = p[0] * q[1] - p[1] * q[0]
-    den = np.cos(target) * (q[1] - p[1]) - np.sin(target) * (q[0] - p[0])
-    rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
-    out[live] = 1.0 / np.maximum(rho, 1e-15)
-    return out
+    k1 = (k + 1) % len(full_t)
+    cos, sin = np.cos(full_t), np.sin(full_t)
+    # the chord from p to q, each (x, y) = u / norm
+    p1, q1 = (np.take(norms, i % len(thetas), axis=1) for i in (k, k1))
+    p0, q0 = cos[k] / p1, cos[k1] / q1
+    np.divide(sin[k], p1, out=p1)
+    np.divide(sin[k1], q1, out=q1)
+    dy = q1 - p1
+    num = np.multiply(q1, p0, out=q1)
+    dx = np.subtract(q0, p0, out=p0)
+    num -= np.multiply(q0, p1, out=q0)          # p0 q1 - p1 q0
+    dy *= np.cos(target)
+    dx *= np.sin(target)
+    den = np.subtract(dy, dx, out=dy)
+    den[~(np.abs(den, out=p1) > 1e-15)] = 1e-15
+    rho = np.divide(num, den, out=num)
+    np.maximum(rho, 1e-15, out=rho)
+    return np.divide(1.0, rho, out=rho)
 
 
 def metric_derivative(chart: SurfaceChart,
@@ -242,12 +299,32 @@ def metric_derivative(chart: SurfaceChart,
     completed to a full norm by the polygon through the sampled
     unit-ball boundary points, which is exact for the polygonal balls
     these charts produce and second order accurate for smooth ones.
-    The whole row of the node is computed, as ``finsler_mass_table``
-    does.
+    The whole row of the node is computed by the code
+    ``finsler_mass_table`` runs: ``len(_OFFSETS)`` samples per node
+    from a sup-difference buffer of the row, then about five
+    ``N_DIRECTIONS``-float arrays of temporaries per node to resample
+    them.
     """
     i, j = node
     norms, flags = _metric_derivatives(chart, range(i, i + 1))
     return Norm2D(N_DIRECTIONS, norms[j]), flags[0]
+
+
+def _node_batches(chart: SurfaceChart) -> Iterator[tuple[range,
+                                                         np.ndarray]]:
+    """The metric derivative norms of every node of the chart, in
+    row-major batches of nodes that cross row boundaries: each batch's
+    row-major node indices and ``(len(nodes), N_DIRECTIONS)`` norms.
+    The offset samples of every row are taken first, at
+    ``len(_OFFSETS)`` floats per node; each batch is then resampled,
+    with as many nodes as ``_BATCH_BYTES`` holds at five
+    ``N_DIRECTIONS`` floats each (at least one)."""
+    n0, n1 = len(chart.axis0), len(chart.axis1)
+    samples, kept, _ = _offset_samples(chart, range(n0))
+    step = max(1, _BATCH_BYTES // (5 * 8 * N_DIRECTIONS))
+    for start in range(0, n0 * n1, step):
+        nodes = range(start, min(start + step, n0 * n1))
+        yield nodes, _resampled(chart, samples, kept, nodes)
 
 
 def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
@@ -256,26 +333,25 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     derivative.  Nodes where the metric derivative degenerates
     to a seminorm contribute zero, matching the seminorm convention.
 
-    The parameter rows go in blocks of whole rows of about ``_BLOCK``
-    nodes (at least one row).  Each row keeps its own offset rule, the
-    rows of a block that keep the same offsets are resampled together,
-    and the live nodes of a block go through one ``jacobians`` call, so
-    the temporaries stay the size of one block and each node gets the
-    value ``jacobian`` gives its norm; the weighted Jacobians are added
-    node by node in row-major order."""
+    The nodes go in the row-major batches of ``_node_batches``, and
+    the live nodes of a batch go through one ``jacobians`` call, so
+    the temporaries stay the size of one batch: five
+    ``N_DIRECTIONS``-float arrays per node (2.5 KB) in the resampling,
+    and about 2 KB per node in the Jacobians of the cone's balls,
+    next to the ``len(_OFFSETS)`` offset samples per node of the whole
+    chart.  Each node gets the value ``jacobian`` gives its norm, and
+    the weighted Jacobians are added node by node in row-major
+    order."""
     w0, w1 = axis_weights(chart.axis0, chart.axis1)
-    n0, n1 = len(chart.axis0), len(chart.axis1)
-    step = max(1, _BLOCK // n1)
+    weights = np.outer(w0, w1).ravel()
     totals = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
-    for i in range(0, n0, step):
-        norms, _ = _metric_derivatives(chart, range(n0)[i:i + step])
+    for nodes, norms in _node_batches(chart):
         live = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
         if not len(live):
             continue
-        weights = np.outer(w0[i:i + step], w1).ravel()[live]
         for definition, values in jacobians(norms[live]).items():
             total = totals[definition]
-            for term in (weights * values).tolist():
+            for term in (weights[nodes.start + live] * values).tolist():
                 total += term
             totals[definition] = total
     return totals
@@ -288,8 +364,9 @@ def cone_chart(n_r: int = 48, n_alpha: int = 48,
     rs = np.linspace(0.0, 1.0, n_r)
     alphas = np.arange(n_alpha) * (TWO_PI / n_alpha)
     dist = sphere_point_values(0.0, alphas[:, None], grid.beta_nodes)
-    values = ((PI / 2) * (1.0 - rs)[:, None, None]
-              + rs[:, None, None] * dist[None, :, :])
+    # the constant term added in place: one chart-size array
+    values = rs[:, None, None] * dist[None, :, :]
+    values += (PI / 2) * (1.0 - rs)[:, None, None]
     return SurfaceChart("cone", grid, rs, alphas, values)
 
 

@@ -746,13 +746,9 @@ def test_row_jacobians_equal_the_node_reference_on_charts():
     charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
     counts = []
     for chart in charts:
-        n0, n1 = len(chart.axis0), len(chart.axis1)
-        # the blocks of rows of finsler_mass_table
-        step = max(1, volumes._BLOCK // n1)
-        for i in range(0, n0, step):
-            rows, _ = volumes._metric_derivatives(chart,
-                                                  range(n0)[i:i + step])
-            live = rows[rows.min(axis=1) > 1e-9]
+        # the batches of nodes of finsler_mass_table
+        for _, norms in volumes._node_batches(chart):
+            live = norms[norms.min(axis=1) > 1e-9]
             if len(live):
                 counts += assert_batch_matches_the_node_reference(live)[0]
     # two-vertex cone balls up to the 26-vertex balls of the smooth cap
@@ -793,12 +789,29 @@ def test_batched_jacobians_equal_the_node_reference_on_stacked_norms():
     assert counts == [64, 64]
 
 
+def test_jacobians_do_not_depend_on_the_memory_layout():
+    # the hull's first pass runs on the flat arrays of x and y, which
+    # must be the rows of the norms whatever their layout
+    norms = np.stack([random_norm(seed, 64).unit_norms for seed in range(9)]
+                     + [Norm2D.l1(64).unit_norms])
+    want = jacobians(norms)
+    wide = np.zeros((10, 128))
+    wide[:, ::2] = norms
+    for layout, rows in ((np.asfortranarray(norms), slice(None)),
+                         (wide[:, ::2], slice(None)),
+                         (norms[::-1], slice(None, None, -1))):
+        got = jacobians(layout)
+        for d in JACOBIAN_DEFINITIONS:
+            assert np.array_equal(got[d][rows], want[d]), d
+
+
 def test_jacobians_of_a_block_stay_below_one_megabyte():
     # 96 nodes, rows 8-11 of the benchmark's cone at Grid(256), and the
     # 64 nodes of row 10 of the smooth 33 x 64 cap, whose balls have up
-    # to 26 vertices: about 7.2 KB of temporaries per node on both, with
-    # no (nodes, K, K) table of pairwise wedges (12.4 KB per node on the
-    # cap with one)
+    # to 26 vertices: 2.2 and 4.5 KB of temporaries per node, numpy's
+    # iteration buffers included, with the hull's passes on half-turns
+    # (7.2 KB on both with full turns), and no (nodes, K, K) table of
+    # pairwise wedges (12.4 KB per node on the cap with one)
     for chart, block, nodes in (
             (volumes.cone_chart(24, 24, Grid(256)), range(8, 12), 96),
             (volumes.cap_chart(0.3, 33, 64, Grid(256)), range(10, 11), 64)):
@@ -810,7 +823,7 @@ def test_jacobians_of_a_block_stay_below_one_megabyte():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.0e6 and peak < 8000 * nodes, (nodes, peak)
+        assert peak < 1.0e6 and peak < 5000 * nodes, (nodes, peak)
 
 
 def test_norm2d_rejects_non_finite_norms():
@@ -917,7 +930,7 @@ def row_reference_mass_table(chart):
 
 def test_block_mass_table_equals_the_row_reference():
     charts = [volumes.cone_chart(n, n, Grid(128))
-              for n in (3, 4, 5, 7, 16, 24, 48)]
+              for n in (3, 4, 5, 7, 16, 20, 24, 48)]
     for n_d, n_tau in ((17, 32), (33, 64)):
         cap = volumes.cap_chart(0.3, n_d, n_tau, Grid(64))
         charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
@@ -928,15 +941,48 @@ def test_block_mass_table_equals_the_row_reference():
     for chart in charts:
         assert volumes.finsler_mass_table(chart) \
             == row_reference_mass_table(chart), chart.values.shape
-    # blocks end mid-chart, and the 3- and 4-row cones keep different
-    # offsets in rows of one block
-    assert any(len(c.axis0) * len(c.axis1) > volumes._BLOCK for c in charts)
+    # batches end mid-row, and the 3- and 4-row cones keep different
+    # offsets in rows of their one batch
+    assert any(nodes.stop % len(c.axis1) for c in charts
+               for nodes, _ in volumes._node_batches(c))
     for n in (3, 4):
         cone = volumes.cone_chart(n, n, Grid(128))
-        assert n * n <= volumes._BLOCK
+        assert len(list(volumes._node_batches(cone))) == 1
         kept = {reference_metric_derivative(cone, (i, 0))[2]
                 for i in range(n)}
         assert len(kept) > 1
+
+
+def test_mass_table_does_not_depend_on_the_batch_budget(monkeypatch):
+    # one row per sup-difference slice and one node per batch, then the
+    # whole chart in one slice and one batch: every mass is the same
+    cap = volumes.cap_chart(0.3, 17, 32, Grid(128))
+    charts = [volumes.cone_chart(24, 24, Grid(128)), cap,
+              volumes.perturbed_cap_chart(cap, bump_seed=4)]
+    want = [volumes.finsler_mass_table(chart) for chart in charts]
+    for budget in (1, 1 << 40):
+        monkeypatch.setattr(volumes, "_BATCH_BYTES", budget)
+        for chart, table in zip(charts, want):
+            nodes = len(chart.axis0) * len(chart.axis1)
+            batches = len(list(volumes._node_batches(chart)))
+            assert batches == (nodes if budget == 1 else 1)
+            assert volumes.finsler_mass_table(chart) == table
+
+
+def test_mass_table_memory_at_the_benchmark_size():
+    # the 24 x 24 cone on Grid(256) of the benchmark's cone table: a
+    # traced peak of 0.828 MB in batches of 192 nodes and 10-row
+    # sup-difference slices (numpy 2.4); the bound is the peak of the
+    # blocks of whole rows of 96 nodes they replaced, 0.862 MB
+    chart = volumes.cone_chart(24, 24, Grid(256))
+    volumes.finsler_mass_table(chart)
+    tracemalloc.start()
+    try:
+        volumes.finsler_mass_table(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.86e6, peak
 
 
 def reference_surface_integral(chart):
