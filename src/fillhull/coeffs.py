@@ -35,11 +35,13 @@ of ``e`` give, on the strict upper triangle,
 ``U_j`` the sum of ``u_k`` over ``k > j``, a reverse cumulative sum;
 ``b PW`` is the same with ``S^T`` and ``C^T``.  This expansion cannot
 clamp ``e``; a negative ``e`` there is rounding (about -1e-11 at most).
-``WeightedTable`` applies it to a stack of functions for Psi, the path
-action and the l1 norm, the far gaps by FFT (``GapOperator``), and
-``DenseTables`` to many functions for the surface integral, every gap
-by matrix products with column blocks of the nonzero triangle of
-``S^T`` and ``C^T``, built once per grid (``dense_tables``).  These
+``WeightedTable`` applies it to a stack of functions for Psi and its
+gradient (``comass._Workspace.evaluate``, which takes ``PW b`` and ``b
+PW`` in one call), the path action and the l1 norm, the far gaps by FFT
+(``GapOperator``), and ``DenseTables`` to many functions for the
+surface integral, every gap by matrix products with column blocks of
+the nonzero triangle of ``S^T`` and ``C^T``, built once per grid
+(``dense_tables``).  These
 two and ``q_band`` take their trig factors from ``_half_angle_factors``;
 the references ``p_grid``, ``p_scalar``, ``p_derivatives`` and
 ``_e_values`` take their own, so that they stay independent.

@@ -59,8 +59,9 @@ Independent problems on one grid ascend as a stack (``_maximize``): one
 ``_Workspace`` holds the tables of all of them, and ``_ascend`` runs
 them in lockstep.  Each problem keeps its own step, nonmonotone
 memory, line-search trial, iteration count and termination.  The array
-work of a step (trig rows, band-pass, projection, table products) is
-one pass over the whole stack, and a problem that ends leaves it: its
+work of a step (band-pass, projection, and ``_Workspace.evaluate``,
+which values every trial with its gradient from one set of trig rows)
+is one pass over the whole stack, and a problem that ends leaves it: its
 rows leave the ascent's arrays and the workspace (``_Workspace.keep``)
 before the next table product.  A reduction over a row is the 1-D
 reduction of that row:
@@ -146,7 +147,9 @@ class _Workspace:
     which ``pathspace.competitor_rows`` forms from the phases held
     here.  So every sum over the weighted table ``PW`` is a product of
     ``PW`` or its transpose with a few n-vectors:
-    ``coeffs.WeightedTable``, which holds no n x n array.
+    ``coeffs.WeightedTable``, which holds no n x n array.  ``evaluate``
+    gives Psi and its gradient in one call, ``quadform`` the second
+    derivative along a direction.
 
     Every method takes fields ``eta`` as an ``(m, n)`` array, row ``i``
     for problem ``i``.
@@ -166,23 +169,15 @@ class _Workspace:
         self.nu_beta = compact(self.nu_beta, rows)
         self.nu_alpha = compact(self.nu_alpha, rows)
 
-    def value_rows(self, eta: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Psi of each problem and the rows ``(B, A, R)`` it is summed
-        from: the trig rows and the product ``R = PW @ B``.  The gradient
-        at the same ``eta`` can take them instead of forming them
-        again."""
+    def evaluate(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Psi of each problem and its gradient in the mean-zero gauge:
+        one set of trig rows, and ``PW`` applied to ``B`` and from the
+        left to ``A``."""
         B, A = competitor_rows(self.nu_beta, self.nu_alpha, eta)
         R = self.table(B)                  # (PW cos tb, PW sin tb)
         # row j of the triangle rule is sum_k PW_jk sin(tb_k - ta_j):
         # cos ta . PW sin tb - sin ta . PW cos tb
         cross = _dots(A, R[:, ::-1])
-        return cross[:, 0] - cross[:, 1], (B, A, R)
-
-    def gradient(self, eta: np.ndarray, rows: tuple | None = None
-                 ) -> np.ndarray:
-        """Gradients in the mean-zero gauge; ``rows`` are
-        ``value_rows``'s at the same ``eta``, if the caller has them."""
-        B, A, R = rows if rows is not None else self.value_rows(eta)[1]
         # column and row sums of PW_jk cos(tb_k - ta_j)
         T = self.table.transposed(A)
         g = B[:, 0] * T[:, 0] + B[:, 1] * T[:, 1]   # d / d eta_k
@@ -192,7 +187,7 @@ class _Workspace:
         g[:, 0] -= 0.5 * mid[:, -1]
         # a sum along rows is the 1-D pairwise sum of each row
         g -= g.sum(axis=1, keepdims=True) / g.shape[1]
-        return g
+        return cross[:, 0] - cross[:, 1], g
 
     def quadform(self, eta: np.ndarray, v: np.ndarray) -> list:
         """Second derivative of Psi along each row of ``v`` (negative in
@@ -219,7 +214,7 @@ def psi(p: SpherePoint, f: HullFn, eta: AngleField) -> float:
 def psi_gradient(p: SpherePoint, f: HullFn, eta: AngleField) -> AngleField:
     """Exact gradient of the discrete functional in the mean-zero gauge."""
     ws = _Workspace([p], [f])
-    return AngleField(eta.grid, ws.gradient(eta.values[None])[0])
+    return AngleField(eta.grid, ws.evaluate(eta.values[None])[1][0])
 
 
 def _project(v: np.ndarray, cap: float) -> np.ndarray:
@@ -286,7 +281,7 @@ class _Run:
         self.iters = 0
         self.grad_norm = self.resolution = 0.0
         self.fell = False
-        # its gradient at the current field is taken next
+        # its direction at the current field is taken next
         self.fresh = True
         self.termination = None
 
@@ -340,20 +335,19 @@ class _Run:
 
 def _ascend(ws: _Workspace) -> list[tuple]:
     """Ascents of every problem of ``ws`` from ``eta = 0``, in lockstep:
-    ``(eta, value, diagnostics)`` per problem.  A round takes the
-    gradient of the stack when a problem has just accepted a field, then
-    one line-search trial of every problem.  A problem that has ended
-    leaves the arrays and ``ws`` before the trials are valued, so ``ws``
-    is left with none."""
+    ``(eta, value, diagnostics)`` per problem.  A round takes a new
+    direction when a problem has just accepted a field, then values one
+    line-search trial of every problem with its gradient.  A problem
+    that has ended leaves the arrays and ``ws`` before the trials are
+    valued, so ``ws`` is left with none."""
     count, n = ws.nu_beta.shape
     cap = OptimizerConfig.eta_cap
     band = max(8, n // 8)
 
     eta = np.zeros((count, n))
-    # B, A and R are the trig rows and PW @ B at each current eta, from
-    # the value that accepted it; the next gradient is taken at the same
-    # field and reuses them
-    val, (B, A, R) = ws.value_rows(eta)
+    # g is the gradient at each current eta, from the evaluation that
+    # accepted it
+    val, g = ws.evaluate(eta)
     runs = [_Run(p, p_first, v) for p, (p_first, v)
             in enumerate(zip(ws.table.p_first, val.tolist()))]
     # the search direction, and the change of eta of the last trial
@@ -361,12 +355,10 @@ def _ascend(ws: _Workspace) -> list[tuple]:
     results = [None] * count
     while True:
         if any(run.fresh for run in runs):
-            # a problem that has not moved gets the same gradient and
-            # direction again, bit for bit
-            g = ws.gradient(eta, (B, A, R))
             # band limited inside the cap; on it, where clipping brings
             # the grid-scale modes back, the full gradient keeps every
-            # step an ascent
+            # step an ascent.  A problem that has not moved gets the same
+            # direction again, bit for bit
             d_prev, d = d, _bandpass(g, band)
             on_cap = np.abs(eta).max(axis=1) >= cap
             d[on_cap] = g[on_cap]
@@ -399,17 +391,16 @@ def _ascend(ws: _Workspace) -> list[tuple]:
             if not runs:
                 break
             ws.keep(running)
-            eta, B, A, R, g, d, cand, de, rise = (
-                x[running] for x in (eta, B, A, R, g, d, cand, de, rise))
-        cand_val, (Bc, Ac, Rc) = ws.value_rows(cand)
+            eta, g, d, cand, de, rise = (
+                x[running] for x in (eta, g, d, cand, de, rise))
+        cand_val, cand_g = ws.evaluate(cand)
         moved = [run.accepts(r, v) for run, r, v in zip(
             runs, rise.tolist(), cand_val.tolist())]
         if not all(moved):
-            # a problem that did not move keeps its field and rows
+            # a problem that did not move keeps its field and gradient
             back = np.logical_not(moved)
-            cand[back], Bc[back], Ac[back], Rc[back] = (
-                eta[back], B[back], A[back], R[back])
-        eta, B, A, R = cand, Bc, Ac, Rc
+            cand[back], cand_g[back] = eta[back], g[back]
+        eta, g = cand, cand_g
     return results
 
 

@@ -105,7 +105,11 @@ _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
 # sup-difference buffer of a slice of rows (at least one), and the five
 # ``N_DIRECTIONS``-float arrays per node of a batch of nodes being
 # resampled (at least one); the benchmark's 24 x 24 cone on Grid(256)
-# goes in 10-row slices and 192-node batches
+# goes in 10-row slices and 192-node batches.  A batch is cut for
+# those 2.5 KB per node, but its Jacobians take 2.1 KB per node on the
+# cone's balls and 5.4 KB on a smooth cap's (``norms._hull_polygons``,
+# traced): the mass table of the 33 x 64 cap peaks at 1.67 MB, the
+# cone's at 0.83 MB
 _BATCH_BYTES = 480 << 10
 
 
@@ -336,12 +340,12 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     The nodes go in the row-major batches of ``_node_batches``, and
     the live nodes of a batch go through one ``jacobians`` call, so
     the temporaries stay the size of one batch: five
-    ``N_DIRECTIONS``-float arrays per node (2.5 KB) in the resampling,
-    and about 2 KB per node in the Jacobians of the cone's balls,
+    ``N_DIRECTIONS``-float arrays per node (2.5 KB, which the batch
+    size assumes) in the resampling, and in ``norms._hull_polygons``
+    2.1 KB per node on the cone's balls but 5.4 KB on a smooth cap's,
     next to the ``len(_OFFSETS)`` offset samples per node of the whole
     chart.  Each node gets the value ``jacobian`` gives its norm, and
-    the weighted Jacobians are added node by node in row-major
-    order."""
+    the weighted Jacobians are added node by node in row-major order."""
     w0, w1 = axis_weights(chart.axis0, chart.axis1)
     weights = np.outer(w0, w1).ravel()
     totals = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)

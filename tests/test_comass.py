@@ -8,7 +8,7 @@ from fillhull import comass, hull
 from fillhull.coeffs import WeightedTable, gradient_near_gaps, p_grid
 from fillhull.comass import OptimizerConfig
 from fillhull.hull import SpherePoint
-from fillhull.pathspace import AngleField
+from fillhull.pathspace import AngleField, competitor_rows
 from fillhull.quadrature import Grid, integrate_triangle, midnodes
 
 from conftest import boundary_point, zero_field
@@ -32,12 +32,10 @@ def workspace(h, f):
     return comass._Workspace([h], [f])
 
 
-def value(ws, eta):
-    return ws.value_rows(eta.values[None])[0][0]
-
-
-def gradient(ws, eta, rows=None):
-    return ws.gradient(eta.values[None], rows)[0]
+def evaluate(ws, eta):
+    """Psi and its gradient at ``eta`` of the one problem of ``ws``."""
+    val, g = ws.evaluate(eta.values[None])
+    return val[0], g[0]
 
 
 def quadform(ws, eta, v):
@@ -308,7 +306,7 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
            "interior": _capped_field(grid, rng, 0.3 * cap),
            "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
     v = _capped_field(grid, rng, 0.3)
-    psi, g, q = value(ws, eta), gradient(ws, eta), quadform(ws, eta, v)
+    (psi, g), q = evaluate(ws, eta), quadform(ws, eta, v)
     ref_value, ref_g, ref_q = _dense_reference(ws, f, eta, v)
     assert psi == pytest.approx(ref_value, rel=1e-13)
     assert q == pytest.approx(ref_q, rel=1e-12)
@@ -320,8 +318,9 @@ def test_workspace_matches_the_dense_reference(n, point, eta_kind):
     else:
         scale = np.abs(ref_g).max()
     assert np.abs(g - ref_g).max() <= 1e-13 * scale
-    assert value(ws, eta) == psi
-    assert np.array_equal(gradient(ws, eta), g)
+    psi2, g2 = evaluate(ws, eta)
+    assert psi2 == psi
+    assert np.array_equal(g2, g)
     assert quadform(ws, eta, v) == q
 
 
@@ -340,61 +339,33 @@ def test_streamed_psi_matches_the_workspace_value(n, point):
                 _capped_field(grid, rng, OptimizerConfig().eta_cap)):
         # the same weighted entries, summed block by block: measured
         # within 1.5e-16
-        assert comass.psi(h, f, eta) == pytest.approx(value(ws, eta),
+        assert comass.psi(h, f, eta) == pytest.approx(evaluate(ws, eta)[0],
                                                       rel=1e-14)
 
 
-def test_gradient_from_the_value_product_is_bit_identical():
-    f = hull.random_hull_point(3, 0.4, 0.3, GRID)
+@pytest.mark.parametrize("n", [64, 512, 1024])
+@pytest.mark.parametrize("eta_kind", ["zero", "interior", "at_cap"])
+def test_evaluate_equals_the_separately_formed_products(n, eta_kind):
+    # Psi and its gradient from one call are, bit for bit, those summed
+    # from a product with PW and one with its transpose formed apart
+    grid = Grid(n)
+    f = hull.random_hull_point(3, 0.4, 0.3, grid)
     _, h = hull.dist_to_hemisphere(f)
     ws = workspace(h, f)
-    rng = np.random.default_rng(5)
-    fields = [zero_field(GRID)] + [
-        _capped_field(GRID, rng, amp)
-        for amp in (0.05, OptimizerConfig().eta_cap)]
-    for eta in fields:
-        psi, rows = ws.value_rows(eta.values[None])
-        assert psi[0] == value(ws, eta)
-        assert np.array_equal(gradient(ws, eta, rows), gradient(ws, eta))
-
-
-def test_ascent_reusing_the_value_product_is_bit_identical(monkeypatch):
-    # every value and gradient of the run, not only its result, matches a
-    # run whose gradients form their trig columns and PW @ B afresh
-    f = hull.random_hull_point(3, 0.25, 0.3, GRID)
-    _, h = hull.dist_to_hemisphere(f)
-    value_rows = comass._Workspace.value_rows
-    gradient = comass._Workspace.gradient
-
-    def run(reuse):
-        calls = []
-
-        def traced_value_rows(self, eta):
-            out = value_rows(self, eta)
-            calls.append(("value", out[0]))
-            return out
-
-        def traced_gradient(self, eta, rows=None):
-            if not reuse:   # the rows at eta, formed afresh and untraced
-                rows = value_rows(self, eta)[1]
-            g = gradient(self, eta, rows)
-            calls.append(("gradient", g))
-            return g
-
-        monkeypatch.setattr(comass._Workspace, "value_rows",
-                            traced_value_rows)
-        monkeypatch.setattr(comass._Workspace, "gradient", traced_gradient)
-        return comass.maximize_eta(h, f), calls
-
-    (eta, val, diag), calls = run(reuse=True)
-    (eta2, val2, diag2), calls2 = run(reuse=False)
-    assert diag["iterations"] > 5
-    assert np.array_equal(eta.values, eta2.values)
-    assert (val, diag) == (val2, diag2)
-    assert len(calls) == len(calls2)
-    for (kind, x), (kind2, x2) in zip(calls, calls2):
-        assert kind == kind2
-        assert np.array_equal(x, x2)
+    rng = np.random.default_rng(n)
+    cap = OptimizerConfig().eta_cap
+    eta = {"zero": zero_field(grid),
+           "interior": _capped_field(grid, rng, 0.3 * cap),
+           "at_cap": _capped_field(grid, rng, cap)}[eta_kind]
+    (B,), (A,) = competitor_rows(ws.nu_beta, ws.nu_alpha, eta.values[None])
+    (R,), (T,) = ws.table(B[None]), ws.table.transposed(A[None])
+    psi = A[0] @ R[1] - A[1] @ R[0]
+    mid = A[0] * R[0] + A[1] * R[1]
+    g = B[0] * T[0] + B[1] * T[1] - 0.5 * mid - 0.5 * np.roll(mid, 1)
+    g -= g.sum() / n
+    val, grad = evaluate(ws, eta)
+    assert val == psi
+    assert np.array_equal(grad, g)
 
 
 CAP = OptimizerConfig.eta_cap
@@ -498,17 +469,17 @@ def test_problems_that_end_apart_get_their_results_alone(
 
 def test_problems_that_backtrack_apart_get_their_results_alone(
         monkeypatch):
-    # past its 3 + 2i-th value call, every value of problem i falls by
+    # past its 3 + 2i-th evaluation, every value of problem i falls by
     # 1e-3 more than the one before.  Keyed on counts of calls, which
     # rounding cannot move, the problems of a stack reject trials from
-    # different rounds on, and the ones that did not move take gradients
-    # with the ones that did
+    # different rounds on, and the ones that did not move keep their
+    # gradients while the ones that did take new ones
     problems = toward(SpherePoint(0.0, 0.7), Grid(128), (0, 1, 2, 3, 5, 7),
                       0.2)
     index = {id(f): i for i, (_, f) in enumerate(problems)}
     Workspace = comass._Workspace
-    init, keep, value_rows = (Workspace.__init__, Workspace.keep,
-                              Workspace.value_rows)
+    init, keep, evaluate = (Workspace.__init__, Workspace.keep,
+                            Workspace.evaluate)
 
     def counting(self, points, fns):
         init(self, points, fns)
@@ -520,13 +491,13 @@ def test_problems_that_backtrack_apart_get_their_results_alone(
         self.start, self.calls = self.start[rows], self.calls[rows]
 
     def falling(self, eta):
-        val, rows = value_rows(self, eta)
+        val, g = evaluate(self, eta)
         self.calls += 1
-        return val - 1e-3 * np.maximum(self.calls - self.start, 0), rows
+        return val - 1e-3 * np.maximum(self.calls - self.start, 0), g
 
     monkeypatch.setattr(Workspace, "__init__", counting)
     monkeypatch.setattr(Workspace, "keep", kept)
-    monkeypatch.setattr(Workspace, "value_rows", falling)
+    monkeypatch.setattr(Workspace, "evaluate", falling)
     assert "line_search_stall" in stacked_as_alone(problems)
 
 
@@ -548,14 +519,14 @@ def test_ascent_stops_at_the_iteration_limit(monkeypatch):
 
 def test_ascent_on_a_falling_value_stalls(monkeypatch):
     # every candidate falls by more than rounding: no step is accepted
-    value_rows = comass._Workspace.value_rows
+    evaluate = comass._Workspace.evaluate
     drops = iter(range(10 ** 6))
 
     def falling(self, eta):
-        val, rows = value_rows(self, eta)
-        return val - next(drops), rows
+        val, g = evaluate(self, eta)
+        return val - next(drops), g
 
-    monkeypatch.setattr(comass._Workspace, "value_rows", falling)
+    monkeypatch.setattr(comass._Workspace, "evaluate", falling)
     _, _, diag = comass.maximize_eta(*_capped_problem())
     assert diag["termination"] == "line_search_stall"
     assert diag["iterations"] == 0 and not diag["converged"]
@@ -587,10 +558,10 @@ def test_psi_and_the_workspace_hold_no_n_by_n_table():
     f = hull.random_hull_point(3, 0.4, 0.3, grid)
     _, h = hull.dist_to_hemisphere(f)
     eta = zero_field(grid)
-    gradient(workspace(h, f), eta)     # the per-grid caches
+    evaluate(workspace(h, f), eta)     # the per-grid caches
     comass.psi(h, f, eta)
     for run, limit in ((lambda: comass.psi(h, f, eta), 1e6),
-                       (lambda: gradient(workspace(h, f), eta), 1.2e7)):
+                       (lambda: evaluate(workspace(h, f), eta), 1.2e7)):
         tracemalloc.start()
         try:
             run()

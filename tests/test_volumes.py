@@ -985,6 +985,23 @@ def test_mass_table_memory_at_the_benchmark_size():
     assert peak <= 0.86e6, peak
 
 
+def test_mass_table_memory_on_a_smooth_cap():
+    # the 33 x 64 cap on Grid(256): its balls hold 5.4 KB per node in
+    # the hull's passes, against the 2.1 KB of the cone's, so a batch of
+    # 192 nodes outgrows the 2.5 KB per node that _BATCH_BYTES is cut
+    # for.  The traced peak is 1.672 MB (numpy 2.4); the bound is that
+    # peak plus 5%
+    chart = volumes.cap_chart(0.3, 33, 64, Grid(256))
+    volumes.finsler_mass_table(chart)
+    tracemalloc.start()
+    try:
+        volumes.finsler_mass_table(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75e6, peak
+
+
 def reference_surface_integral(chart):
     """Per-node coefficient table, explicit cross table and the triangle
     rule: the surface integral written out term by term."""
