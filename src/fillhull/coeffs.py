@@ -20,8 +20,8 @@ On a grid the gap of the table entry ``(alpha_j, beta_k)`` is ``a =
 depends only on ``k - j``, so the per-grid tables are cached vectors
 over its 2n - 1 values, read as n x n Toeplitz views: ``cos a`` and
 ``sin^2 a`` (``gap_vectors``), and ``S = 1 / sin^2 a`` and ``C = cos a
-/ sin^2 a`` (``gap_kernels``).  ``p_grid`` forms the dense table,
-clamped at zero on the strict upper triangle; it is a reference, which
+/ sin^2 a`` (``gap_kernels``).  ``p_grid`` is the dense table,
+clamped at zero, on the strict upper triangle; it is a reference, which
 only ``check`` and the tests read.
 
 The weighted table is ``PW = p c``, ``c`` the column weights of the
@@ -41,10 +41,16 @@ PW`` in one call), the path action and the l1 norm, the far gaps by FFT
 (``GapOperator``), and ``DenseTables`` to many functions for the
 surface integral, every gap by matrix products with column blocks of
 the nonzero triangle of ``S^T`` and ``C^T``, built once per grid
-(``dense_tables``).  These
-two and ``q_band`` take their trig factors from ``_half_angle_factors``;
-the references ``p_grid``, ``p_scalar``, ``p_derivatives`` and
-``_e_values`` take their own, so that they stay independent.
+(``dense_tables``).  These two and ``q_band`` take their trig factors
+from ``_half_angle_factors``; ``q_band`` and the near entries of
+``WeightedTable`` take ``e`` from ``_e_kernel``.
+
+The references share no arithmetic with those tables.  ``_e_values``
+writes ``e`` out from its own cosines and sines, ``p_scalar`` reads it
+at one triple and ``p_grid`` over the whole n x n table of gaps; none
+of them calls ``_e_kernel``, the gap tables or ``_half_angle_factors``,
+so a fault in one of those shows against them.  ``p_derivatives`` is
+closed form.
 """
 
 from __future__ import annotations
@@ -161,14 +167,12 @@ def gradient_near_gaps(n: int) -> int:
     relative to the product, grows like ``n / K``.  A value of Psi
     stays within 7.5e-15 of the dense sum with ``K = 8`` up to n =
     2048.  Its gradient is a cancellation of such row products and
-    wants more: against the dense products, ``K = n / 10`` puts its
-    error, for the interior field at the hemisphere point, at 0.49,
-    0.51 and 0.79 of its 1e-13 test tolerance at n = 512, 1024 and 2048
-    with the fields of the test's seeds, where ``K = 8`` was 3.8 and 8.1
-    times over at 512 and 1024.  The margin is that of those seeds:
-    over seeds n to n + 7 the same case reaches 1.06 of the tolerance
-    at n = 512 (seed 519) and 1.03 at 1024 (seed 1026).  The test
-    passes at its own seeds.
+    wants more.  Against a long-double table from the same double gaps
+    and values, at n = 512 over the fields of seeds 512 to 519, its
+    worst error relative to ``max |g|`` reads, with ``K = n // 10`` and
+    with ``K = 8``: at the hemisphere point 9.6e-14 and 9.2e-13 (interior
+    fields), 3.2e-14 and 2.9e-13 (fields at the cap); at a random point
+    1.9e-14 and 1.7e-13, 1.8e-14 and 1.2e-13.
     """
     return max(NEAR_GAPS, n // 10)
 
@@ -230,10 +234,10 @@ class WeightedTable:
 
     Where ``sin a`` is small, within ``K`` gaps of either end of the gap
     range (``a`` near 0 on the diagonal band, near pi in the top right
-    corner), the entries are formed one by one, ``e`` clamped at zero:
-    the kernel of ``p_grid`` on the factors ``DenseTables`` reads, so
-    they round as its do.  The far gaps take the expansion of the module
-    docstring through ``GapOperator``; its rounding falls as ``K`` grows
+    corner), the entries are formed one by one by ``_e_kernel``, ``e``
+    clamped at zero, on the factors of ``_half_angle_factors``.  The far
+    gaps take the expansion of the module docstring through
+    ``GapOperator``; its rounding falls as ``K`` grows
     (``gradient_near_gaps``).
 
     A product takes rows for every function of the stack.  The far gaps
@@ -511,9 +515,12 @@ dense_tables = lru_cache(maxsize=8)(DenseTables)
 
 
 def _e_values(a, x, y):
-    """Squared height of the triple; clamped at zero."""
-    sy = np.sin(y)
-    return _e_kernel(*_gap_trig(a), np.cos(x), np.cos(y), sy * sy)
+    """Squared height ``e(a, x, y) = sin^2 y - (cos x - cos a cos y)^2 /
+    sin^2 a`` of the triple, clamped at zero, broadcast over its
+    arguments."""
+    sa, sy = np.sin(a), np.sin(y)
+    d = np.cos(x) - np.cos(a) * np.cos(y)
+    return np.maximum(sy * sy - d * d / (sa * sa), 0.0)
 
 
 def p_scalar(a: float, x: float, y: float) -> float:
@@ -549,34 +556,19 @@ def p_grid(f: HullFn) -> np.ndarray:
     f(beta_k))`` at the gap ``a = (k - j - 1/2) * step`` (rounded once,
     in place of ``beta_k - alpha_j``), with ``e`` clamped at zero, for
     ``k > j``, and zero on and below the diagonal: a reference, which
-    only ``check`` and the tests read.
+    only ``check`` and the tests read.  It is the definition over the
+    whole n x n table, ``_e_values`` over ``sin^2 x sin^2 y``, and shares
+    no arithmetic with the production tables.
 
     ``f`` is read at the midpoint nodes by linear interpolation; the
     two node families are disjoint mod pi so the gap never degenerates.
-    The table is written in blocks of rows of at most 32768 entries, so
-    the kernel's temporaries stay in cache and are reused.
     """
     _check_interior(f)
-    n = f.grid.n
-    x = f.at_midnodes()
-    cx, sx2 = np.cos(x), np.sin(x) ** 2
-    y = f.values
-    cy, sy2 = np.cos(y), np.sin(y) ** 2
-    ca, sa2 = (toeplitz(v, n) for v in gap_vectors(f.grid))
-    p = np.zeros((n, n))
-    rows = max(1, min(n, 32768 // n))
-    # block entry [r, c] is table entry [j + r, j + 1 + c]: above the
-    # diagonal when c >= r, so only the first columns need the mask
-    upper = np.arange(rows)[None, :] >= np.arange(rows)[:, None]
-    for j in range(0, n - 1, rows):
-        block, cols = slice(j, j + rows), slice(j + 1, n)
-        e = _e_kernel(ca[block, cols], sa2[block, cols], cx[block, None],
-                      cy[None, cols], sy2[None, cols],
-                      sx2[block, None] * sy2[None, cols])
-        corner = e[:, :rows]
-        corner *= upper[:corner.shape[0], :corner.shape[1]]
-        p[block, cols] = e
-    return p
+    k = np.arange(f.grid.n)
+    a = (k[None, :] - k[:, None] - 0.5) * f.grid.step
+    x = f.at_midnodes()[:, None]
+    y = f.values[None, :]
+    return np.triu(_e_values(a, x, y) / (np.sin(x) ** 2 * np.sin(y) ** 2), 1)
 
 
 def q_band(f: HullFn) -> np.ndarray:

@@ -9,10 +9,10 @@ produce bit-identical results.
 
 The triangle rule is one set of column weights, ``Grid.triangle_weights``,
 on the strict upper triangle of an ``(alpha_j, beta_k)`` table.
-``integrate_triangle`` masks the triangle in blocks of rows, reduces
-each row against the weights and adds the row values with
-``math.fsum``: a dense reference for ``check`` and the tests.  The
-sums that pair the table with vectors use the same weights directly.
+``integrate_triangle`` masks the triangle, reduces each row against
+the weights and adds the row values with ``math.fsum``: a dense
+reference for ``check`` and the tests.  The sums that pair the table
+with vectors use the same weights directly.
 
 Values on the midpoint nodes come from one rule, ``midnodes``: the
 average of the two neighbouring integer nodes, continued past the half
@@ -136,12 +136,10 @@ def integrate_triangle(values: np.ndarray, grid: Grid) -> float:
     remaining strip ``[pi - step/2, pi]`` is covered by extending the
     weight of the last beta node, which removes the O(1/n) boundary
     error of the naive rule; ``Grid.triangle_weights`` holds the
-    resulting column weights.  In blocks of rows of at most 65536
-    entries, the diagonal and the lower triangle are masked to zero and
-    each row is reduced against the column weights by a matrix-vector
-    product; the row values are then added with ``math.fsum`` (exactly
-    rounded, so independent of their order).  The blocks keep the
-    masked copy small at any ``n``.
+    resulting column weights.  The diagonal and the lower triangle are
+    masked to zero and each row is reduced against the column weights by
+    a matrix-vector product; the row values are then added with
+    ``math.fsum`` (exactly rounded, so independent of their order).
     """
     F = np.asarray(values, dtype=float)
     n = grid.n
@@ -149,12 +147,7 @@ def integrate_triangle(values: np.ndarray, grid: Grid) -> float:
         raise ValueError(f"integrate_triangle requires n >= 8, got {n}")
     if F.shape != (n, n):
         raise ValueError(f"expected values of shape {(n, n)}, got {F.shape}")
-    c = grid.triangle_weights
-    rows = np.empty(n)
-    block = max(1, 65536 // n)
-    for j in range(0, n, block):
-        rows[j:j + block] = np.triu(F[j:j + block], j + 1) @ c
-    return math.fsum(rows)
+    return math.fsum(np.triu(F, 1) @ grid.triangle_weights)
 
 
 def integrate_period(values: np.ndarray, period: float) -> float:

@@ -5,7 +5,8 @@ derivative norm on the parameter plane; integrating the chosen
 Jacobian of that norm (``norms``) gives the Finsler mass of the chart.
 The cone chart over the boundary circle and the polar caps of the
 hemisphere are the worked examples, together with the surface integral
-of the two-form and the shoelace lower-bound loop.  The integral keeps
+of the two-form and the lower-bound loop, whose area is the exact
+``2 s (pi - |s|)`` at the offset ``s``.  The integral keeps
 the tangents, their pairing and the chart quadrature here; its
 coefficient tables and their algebra are ``coeffs.DenseTables``, whose
 kernel blocks ``coeffs.dense_tables`` builds once per grid.

@@ -122,12 +122,41 @@ def _toeplitz_gaps(grid):
 
 
 def test_p_grid_equals_the_elementwise_table():
-    # blocks of n rows below n = 182, of 32768 // n rows above
     for n in (3, 64, 200):
         grid = Grid(n)
         f = hull.random_hull_point(5, 0.4, 0.3, grid)
         want = _elementwise_table(f, _toeplitz_gaps(grid))
         assert np.array_equal(coeffs.p_grid(f), want)
+
+
+def test_references_share_no_production_kernel(monkeypatch):
+    # the dense references keep their own arithmetic: with the kernel,
+    # the gap tables and the trig factors of the production tables each
+    # raising, they give the same numbers
+    f = hull.random_hull_point(2, 0.4, 0.3, GRID)
+    rng = np.random.default_rng(6)
+    cross = rng.normal(size=(GRID.n, GRID.n))
+    triples = rng.uniform(0.1, PI - 0.1, size=(50, 3))
+
+    def references():
+        table = coeffs.p_grid(f)
+        return (table, integrate_triangle(table, GRID),
+                integrate_triangle(table * cross, GRID),
+                [coeffs.p_scalar(*t) for t in triples],
+                coeffs._e_values(*triples.T))
+
+    want = references()
+
+    def production(*args, **kwargs):
+        raise AssertionError("a reference reached the production tables")
+
+    for name in ("_e_kernel", "_gap_trig", "gap_vectors", "toeplitz",
+                 "_half_angle_factors"):
+        monkeypatch.setattr(coeffs, name, production)
+    got = references()
+    assert np.array_equal(got[0], want[0])
+    assert got[1:4] == want[1:4]
+    assert np.array_equal(got[4], want[4])
 
 
 LONG_PI = 4 * np.arctan(np.longdouble(1))
