@@ -65,7 +65,6 @@ class SurfaceChart:
     value is finite.
     """
 
-    name: str
     grid: Grid
     axis0: np.ndarray = field(repr=False)
     axis1: np.ndarray = field(repr=False)
@@ -176,8 +175,13 @@ def _offset_samples(chart: SurfaceChart, rows: range
                 D = [sup_diff(lo, hi, p * s * a, p * s * b, -q * s * a,
                               -q * s * b) / ((p + q) * s * length)
                      for s in range(1, k + 1)]
-                at = slice(lo - rows[0], hi - rows[0])
-                samples[at, :, o] = 2.0 * D[0] - D[1] if k == 2 else D[0]
+                # the Richardson step, or D(t) where the step is at
+                # or below DEGENERATE_NORM: no degeneracy of the chart
+                r = D[-1]
+                if k == 2:
+                    np.subtract(2.0 * D[0], r, out=r)
+                    np.copyto(r, D[0], where=r <= DEGENERATE_NORM)
+                samples[lo - rows[0]:hi - rows[0], :, o] = r
             at = slice(run[0] - rows[0], run[-1] + 1 - rows[0])
             kept[at, o] = True
             flags[at] |= not (k == 2 and p and q)
@@ -227,30 +231,20 @@ def _resample(thetas: np.ndarray, samples: np.ndarray,
     """Complete the ``(nodes, len(_OFFSETS))`` samples, of which the
     nodes keep the columns ``cols``, to the ``(nodes, N_DIRECTIONS)``
     norms, vectorized over the nodes; ``thetas`` are the angles of the
-    offsets.  A node with a vanishing sample is a seminorm; its sampled
-    values are interpolated directly, as ``np.interp`` does on each
-    such node, and downstream Jacobians treat it as zero area.  The
-    other nodes get the polygon through their sampled unit-ball
-    boundary points (``_polygon_norms``)."""
+    offsets.  A node whose least kept sample, after the Richardson
+    fallback of ``_offset_samples``, is at most ``DEGENERATE_NORM`` is
+    degenerate: it gets a zero row, which every Jacobian reads as zero
+    area.  The other nodes get the polygon through their sampled
+    unit-ball boundary points (``_polygon_norms``)."""
     cols = np.asarray(cols)
     cols = cols[np.argsort(thetas[cols])]
     thetas = thetas[cols]
     norms = np.take(samples, cols, axis=1)
-    seminorm = norms.min(axis=1) < 1e-12
-    if not seminorm.any():
+    live = norms.min(axis=1) > DEGENERATE_NORM
+    if live.all():
         return _polygon_norms(thetas, norms)
-    target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
-    out = np.empty((len(samples), N_DIRECTIONS))
-    # np.interp's chord from the last angle at or below the target; the
-    # angles start at 0, along the offset (1, 0) every row keeps
-    ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + TWO_PI]])
-    semi = norms[seminorm]
-    ext_n = np.concatenate([semi, semi, semi[:, :1]], axis=1)
-    i = np.searchsorted(ext_t, target, side="right") - 1
-    slope = (ext_n[:, i + 1] - ext_n[:, i]) / (ext_t[i + 1] - ext_t[i])
-    out[seminorm] = slope * (target - ext_t[i]) + ext_n[:, i]
-    if not seminorm.all():
-        out[~seminorm] = _polygon_norms(thetas, norms[~seminorm])
+    out = np.zeros((len(samples), N_DIRECTIONS))
+    out[live] = _polygon_norms(thetas, norms[live])
     return out
 
 
@@ -260,7 +254,8 @@ def _polygon_norms(thetas: np.ndarray, norms: np.ndarray) -> np.ndarray:
     positive ``norms`` at the increasing angles ``thetas``: the chord
     from point ``k`` of the full turn to point ``k + 1``, where point
     ``i`` has the direction ``full_t[i]`` and the norm of sample ``i
-    mod k``.  Five ``(nodes, N_DIRECTIONS)`` arrays, reused in place."""
+    mod k``; every ray between two points crosses their chord.  Five
+    ``(nodes, N_DIRECTIONS)`` arrays, reused in place."""
     target = np.arange(N_DIRECTIONS) * (PI / N_DIRECTIONS)
     full_t = np.concatenate([thetas, thetas + PI])
     k = np.searchsorted(full_t, target, side="right") - 1
@@ -278,9 +273,7 @@ def _polygon_norms(thetas: np.ndarray, norms: np.ndarray) -> np.ndarray:
     dy *= np.cos(target)
     dx *= np.sin(target)
     den = np.subtract(dy, dx, out=dy)
-    den[~(np.abs(den, out=p1) > 1e-15)] = 1e-15
     rho = np.divide(num, den, out=num)
-    np.maximum(rho, 1e-15, out=rho)
     return np.divide(1.0, rho, out=rho)
 
 
@@ -300,8 +293,11 @@ def metric_derivative(chart: SurfaceChart,
     plain one-sided difference, all flagged; an offset with no
     neighbour on either side is dropped.  The chart is polar, so only
     the radial axis 0 has ends: the rule, and so the one-sided flag,
-    is the same for every node of a row.  The sampled directions are
-    completed to a full norm by the polygon through the sampled
+    is the same for every node of a row.  A Richardson step at or
+    below ``DEGENERATE_NORM`` falls back to ``D(t)``.  A node whose
+    least sample is still at most ``DEGENERATE_NORM`` is degenerate:
+    its norm is zero, and its ``jacobian`` raises.  Every other node
+    is completed to a full norm by the polygon through the sampled
     unit-ball boundary points, which is exact for the polygonal balls
     these charts produce and second order accurate for smooth ones.
     The whole row of the node is computed by the code
@@ -335,8 +331,9 @@ def _node_batches(chart: SurfaceChart) -> Iterator[tuple[range,
 def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     """Finsler masses of the chart for every volume definition in one
     pass: parameter quadrature of the volume Jacobians of the metric
-    derivative.  Nodes where the metric derivative degenerates
-    to a seminorm contribute zero, matching the seminorm convention.
+    derivative.  A degenerate node, whose least offset sample after
+    the Richardson fallback is at most ``DEGENERATE_NORM``
+    (``metric_derivative``), adds zero to every mass.
 
     The nodes go in the row-major batches of ``_node_batches``, and
     the live nodes of a batch go through one ``jacobians`` call, so
@@ -372,7 +369,7 @@ def cone_chart(n_r: int = 48, n_alpha: int = 48,
     # the constant term added in place: one chart-size array
     values = rs[:, None, None] * dist[None, :, :]
     values += (PI / 2) * (1.0 - rs)[:, None, None]
-    return SurfaceChart("cone", grid, rs, alphas, values)
+    return SurfaceChart(grid, rs, alphas, values)
 
 
 def cap_chart(r: float = 0.3, n_d: int = 33, n_tau: int = 64,
@@ -386,7 +383,7 @@ def cap_chart(r: float = 0.3, n_d: int = 33, n_tau: int = 64,
     taus = np.arange(n_tau) * (TWO_PI / n_tau)
     values = sphere_point_values(ds[:, None, None], taus[:, None],
                                  grid.beta_nodes)
-    return SurfaceChart("cap", grid, ds, taus, values)
+    return SurfaceChart(grid, ds, taus, values)
 
 
 def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
@@ -403,8 +400,7 @@ def perturbed_cap_chart(cap: SurfaceChart, bump_seed: int,
     bump = amplitude * np.sin(PI * s) ** 2
     values = ((1.0 - bump)[:, None, None] * cap.values
               + bump[:, None, None] * target.values[None, None, :])
-    return SurfaceChart("perturbed cap", cap.grid, cap.axis0, cap.axis1,
-                        values)
+    return SurfaceChart(cap.grid, cap.axis0, cap.axis1, values)
 
 
 def omega_surface_integral(chart: SurfaceChart) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -368,8 +369,19 @@ def test_check_catches_a_coefficient_sign_bug(monkeypatch, capsys):
 def test_check_catches_a_trig_factor_sign_bug(monkeypatch, capsys):
     # the production tables' cos y factor negated: the weighted table
     # of Psi and the path action and the surface integral's dense
-    # tables read it, so the Psi and Stokes lines fail, while the
-    # reference table of the consistency line keeps its own trig
+    # tables read it, while the reference table of the consistency line
+    # keeps its own trig.  Each line is asserted by what the bug does to
+    # its numbers, not by which lines cross their bounds
+    def checks():
+        # per line: whether it passed, and the numbers of its detail
+        code, out = run(capsys, "check", "--fast")
+        number = r"-?\d+\.?\d*(?:e[-+]?\d+)?"
+        return code, {
+            c["name"]: (c["passed"],
+                        [float(x) for x in re.findall(number, c["detail"])])
+            for c in json.loads(out)["results"]["checks"]}
+
+    _, clean = checks()
     true_factors = cli.coeffs._half_angle_factors
 
     def flipped(y):
@@ -377,12 +389,19 @@ def test_check_catches_a_trig_factor_sign_bug(monkeypatch, capsys):
         return (-cy, *rest)
 
     monkeypatch.setattr(cli.coeffs, "_half_angle_factors", flipped)
-    code, out = run(capsys, "check", "--fast")
+    code, bad = checks()
     assert code != 0
-    failed = {c["name"] for c in json.loads(out)["results"]["checks"]
-              if not c["passed"]}
-    assert failed == {"psi equals path action", "psi gradient",
-                      "Stokes exactness"}
+    # Psi against the reference path action: a gap of 38.8, bound 1e-9
+    passed, (gap,) = bad["psi equals path action"]
+    assert not passed and gap > 1.0
+    # the relative Stokes gap 0.0218, 4.4 times its bound 5e-3
+    passed, (_, _, gap) = bad["Stokes exactness"]
+    assert not passed and gap > 2 * 5e-3
+    # the analytic Psi gradient moves from -0.0036 to 0.132, whether or
+    # not the finite difference follows it
+    analytic = bad["psi gradient"][1][1]
+    assert abs(analytic - clean["psi gradient"][1][1]) > 0.05
+    assert bad["coefficient table consistency"][0]
 
 
 def test_cli_import_leaves_scipy_out():

@@ -386,7 +386,7 @@ def test_jacobian_rejects_unknown_definition():
 def test_surface_chart_validates_value_shape():
     grid = Grid(64)
     with pytest.raises(ValueError):
-        SurfaceChart("bad", grid, np.linspace(0, 1, 4),
+        SurfaceChart(grid, np.linspace(0, 1, 4),
                      np.linspace(0, 1, 5), np.zeros((4, 5, grid.n + 1)))
 
 
@@ -398,7 +398,7 @@ def test_surface_chart_rejects_a_one_node_or_non_increasing_axis():
                          (np.linspace(0, 1, 4), np.linspace(1, 0, 5))):
         with pytest.raises(ValueError, match="at least two nodes and a "
                            "positive step"):
-            SurfaceChart("bad", grid, axis0, axis1,
+            SurfaceChart(grid, axis0, axis1,
                          np.ones((len(axis0), len(axis1), grid.n)))
     # a one-node radial axis has no step
     with pytest.raises(ValueError, match="axis 0"):
@@ -419,10 +419,10 @@ def test_surface_chart_rejects_uneven_steps_and_a_partial_turn():
             # 2 pi repeats the node at 0
             (np.linspace(0, 1, 4), np.linspace(0, 2 * PI, 5), "one turn")):
         with pytest.raises(ValueError, match=message):
-            SurfaceChart("bad", grid, axis0, axis1,
+            SurfaceChart(grid, axis0, axis1,
                          np.ones((len(axis0), len(axis1), grid.n)))
     # rounding in the steps of linspace and arange is accepted
-    SurfaceChart("ok", grid, np.linspace(0.3, PI / 2, 33), turn,
+    SurfaceChart(grid, np.linspace(0.3, PI / 2, 33), turn,
                  np.ones((33, 5, grid.n)))
 
 
@@ -447,17 +447,21 @@ def test_metric_derivative_flags_boundary_nodes():
 
 def test_metric_derivative_degenerates_at_the_cone_tip():
     # at r = 0 the chart is constant along alpha, so the metric
-    # derivative is a seminorm and the Jacobians treat it as zero area
+    # derivative is degenerate: zero, with no area
     chart = volumes.cone_chart(17, 16, Grid(64))
     nm, _ = volumes.metric_derivative(chart, (0, 0))
-    assert nm.unit_norms.min() < 1e-6
+    assert not nm.unit_norms.any()
     with pytest.raises(DegenerateNormError):
         volumes.jacobian(nm, "mass")
 
 
 def reference_metric_derivative(chart, node, m=64):
     """The metric derivative one node at a time: every offset through
-    its own small differences, then the node resampled on its own."""
+    its own small differences, then the node resampled on its own.  A
+    Richardson step at or below ``DEGENERATE_NORM`` falls back to the
+    plain difference; a node whose least sample is still at or below
+    it is degenerate, with zero norms.  Returns the norm, whether a
+    sample is flagged, the number of samples and of fallbacks."""
     i0, j0 = node
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
@@ -482,11 +486,19 @@ def reference_metric_derivative(chart, node, m=64):
             return float(np.abs(at(s * k * a, s * k * b)
                                 - center).max()) / (k * length)
 
+        def richardson(d1, d2):
+            nonlocal fallbacks
+            step = 2.0 * d1 - d2
+            if step > volumes.DEGENERATE_NORM:
+                return step
+            fallbacks += 1
+            return d1
+
         if in_range(2 * a) and in_range(-2 * a):
-            return 2.0 * central(1) - central(2), False
+            return richardson(central(1), central(2)), False
         for s in (1, -1):
             if in_range(2 * s * a):
-                return 2.0 * one_sided(1, s) - one_sided(2, s), True
+                return richardson(one_sided(1, s), one_sided(2, s)), True
         if in_range(a) and in_range(-a):
             return central(1), True
         for s in (1, -1):
@@ -496,6 +508,7 @@ def reference_metric_derivative(chart, node, m=64):
 
     thetas, norms = [], []
     boundary = False
+    fallbacks = 0
     for a in range(-4, 5):
         for b in range(5):
             if (b == 0 and a <= 0) or math.gcd(abs(a), b) != 1:
@@ -512,12 +525,8 @@ def reference_metric_derivative(chart, node, m=64):
     order = np.argsort(thetas)
     thetas, norms = thetas[order], norms[order]
     target = np.arange(m) * (PI / m)
-
-    if norms.min() < 1e-12:
-        ext_t = np.concatenate([thetas, thetas + PI, [thetas[0] + 2 * PI]])
-        ext_n = np.concatenate([norms, norms, [norms[0]]])
-        return Norm2D(m, np.interp(target, ext_t, ext_n)), boundary, \
-            len(thetas)
+    if norms.min() <= volumes.DEGENERATE_NORM:
+        return Norm2D(m, np.zeros(m)), boundary, len(thetas), fallbacks
 
     full_t = np.concatenate([thetas, thetas + PI])
     pts = np.column_stack([np.cos(full_t), np.sin(full_t)]) \
@@ -528,14 +537,54 @@ def reference_metric_derivative(chart, node, m=64):
     u = np.column_stack([np.cos(target), np.sin(target)])
     num = p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
     den = u[:, 0] * (q[:, 1] - p[:, 1]) - u[:, 1] * (q[:, 0] - p[:, 0])
-    rho = num / np.where(np.abs(den) > 1e-15, den, 1e-15)
-    return Norm2D(m, 1.0 / np.maximum(rho, 1e-15)), boundary, len(thetas)
+    return Norm2D(m, 1.0 / (num / den)), boundary, len(thetas), fallbacks
+
+
+def diagonal_chart():
+    """An 8 x 8 chart constant along the offset (1, 1), whose image is
+    a curve: ``V[i, j] = G[(i - j) mod 8]`` for eight random rows
+    ``G``."""
+    grid = Grid(16)
+    G = np.random.default_rng(0).normal(size=(8, grid.n))
+    i, j = np.indices((8, 8))
+    return SurfaceChart(grid, np.linspace(0.0, 1.0, 8),
+                        np.arange(8) * (2 * PI / 8), G[(i - j) % 8])
+
+
+def test_a_chart_constant_along_a_diagonal_has_zero_area():
+    # (1, 1) is not one of the resampled directions: the zero sample
+    # along it, not the resampled norm, makes every node degenerate
+    chart = diagonal_chart()
+    assert volumes.finsler_mass_table(chart) \
+        == dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
+    for i, j in itertools.product(range(8), range(8)):
+        norm, _ = volumes.metric_derivative(chart, (i, j))
+        for d in JACOBIAN_DEFINITIONS:
+            with pytest.raises(DegenerateNormError):
+                volumes.jacobian(norm, d)
+
+
+def test_perturbed_caps_degenerate_only_at_the_pole():
+    # these perturbations take Richardson steps below zero in up to six
+    # rows (least sample -0.66); they fall back to the plain difference,
+    # so only the pole row, where tau collapses, is degenerate
+    for n_d, n_tau, amplitudes in ((9, 16, (0.15, 0.3)),
+                                   (17, 32, (0.2, 0.3))):
+        cap = volumes.cap_chart(0.3, n_d, n_tau, Grid(256))
+        for amplitude in amplitudes:
+            chart = volumes.perturbed_cap_chart(cap, bump_seed=2,
+                                                amplitude=amplitude)
+            norms, _ = volumes._metric_derivatives(chart, range(n_d))
+            degenerate = norms.min(axis=1) <= volumes.DEGENERATE_NORM
+            assert np.array_equal(np.flatnonzero(degenerate),
+                                  np.arange((n_d - 1) * n_tau, n_d * n_tau))
+            assert not norms[degenerate].any()
 
 
 def synthetic_chart(n0, n1, seed):
     grid = Grid(16)
     values = np.random.default_rng(seed).normal(size=(n0, n1, grid.n))
-    return SurfaceChart("synthetic", grid, np.linspace(0.0, 1.0, n0),
+    return SurfaceChart(grid, np.linspace(0.0, 1.0, n0),
                         np.arange(n1) * (2 * PI / n1), values)
 
 
@@ -544,9 +593,15 @@ def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
     charts = [volumes.cone_chart(n, n, Grid(128))
               for n in (3, 4, 5, 7, 16, 24)]
     charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
+    # Richardson steps below zero in rows 5 to 7, and a chart degenerate
+    # at every node along an offset off the resampled directions
+    charts += [volumes.perturbed_cap_chart(
+        volumes.cap_chart(0.3, 9, 16, Grid(64)), bump_seed=2,
+        amplitude=0.3), diagonal_chart()]
     charts += [synthetic_chart(n0, n1, seed)
                for seed, (n0, n1) in enumerate([(5, 6), (3, 4)])]
     used = set()
+    fallbacks = 0
     for chart in charts:
         n0, n1 = len(chart.axis0), len(chart.axis1)
         # the whole chart as one block: rows with different rules and
@@ -558,9 +613,10 @@ def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
             assert np.array_equal(block[i * n1:(i + 1) * n1], norms)
             assert block_flags[i] is flagged
             for j in range(n1):
-                want, want_flagged, count = reference_metric_derivative(
-                    chart, (i, j))
+                want, want_flagged, count, fell_back = \
+                    reference_metric_derivative(chart, (i, j))
                 used.add(count)
+                fallbacks += fell_back
                 assert np.array_equal(norms[j], want.unit_norms)
                 assert flagged is want_flagged
         got, got_flagged = volumes.metric_derivative(chart, (i, 1))
@@ -568,6 +624,7 @@ def test_row_metric_derivative_is_bit_identical_to_the_node_reference():
         assert got_flagged is flagged
     # nodes that drop offsets with no neighbour on either side are covered
     assert {14, 20, 24} <= used and min(used) < 14
+    assert fallbacks
 
 
 def test_finsler_mass_table_equals_the_node_reference_sum():
@@ -835,7 +892,7 @@ def test_norm2d_rejects_non_finite_norms():
 def test_finsler_mass_table_checks_definitions_before_any_node():
     # a constant chart: every metric derivative is the zero seminorm
     grid = Grid(16)
-    flat = SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
+    flat = SurfaceChart(grid, np.linspace(0.0, 1.0, 4),
                         np.arange(5) * (2 * PI / 5), np.ones((4, 5, grid.n)))
     assert volumes.finsler_mass_table(flat) \
         == dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
@@ -846,8 +903,7 @@ def test_finsler_mass_table_rejects_a_non_finite_chart():
     values = cone.values.copy()
     values[2, 3, 7] = math.nan
     with pytest.raises(ValueError, match="chart values must be finite"):
-        chart = SurfaceChart("nan", cone.grid, cone.axis0, cone.axis1,
-                             values)
+        chart = SurfaceChart(cone.grid, cone.axis0, cone.axis1, values)
         volumes.finsler_mass_table(chart)
 
 
@@ -935,7 +991,7 @@ def test_block_mass_table_equals_the_row_reference():
         cap = volumes.cap_chart(0.3, n_d, n_tau, Grid(64))
         charts += [cap, volumes.perturbed_cap_chart(cap, bump_seed=4)]
     grid = Grid(16)
-    charts.append(SurfaceChart("constant", grid, np.linspace(0.0, 1.0, 4),
+    charts.append(SurfaceChart(grid, np.linspace(0.0, 1.0, 4),
                                np.arange(5) * (2 * PI / 5),
                                np.ones((4, 5, grid.n))))
     for chart in charts:
@@ -1064,21 +1120,19 @@ def test_surface_integral_rejects_a_non_finite_chart():
         values[2, 3, 7] = bad
         with pytest.raises(ValueError, match="chart values must be finite"):
             volumes.omega_surface_integral(SurfaceChart(
-                "bad", cap.grid, cap.axis0, cap.axis1, values))
+                cap.grid, cap.axis0, cap.axis1, values))
 
 
 def test_surface_integral_rejects_boundary_nodes():
     cap = volumes.cap_chart(0.3, 5, 8, Grid(64))
     values = cap.values.copy()
     values[2, 3] = boundary_point(cap.grid.beta_nodes[5], cap.grid).values
-    chart = SurfaceChart("touching", cap.grid, cap.axis0, cap.axis1,
-                         values)
+    chart = SurfaceChart(cap.grid, cap.axis0, cap.axis1, values)
     with pytest.raises(ValueError, match=r"chart node \(2, 3\) touches"):
         volumes.omega_surface_integral(chart)
     # of two touching nodes, the first in row-major order is named
     values[1, 6] = PI - values[2, 3]
-    chart = SurfaceChart("touching twice", cap.grid, cap.axis0, cap.axis1,
-                         values)
+    chart = SurfaceChart(cap.grid, cap.axis0, cap.axis1, values)
     with pytest.raises(ValueError, match=r"chart node \(1, 6\) touches"):
         volumes.omega_surface_integral(chart)
 
