@@ -24,6 +24,7 @@ take a column at a time.  ``Norm2D``, ``jacobian`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -128,17 +129,17 @@ def _hull_polygons(unit_norms: np.ndarray) -> _Polygons:
     whose first point follows the negated last one.  The first pass
     runs on the regular layout, x and y as two ``(nodes, m)`` arrays
     with a node's neighbours along its row, at four floats per point
-    at most; the survivors form flat x and y arrays with a node id per
-    point, and each later pass finds a point's neighbours within its
-    node's run.  What is left of a node's run is its half-turn of
-    vertices."""
+    at most; the survivors form flat x and y arrays, node by node, and
+    each later pass turns only the points next to one the pass before
+    dropped: every other point keeps its neighbours, so its turn.  What
+    is left of a node's run is its half-turn of vertices."""
     nodes, m = unit_norms.shape
     th = np.arange(m) * (PI / m)
     cos, sin = np.cos(th), np.sin(th)
     x, y = cos / unit_norms, sin / unit_norms
     tol = x * x
     tol += y * y
-    tol = 1e-14 * tol.max(axis=1)
+    tol = 1e-14 * _reduce_rows(np.maximum, tol)
     ex, ey = _edges(x), _edges(y)
     del x, y
     # the turn ex_i ey_(i+1) - ey_i ex_(i+1) at each point, flat, where
@@ -151,30 +152,47 @@ def _hull_polygons(unit_norms: np.ndarray) -> _Polygons:
     cross[:, -1] = wrap
     keep = cross > tol[:, None]
     del ex, ey, cross, fx, fy, fc
-    # the survivors' points again, by the same division
-    node, col = np.nonzero(keep)
+    # the survivors' points again, by the same division, and those next
+    # to a dropped point, the next pass's
+    cols = np.arange(m)
+    near = ~(keep[:, cols - 1] & keep[:, (cols + 1) % m])
+    keep = np.flatnonzero(keep)
+    at = np.flatnonzero(near.reshape(-1)[keep])
+    node = keep // m
+    col = keep - node * m
     norm = unit_norms[node, col]
     x, y = cos[col] / norm, sin[col] / norm
-    while True:
-        first = np.flatnonzero(np.diff(node, prepend=-1))
-        last = np.append(first[1:], len(node)) - 1
-        succ = np.arange(1, len(node) + 1)
-        succ[last] = first
-        if keep.all():
+    del keep, near, col, norm
+    start = np.searchsorted(node, np.arange(nodes + 1))
+    while len(at):
+        # the neighbours in the node's run, negated across its ends
+        n = node[at]
+        lo, hi = start[n], start[n + 1] - 1
+        first, last = at == lo, at == hi
+        prev, succ = np.where(first, hi, at - 1), np.where(last, lo, at + 1)
+        sp, ss = np.where(first, -1.0, 1.0), np.where(last, -1.0, 1.0)
+        xa, ya = x[at], y[at]
+        ex, ey = xa - sp * x[prev], ya - sp * y[prev]
+        gone = ~(ex * (ss * y[succ] - ya) - ey * (ss * x[succ] - xa)
+                 > tol[n])
+        if not gone.any():
             break
-        prev = np.arange(-1, len(node) - 1)
-        prev[first] = last
-        ex, ey = (z - _signed(z, prev, first) for z in (x, y))
-        keep = ex * _signed(ey, succ, last) - ey * _signed(ex, succ, last) \
-            > tol[node]
+        # the survivors next to a dropped point are the next pass's
+        keep = np.ones(len(node), bool)
+        keep[at[gone]] = False
+        near = np.zeros(len(node), bool)
+        near[prev[gone]] = near[succ[gone]] = True
+        keep = np.flatnonzero(keep)
+        at = np.flatnonzero(near[keep])
         x, y, node = x[keep], y[keep], node[keep]
-    counts = np.bincount(node, minlength=nodes)
-    pos = np.arange(len(node)) - np.searchsorted(node, node)
+        start = np.searchsorted(node, np.arange(nodes + 1))
+    counts = np.diff(start)
     v, w = np.zeros((2, 2, nodes, counts.max()))
+    v[:, node, np.arange(len(node)) - start[node]] = x, y
     # facet i runs from vertex i to the next point, which after the
     # last vertex is the negated first one
-    v[:, node, pos] = x, y
-    w[:, node, pos] = _signed(x, succ, last), _signed(y, succ, last)
+    w[..., :-1] = v[..., 1:]
+    w[:, np.arange(nodes), counts - 1] = -v[..., 0]
     det = v[0] * w[1] - v[1] * w[0]
     det[np.arange(v.shape[2]) >= counts[:, None]] = 1.0
     return _Polygons(counts, np.stack(v, axis=-1),
@@ -195,13 +213,14 @@ def _edges(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def _signed(z: np.ndarray, index: np.ndarray,
-            wrap: np.ndarray) -> np.ndarray:
-    """``z[index]``, negated at the positions ``wrap``: a neighbour
-    across the end of a half-turn run is the negated point."""
-    out = z[index]
-    out[wrap] = -out[wrap]
-    return out
+def _reduce_rows(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1)`` (``np.maximum``) or ``a.min(axis=-1)``, bit for
+    bit, by ``ufunc.reduceat`` at the row starts of the flat array: an
+    axis reduction costs numpy some 100 ns per row, much of a short
+    one."""
+    flat = np.ascontiguousarray(a).reshape(-1)
+    return ufunc.reduceat(flat, np.arange(0, flat.size, a.shape[-1])
+                          ).reshape(a.shape[:-1])
 
 
 def _areas(p: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -245,8 +264,8 @@ def _max_det_on(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det = np.linalg.det(A)
     gx, gy = g[:, None, :, 0], g[:, None, :, 1]
     a00, a01, a10, a11 = (A[..., r, s, None] for r in (0, 1) for s in (0, 1))
-    peak = (gx * a00 * gx + gx * a01 * gy + gy * a10 * gx
-            + gy * a11 * gy).max(axis=2)
+    load = gx * a00 * gx + gx * a01 * gy + gy * a10 * gx + gy * a11 * gy
+    peak = functools.reduce(np.maximum, np.moveaxis(load, 2, 0))
     score = np.where((A[..., 0, 0] > 0.0) & (det > 0.0),
                      det / (peak * peak), -np.inf)
     pick = np.argmax(score, axis=1)
@@ -260,22 +279,23 @@ def _john_ellipses(c: np.ndarray) -> np.ndarray:
     The active set runs on every node at once, a node leaving the
     update once it has settled."""
     nodes = np.arange(len(c))
-    i = np.argmax((c * c).sum(axis=2), axis=1)
+    i = np.argmax(c[..., 0] ** 2 + c[..., 1] ** 2, axis=1)
     ci = c[nodes, i][:, None]
     j = np.argmax(np.abs(ci[..., 0] * c[..., 1] - ci[..., 1] * c[..., 0]),
                   axis=1)
     basis = np.column_stack([i, j, np.full(len(c), -1)])
     L = np.linalg.inv(c[nodes[:, None], basis[:, :2]])     # A = L L^T
     g = c @ L                           # facets in the frame of the ellipse
+    gx, gy = g[..., 0], g[..., 1]
     live = np.ones(len(c), bool)
     for _ in range(64):
-        load = (g * g).sum(axis=2)
+        load = gx * gx + gy * gy
         k = np.argmax(load, axis=1)
-        live &= ~((load[nodes, k] <= 1.0 + 1e-12)
-                  | (basis == k[:, None]).any(axis=1))
+        live &= ~((load[nodes, k] <= 1.0 + 1e-12) | (basis[:, 0] == k)
+                  | (basis[:, 1] == k) | (basis[:, 2] == k))
         if not live.any():
             break
-        size = (basis >= 0).sum(axis=1)
+        size = 2 + (basis[:, 2] >= 0)       # a pair or a triple
         for s in (2, 3):
             sel = np.flatnonzero(live & (size == s))
             if not len(sel):
@@ -289,7 +309,8 @@ def _john_ellipses(c: np.ndarray) -> np.ndarray:
             g[sel] = g[sel] @ chol
     else:
         raise ConvergenceError("John ellipse active set did not settle")
-    return L / np.sqrt((g * g).sum(axis=2).max(axis=1))[:, None, None]
+    return L / np.sqrt(_reduce_rows(np.maximum, gx * gx + gy * gy)
+                       )[:, None, None]
 
 
 def _ellipse_axes(L: np.ndarray) -> tuple[float, float, float, float]:
@@ -326,14 +347,13 @@ def john_ellipse(norm: Norm2D) -> tuple[float, float, float, float]:
 
 def _max_wedges(p: np.ndarray) -> np.ndarray:
     """Largest ``|p_i ^ p_j|`` over pairs of rows of each ``p[n]``: a
-    running maximum over the rows ``i``, so that no ``(nodes, K, K)``
-    array is held."""
+    running elementwise maximum over the rows ``i``, so that no
+    ``(nodes, K, K)`` array is held, then one over the rows ``j``."""
     px, py = p[..., 0], p[..., 1]
-    out = np.zeros(len(p))
+    out = np.zeros(px.shape)
     for xi, yi in zip(px.T, py.T):
-        wedges = np.abs(xi[:, None] * py - yi[:, None] * px)
-        np.maximum(out, wedges.max(axis=1), out=out)
-    return out
+        out = np.maximum(out, np.abs(xi[:, None] * py - yi[:, None] * px))
+    return _reduce_rows(np.maximum, out)
 
 
 def _jacobians(poly: _Polygons, definition: str) -> np.ndarray:
@@ -372,7 +392,9 @@ def jacobians(unit_norms: np.ndarray) -> dict[str, np.ndarray]:
     ``m``-float arrays per node in the hull's first pass, then flat
     arrays of the points that survive it and ``K``-vertex arrays: at
     ``m = 64``, about 2 KB per node on the cone's balls of at most 8
-    vertices, and up to 5.4 KB on the 26-vertex balls of a smooth cap,
-    where most points survive the first pass."""
+    vertices, and up to 4.4 KB on the 26-vertex balls of a smooth cap,
+    where most points survive the first pass.  A reduction over many
+    short rows is a segment reduction (``_reduce_rows``), or over 2 to
+    4 columns an elementwise one."""
     poly = _hull_polygons(unit_norms)
     return {d: _jacobians(poly, d) for d in JACOBIAN_DEFINITIONS}

@@ -28,7 +28,7 @@ from .coeffs import dense_tables
 # are the names callers and the benchmark's tracer use
 from .norms import (DEGENERATE_NORM, DegenerateNormError,
                     JACOBIAN_DEFINITIONS, Norm2D,
-                    jacobian, jacobians, john_ellipse)
+                    _reduce_rows, jacobian, jacobians, john_ellipse)
 
 __all__ = [
     "Norm2D",
@@ -107,9 +107,8 @@ _OFFSETS = tuple((a, b) for a in range(-4, 5) for b in range(5)
 # resampled (at least one); the benchmark's 24 x 24 cone on Grid(256)
 # goes in 10-row slices and 192-node batches.  A batch is cut for
 # those 2.5 KB per node, but its Jacobians take 2.1 KB per node on the
-# cone's balls and 5.4 KB on a smooth cap's (``norms._hull_polygons``,
-# traced): the mass table of the 33 x 64 cap peaks at 1.67 MB, the
-# cone's at 0.83 MB
+# cone's balls and up to 4.4 KB on a smooth cap's (traced): the mass
+# table of the 33 x 64 cap peaks at 1.47 MB, the cone's at 0.83 MB
 _BATCH_BYTES = 480 << 10
 
 
@@ -126,7 +125,7 @@ def _offset_samples(chart: SurfaceChart, rows: range
     per row, and the consecutive rows with the same rule cost one
     sup-difference of two row slices per scale, in slices of as many
     rows as a difference buffer of ``_BATCH_BYTES`` holds (at least
-    one)."""
+    one), its sups over beta by one ``norms._reduce_rows`` call."""
     h0 = chart.axis0[1] - chart.axis0[0]
     h1 = chart.axis1[1] - chart.axis1[0]
     n0, n1 = len(chart.axis0), len(chart.axis1)
@@ -150,7 +149,7 @@ def _offset_samples(chart: SurfaceChart, rows: range
         np.subtract(A[:, e:], B[:, :n1 - e], out=out[:, :n1 - e])
         np.subtract(A[:, :e], B[:, n1 - e:], out=out[:, n1 - e:])
         np.abs(out, out=out)
-        top = out.max(axis=2)
+        top = _reduce_rows(np.maximum, out)
         return np.concatenate((top[:, d:], top[:, :d]), axis=1)
 
     def rule(i: int, a: int) -> tuple[int, int, int]:
@@ -240,7 +239,7 @@ def _resample(thetas: np.ndarray, samples: np.ndarray,
     cols = cols[np.argsort(thetas[cols])]
     thetas = thetas[cols]
     norms = np.take(samples, cols, axis=1)
-    live = norms.min(axis=1) > DEGENERATE_NORM
+    live = _reduce_rows(np.minimum, norms) > DEGENERATE_NORM
     if live.all():
         return _polygon_norms(thetas, norms)
     out = np.zeros((len(samples), N_DIRECTIONS))
@@ -302,11 +301,15 @@ def metric_derivative(chart: SurfaceChart,
     these charts produce and second order accurate for smooth ones.
     The whole row of the node is computed by the code
     ``finsler_mass_table`` runs: ``len(_OFFSETS)`` samples per node
-    from a sup-difference buffer of the row, then about five
-    ``N_DIRECTIONS``-float arrays of temporaries per node to resample
-    them.
+    from a sup-difference buffer of the row, its maxima over beta and the
+    least sample of each node by segment reduction
+    (``norms._reduce_rows``), then about five ``N_DIRECTIONS``-float
+    arrays of temporaries per node to resample them.
     """
     i, j = node
+    if not (0 <= i < len(chart.axis0) and 0 <= j < len(chart.axis1)):
+        raise ValueError(f"node {node} lies outside the chart's "
+                         f"{len(chart.axis0)} x {len(chart.axis1)} nodes")
     norms, flags = _metric_derivatives(chart, range(i, i + 1))
     return Norm2D(N_DIRECTIONS, norms[j]), flags[0]
 
@@ -339,8 +342,8 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     the live nodes of a batch go through one ``jacobians`` call, so
     the temporaries stay the size of one batch: five
     ``N_DIRECTIONS``-float arrays per node (2.5 KB, which the batch
-    size assumes) in the resampling, and in ``norms._hull_polygons``
-    2.1 KB per node on the cone's balls but 5.4 KB on a smooth cap's,
+    size assumes) in the resampling, and in ``norms.jacobians`` 2.1 KB
+    per node on the cone's balls but up to 4.4 KB on a smooth cap's,
     next to the ``len(_OFFSETS)`` offset samples per node of the whole
     chart.  Each node gets the value ``jacobian`` gives its norm, and
     the weighted Jacobians are added node by node in row-major order."""
@@ -348,7 +351,8 @@ def finsler_mass_table(chart: SurfaceChart) -> dict[str, float]:
     weights = np.outer(w0, w1).ravel()
     totals = dict.fromkeys(JACOBIAN_DEFINITIONS, 0.0)
     for nodes, norms in _node_batches(chart):
-        live = np.flatnonzero(norms.min(axis=1) > DEGENERATE_NORM)
+        live = np.flatnonzero(_reduce_rows(np.minimum, norms)
+                              > DEGENERATE_NORM)
         if not len(live):
             continue
         for definition, values in jacobians(norms[live]).items():
