@@ -400,9 +400,12 @@ class WeightedTable:
         return W
 
 
-# column blocks of each DenseTables kernel: of 1 to 32, 8 made the
-# fastest row products at n = 256 and tied 16 at n = 512 (x86-64, one
-# BLAS thread)
+# column blocks of each DenseTables kernel.  Timed on the integral of
+# the 17 x 32 round cap at 1, 2, 3, 4, 6, 8, 12, 16, 24 and 32 blocks,
+# in place, interleaved (x86-64, one BLAS thread): at n = 256, 8 and 16
+# tied as the fastest, and 4 took 5% longer and 32 8 to 13%; at n =
+# 512, 32 was 4 to 7% faster than 8, and 4 and 16 within 3% of it.  3,
+# 6, 12 and 24 took 4 to 18% longer than 8 at both sizes
 DENSE_BLOCKS = 8
 
 
@@ -415,7 +418,9 @@ class DenseTables:
     width without the zero rows above them: block ``[j0, j1)`` holds the
     rows ``k > j0``, zero where ``k <= j``.  So a product multiplies
     about ``(1 + 1 / DENSE_BLOCKS) / 2`` of the full table, one matrix
-    product per block.  The rows run from ``k = n - 1`` down, so that a
+    product per block, written straight into the block's columns of the
+    output: a temporary copied there made a product of 128 rows at n =
+    256 9% slower.  The rows run from ``k = n - 1`` down, so that a
     column adds its near gaps, where ``1 / sin^2 a`` is largest, last:
     on rows of caps at n = 256 and 512 the results then lie 3 to 6
     times closer to the entry-by-entry table than summed in increasing
@@ -445,7 +450,7 @@ class DenseTables:
         X = X.reshape(-1, n)
         out = np.empty_like(X)
         for j0, j1, pair in self.blocks:
-            out[:, j0:j1] = X[:, :n - 1 - j0] @ pair[kernel]
+            np.matmul(X[:, :n - 1 - j0], pair[kernel], out=out[:, j0:j1])
         return out
 
     def pairs(self, y: np.ndarray, *ab: tuple) -> list[np.ndarray]:

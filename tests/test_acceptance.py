@@ -71,25 +71,40 @@ def test_tangent_circle_speed_integrates_to_two_pi():
     assert ok
 
 
-def test_calibration_defect_rate():
-    # the defect |comass - pi| decays superlinearly in the distance to
-    # the hemisphere along segments toward rough hull points
+def defect_slope(seed: int) -> float:
+    """Log-log slope of the defect |comass - pi| against the distance to
+    the hemisphere, along the segment from the hemisphere point (0, 0.6)
+    toward the midpoint of it and rough hull point ``seed``, at n = 512;
+    at least 4 fit points."""
     grid = Grid(512)
     h = SpherePoint(0.0, 0.6)
     h_fn = hull.sphere_point(h, grid)
     t_list = [0.02 * k for k in range(1, 11)]
-    slopes = []
-    for seed in (0, 1, 3, 4, 6):
-        rough = hull.random_hull_point(seed, 0.25, 0.3, grid)
-        g = HullFn(grid, 0.5 * (h_fn.values + rough.values))
-        out = comass.calibration_sweep(h, g, t_list, defect_floor=5e-5)
-        assert out["n_fit"] >= 4
-        slopes.append(out["slope"])
+    rough = hull.random_hull_point(seed, 0.25, 0.3, grid)
+    g = HullFn(grid, 0.5 * (h_fn.values + rough.values))
+    out = comass.calibration_sweep(h, g, t_list, defect_floor=5e-5)
+    assert out["n_fit"] >= 4
+    return out["slope"]
+
+
+def test_calibration_defect_rate():
+    # the defect |comass - pi| decays superlinearly in the distance to
+    # the hemisphere along segments toward rough hull points
+    slopes = [defect_slope(seed) for seed in (0, 1, 3, 4, 6)]
     ok = min(slopes) >= 1.5
     report("calibration defect rate", ok,
            "log-log slopes " + ", ".join(f"{s:.2f}" for s in slopes)
            + " over 5 random g (all >= 1.5, >= 4 fit points each)")
     assert ok
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the sweep's log-log slope is not a stationarity test (CHANGES.md, "
+    "FOUND line 3; ROADMAP item 1): seed 2 reads 0.86"))
+def test_calibration_defect_rate_toward_seed_2():
+    # the seed the test above leaves out: its defect does not decay
+    # superlinearly over the default t list
+    assert defect_slope(2) >= 1.5
 
 
 def test_gradient_and_hessian_oracles():

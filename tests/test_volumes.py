@@ -1125,6 +1125,25 @@ def test_surface_integral_is_bit_reproducible():
         == volumes.omega_surface_integral(pert)
 
 
+def test_surface_integral_memory_at_the_benchmark_size():
+    # the benchmark's 17 x 32 caps on Grid(256): each temporary of the
+    # row loop is one parameter row of 32 x 256 values (65.5 KB) or a
+    # small stack of rows, never the chart.  The traced peak is 1.521 MB
+    # on the round cap and 1.519 MB on the perturbed one (numpy 2.4);
+    # the bound is that plus 5%, rounded up
+    cap = volumes.cap_chart(0.3, 17, 32, Grid(256))
+    for chart in (cap, volumes.perturbed_cap_chart(cap, bump_seed=1,
+                                                   amplitude=0.2)):
+        volumes.omega_surface_integral(chart)
+        tracemalloc.start()
+        try:
+            volumes.omega_surface_integral(chart)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6e6, peak
+
+
 def test_surface_integral_does_not_depend_on_the_blas_thread_count(
         blas_thread_envs):
     script = ("from fillhull import volumes\n"
